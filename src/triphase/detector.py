@@ -9,16 +9,18 @@ Three models map a pair phase shift to a DC voltage:
 * calibrated fifth-degree polynomials (voltage in, degrees out) measured on
   the prototype, one per input pair, non-ambiguous over +-80 deg.
 
-The calibrated polynomials are the model the simulator uses.  Forward voltage
-synthesis inverts the polynomial by bisection, which the strict-monotonicity
-invariant makes well defined.
+The calibrated polynomials are the model the simulator uses.  Their strict
+monotonicity is proven exactly, so forward voltage synthesis has one root to
+find, by a safeguarded Newton-bisection seeded from a per-profile table.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +40,12 @@ CALIBRATED_RANGE_DEG = 80.0
 GUARD_BAND_V = 0.010
 #: how far voltage_from_phase may extend the bracket beyond [v_lo, v_hi] [V]
 BRACKET_EXTENSION_V = 0.100
-#: bisection resolution for voltage synthesis [V]
-VOLTAGE_RESOLUTION_V = 1e-6
+#: grid points of the per-profile table that seeds voltage synthesis
+SEED_TABLE_POINTS = 256
 
 PAIR_IDS = ("d12", "d23", "d31")
+_PROFILE_FIELDS = ("pair_id", "a0", "a1", "a2", "a3", "a4", "a5",
+                   "v_ref", "v_lo", "v_hi", "max_err_deg", "frequency_hz")
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,44 @@ def _horner(coeffs, v):
     return acc
 
 
-def _horner_deriv(coeffs, v):
-    acc = 0.0
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * v + k * coeffs[k]
-    return acc
+def _solve(coeffs, target, lo, hi, v):
+    """Root of poly(x) = target in [lo, hi], where poly(lo) <= target <= poly(hi).
+
+    Safeguarded Newton from v (Brent 1973): each evaluation moves a bracket end
+    to v, a Newton step leaving the bracket becomes a bisection, and a step
+    below 1e-9 (volts, for every caller) ends the search."""
+    for _ in range(100):
+        p = dp = 0.0
+        for c in reversed(coeffs):
+            dp = dp * v + p
+            p = p * v + c
+        p -= target
+        lo, hi = (v, hi) if p <= 0.0 else (lo, v)
+        if dp == 0.0 or not lo <= (nxt := v - p / dp) <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - v) <= 1e-9:
+            return nxt
+        v = nxt
+    return v
+
+
+def _roots(coeffs, a, b):
+    """Real roots in [a, b], ascending: at most one per piece between the derivative's roots."""
+    if not any(coeffs[1:]):
+        return []
+    cuts = [a, *_roots([k * c for k, c in enumerate(coeffs)][1:], a, b), b]
+    roots = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        sign = 1.0 if _horner(coeffs, lo) <= 0.0 else -1.0
+        if sign * _horner(coeffs, hi) >= 0.0:
+            roots.append(_solve([sign * c for c in coeffs], 0.0, lo, hi, 0.5 * (lo + hi)))
+    return roots
+
+
+def _increasing(coeffs, a, b):
+    """Exact test of strict increase on [a, b]: the slope is positive at a, root-free on [a, b]."""
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    return _horner(slope, a) > 0.0 and not _roots(slope, a, b)
 
 
 @dataclass(frozen=True)
@@ -111,8 +148,9 @@ class CalibrationPolynomial:
 
     coefficients a0..a5 give phase [deg] = sum(a_k * v**k); v_ref is the
     voltage reported for zero phase; [v_lo, v_hi] is the validity interval.
-    Construction verifies strict monotonicity on the validity interval by
-    1 mV sampling and that the polynomial is near zero at v_ref.
+    Construction requires finite numbers and a positive frequency, proves
+    strict monotonicity on the validity interval exactly, and checks that the
+    polynomial is near zero at v_ref.
     """
 
     a0: float
@@ -131,16 +169,19 @@ class CalibrationPolynomial:
     def __post_init__(self):
         if self.pair_id not in PAIR_IDS:
             raise InvalidParameterError(f"pair_id must be one of {PAIR_IDS}, got {self.pair_id!r}")
+        for name in _PROFILE_FIELDS[1:]:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.frequency_hz > 0.0:
+            raise InvalidParameterError(f"frequency_hz must be > 0, got {self.frequency_hz}")
         if not self.v_lo < self.v_hi:
             raise InvalidParameterError(f"need v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
         if self.max_err_deg < 0.0:
             raise InvalidParameterError("max_err_deg must be >= 0")
-        v = self.v_lo
-        while v <= self.v_hi:
-            if _horner_deriv(self.coeffs, v) <= 0.0:
-                raise CalibrationRejectedError(
-                    f"{self.pair_id}: polynomial not strictly increasing at {v:.3f} V")
-            v += 0.001
+        if not _increasing(self.coeffs, self.v_lo, self.v_hi):
+            raise CalibrationRejectedError(
+                f"{self.pair_id}: polynomial not strictly increasing on "
+                f"[{self.v_lo:.3f}, {self.v_hi:.3f}] V")
         ref_phase = self.evaluate(self.v_ref)
         if abs(ref_phase) > self.max_err_deg + 1e-6:
             raise CalibrationRejectedError(
@@ -154,6 +195,13 @@ class CalibrationPolynomial:
     def evaluate(self, v) -> float:
         """Raw polynomial value in degrees, no domain check or clamping."""
         return _horner(self.coeffs, v)
+
+    @cached_property
+    def _seed_table(self):
+        """(volts, phases) on a uniform grid over [v_lo, v_hi]; phases ascend."""
+        step = (self.v_hi - self.v_lo) / (SEED_TABLE_POINTS - 1)
+        volts = [self.v_lo + k * step for k in range(SEED_TABLE_POINTS - 1)] + [self.v_hi]
+        return volts, [self.evaluate(v) for v in volts]
 
 
 def phase_from_voltage(poly: CalibrationPolynomial, v) -> float:
@@ -180,42 +228,31 @@ def phase_from_voltage(poly: CalibrationPolynomial, v) -> float:
 def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     """Synthesize the raw voltage whose calibrated phase equals theta_deg.
 
-    Bisects the strictly monotone polynomial to 1 uV.  The bracket starts at
-    [v_lo, v_hi] and is extended outward (monotonicity re-checked, at most
-    100 mV per side) when the fitted interval does not quite reach +-80 deg.
+    The profile's seed table brackets the root and interpolates a start for a
+    safeguarded Newton-bisection.  Where [v_lo, v_hi] falls short of theta, the
+    bracket extends at most 100 mV past that end, over which the polynomial
+    must reach theta while strictly increasing.
     """
     if not math.isfinite(theta_deg):
         raise InvalidParameterError(f"theta_deg must be finite, got {theta_deg!r}")
     if abs(theta_deg) > CALIBRATED_RANGE_DEG:
         raise PhaseAmbiguityError(poly.pair_id, theta_deg)
 
-    lo, hi = poly.v_lo, poly.v_hi
-    lo = _extend_bracket(poly, lo, theta_deg, downward=True)
-    hi = _extend_bracket(poly, hi, theta_deg, downward=False)
-    for _ in range(64):
-        if hi - lo <= VOLTAGE_RESOLUTION_V:
-            break
-        mid = 0.5 * (lo + hi)
-        if poly.evaluate(mid) <= theta_deg:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _extend_bracket(poly, v_end, theta, downward):
-    """Push a bracket end outward in 5 mV steps until it encloses theta."""
-    step = -0.005 if downward else 0.005
-    limit = BRACKET_EXTENSION_V
-    moved = 0.0
-    while (poly.evaluate(v_end) > theta) if downward else (poly.evaluate(v_end) < theta):
-        if moved >= limit or _horner_deriv(poly.coeffs, v_end + step) <= 0.0:
-            raise CalibrationRejectedError(
-                f"{poly.pair_id}: polynomial does not reach {theta:+.2f} deg near "
-                f"{v_end:.3f} V; cannot synthesize voltage")
-        v_end += step
-        moved += abs(step)
-    return v_end
+    volts, phases = poly._seed_table
+    if phases[0] <= theta_deg <= phases[-1]:
+        i = bisect.bisect_right(phases, theta_deg, 1, SEED_TABLE_POINTS - 1)
+        lo, hi = volts[i - 1], volts[i]
+        seed = lo + (theta_deg - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
+        return _solve(poly.coeffs, theta_deg, lo, hi, seed)
+    v_end = poly.v_lo if theta_deg < phases[0] else poly.v_hi
+    lo, hi = sorted((v_end, v_end + math.copysign(BRACKET_EXTENSION_V, theta_deg - phases[0])))
+    v = _solve(poly.coeffs, theta_deg, lo, hi, 0.5 * (lo + hi))
+    reached = poly.evaluate(lo) <= theta_deg <= poly.evaluate(hi)
+    if reached and _increasing(poly.coeffs, *sorted((v, v_end))):
+        return v
+    raise CalibrationRejectedError(
+        f"{poly.pair_id}: polynomial does not reach {theta_deg:+.2f} deg monotonically within "
+        f"{BRACKET_EXTENSION_V * 1000:.0f} mV of {v_end:.3f} V; cannot synthesize voltage")
 
 
 def centered_voltage(v_raw, poly: CalibrationPolynomial) -> float:
@@ -256,43 +293,21 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
     v_lo, v_hi = float(volts.min()), float(volts.max())
 
     padded = [float(c) for c in coeffs] + [0.0] * (6 - len(coeffs))
-    v_ref = _zero_crossing(padded, v_lo, v_hi)
+    if _horner(padded, v_lo) > 0.0 or _horner(padded, v_hi) < 0.0:
+        raise CalibrationRejectedError("fitted polynomial has no zero crossing in the sample interval")
+    v_ref = _solve(padded, 0.0, v_lo, v_hi, 0.5 * (v_lo + v_hi))
     return CalibrationPolynomial(
         *padded, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
         max_err_deg=max_err, pair_id=pair_id, frequency_hz=frequency_hz)
 
 
-def _zero_crossing(coeffs, lo, hi):
-    f_lo, f_hi = _horner(coeffs, lo), _horner(coeffs, hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise CalibrationRejectedError("fitted polynomial has no zero crossing in the sample interval")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _horner(coeffs, mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _builtin(pair_id, coeffs, v_ref, max_err_deg):
     # Validity interval = exact voltages where the polynomial reaches -80/+80 deg,
     # so voltage synthesis covers the whole calibrated range.
-    v_lo = _crossing(coeffs, -CALIBRATED_RANGE_DEG)
-    v_hi = _crossing(coeffs, +CALIBRATED_RANGE_DEG)
+    v_lo, v_hi = (_solve(coeffs, s * CALIBRATED_RANGE_DEG, 0.05, 3.2, 1.625) for s in (-1, 1))
     return CalibrationPolynomial(
         *coeffs, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
         max_err_deg=max_err_deg, pair_id=pair_id, frequency_hz=2.46e9)
-
-
-def _crossing(coeffs, target, lo=0.05, hi=3.2):
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _horner(coeffs, mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 #: measured prototype calibration profiles at 2.46 GHz, one per input pair
@@ -312,22 +327,13 @@ def builtin_profile_set():
     return {"d12": TABLE2_D12, "d23": TABLE2_D23, "d31": TABLE2_D31}
 
 
-_PROFILE_FIELDS = ("pair_id", "a0", "a1", "a2", "a3", "a4", "a5",
-                   "v_ref", "v_lo", "v_hi", "max_err_deg", "frequency_hz")
-
-
 def save_profile(poly: CalibrationPolynomial, path_or_file):
     """Write a calibration profile as key = value text."""
     if hasattr(path_or_file, "write"):
         fh = path_or_file
         fh.write(f"pair_id = {poly.pair_id}\n")
-        for k in range(6):
-            fh.write(f"a{k} = {float(poly.coeffs[k])!r}\n")
-        fh.write(f"v_ref = {float(poly.v_ref)!r}\n")
-        fh.write(f"v_lo = {float(poly.v_lo)!r}\n")
-        fh.write(f"v_hi = {float(poly.v_hi)!r}\n")
-        fh.write(f"max_err_deg = {float(poly.max_err_deg)!r}\n")
-        fh.write(f"frequency_hz = {float(poly.frequency_hz)!r}\n")
+        for name in _PROFILE_FIELDS[1:]:
+            fh.write(f"{name} = {float(getattr(poly, name))!r}\n")
     else:
         with open(path_or_file, "w") as fh:
             save_profile(poly, fh)
@@ -353,15 +359,8 @@ def load_profile(path_or_file) -> CalibrationPolynomial:
     if missing:
         raise FileFormatError(f"profile missing fields: {', '.join(missing)}")
     try:
-        return CalibrationPolynomial(
-            *(float(values[f"a{k}"]) for k in range(6)),
-            v_ref=float(values["v_ref"]),
-            v_lo=float(values["v_lo"]),
-            v_hi=float(values["v_hi"]),
-            max_err_deg=float(values["max_err_deg"]),
-            pair_id=values["pair_id"],
-            frequency_hz=float(values["frequency_hz"]),
-        )
+        return CalibrationPolynomial(pair_id=values["pair_id"],
+                                     **{f: float(values[f]) for f in _PROFILE_FIELDS[1:]})
     except ValueError as exc:
         raise FileFormatError(f"bad profile value: {exc}") from exc
 

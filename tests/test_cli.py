@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from triphase import load_profile
+from triphase import TABLE2_D31, load_profile, save_profile
 from triphase.cli import main
 
 TABLE1_D12 = [(-80, 0.223), (-70, 0.302), (0, 1.533), (0, 1.533), (70, 2.756), (80, 2.837)]
@@ -174,6 +174,16 @@ class TestSimulate:
         assert main(["simulate", "--profile", "table2-d12,table2-d23,table2-d31",
                      "--landing-r", "20", "--landing-phi", "10", "--start-z", "80",
                      "--out", str(tmp_path / "t.csv")]) == 0
+
+    @pytest.mark.parametrize("field,value", [("a0", "nan"), ("max_err_deg", "nan"),
+                                             ("frequency_hz", "-5")])
+    def test_malformed_profile_file_is_io_error(self, tmp_path, field, value):
+        path = tmp_path / "d31.profile"
+        save_profile(TABLE2_D31, path)
+        path.write_text("".join(f"{field} = {value}\n" if line.startswith(f"{field} =") else line
+                                for line in path.read_text().splitlines(keepends=True)))
+        assert main(["simulate", "--profile", f"table2-d12,table2-d23,{path}",
+                     "--out", str(tmp_path / "t.csv")]) == 2
 
     def test_incomplete_profile_set_is_usage_error(self, tmp_path):
         assert main(["simulate", "--profile", "table2-d12,table2-d23",

@@ -1,11 +1,16 @@
+import dataclasses
 import io
 import math
 
 import pytest
+from hypothesis import given, strategies as st
+from numpy.polynomial import Polynomial
 
 from triphase import (
     CalibrationFitError,
+    CalibrationPolynomial,
     CalibrationRejectedError,
+    FileFormatError,
     IdealDetector,
     InvalidParameterError,
     MeasurementSample,
@@ -23,7 +28,7 @@ from triphase import (
     save_profile,
     voltage_from_phase,
 )
-from triphase.detector import TABLE2_D12, TABLE2_D23, TABLE2_D31
+from triphase.detector import PAIR_IDS, TABLE2_D12, TABLE2_D23, TABLE2_D31
 
 # measured rows: nominal phase [deg] -> raw voltage [V], per pair
 TABLE1 = {
@@ -237,3 +242,112 @@ class TestMeasurementCsv:
         from triphase import FileFormatError
         with pytest.raises(FileFormatError):
             read_measurement_csv(io.StringIO(""))
+
+
+def reference_voltage_from_phase(poly, theta_deg):
+    """Voltage synthesis by plain bisection to 1 uV, with the bracket pushed
+    outward in 5 mV steps (at most 100 mV) where [v_lo, v_hi] falls short."""
+    def slope(v):
+        return sum(k * c * v ** (k - 1) for k, c in enumerate(poly.coeffs) if k)
+
+    def extend(v_end, step):
+        moved = 0.0
+        while (poly.evaluate(v_end) > theta_deg) if step < 0 else (poly.evaluate(v_end) < theta_deg):
+            if moved >= 0.100 or slope(v_end + step) <= 0.0:
+                raise CalibrationRejectedError("reference bisection cannot bracket theta")
+            v_end += step
+            moved += abs(step)
+        return v_end
+
+    lo, hi = extend(poly.v_lo, -0.005), extend(poly.v_hi, +0.005)
+    for _ in range(64):
+        if hi - lo <= 1e-6:
+            break
+        mid = 0.5 * (lo + hi)
+        if poly.evaluate(mid) <= theta_deg:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def d12_fit_between(v_lo, v_hi):
+    """Exact quintic fit of the d12 curve sampled at 9 voltages over [v_lo, v_hi]."""
+    volts = [v_lo + k * (v_hi - v_lo) / 8 for k in range(9)]
+    return fit_calibration(quintic_samples(TABLE2_D12.coeffs, volts), degree=5)
+
+
+# samples over about +-75 deg: the fitted interval stops 43-45 mV short of +-80 deg
+STOP_SHORT_FIT = d12_fit_between(0.262, 2.797)
+
+
+class TestVoltageSynthesisOracle:
+    @pytest.mark.parametrize("poly", [TABLE2_D12, TABLE2_D23, TABLE2_D31, STOP_SHORT_FIT],
+                             ids=["d12", "d23", "d31", "stop-short-fit"])
+    def test_agrees_with_bisection_within_one_microvolt(self, poly):
+        worst = max(abs(voltage_from_phase(poly, k / 100) - reference_voltage_from_phase(poly, k / 100))
+                    for k in range(-8000, 8001))
+        assert worst <= 1e-6
+
+    @given(pair=st.sampled_from(PAIR_IDS), theta=st.floats(-80.0, 80.0))
+    def test_round_trip_property(self, pair, theta):
+        poly = PROFILES[pair]
+        assert abs(phase_from_voltage(poly, voltage_from_phase(poly, theta)) - theta) <= 1e-4
+
+    def test_bracket_extends_past_a_stop_short_fit(self):
+        fit = STOP_SHORT_FIT
+        assert -80.0 < fit.evaluate(fit.v_lo) and fit.evaluate(fit.v_hi) < 80.0
+        for theta in (-80.0, 80.0):
+            v = voltage_from_phase(fit, theta)
+            assert not fit.v_lo <= v <= fit.v_hi
+            assert fit.evaluate(v) == pytest.approx(theta, abs=1e-4)
+            assert v == pytest.approx(voltage_from_phase(TABLE2_D12, theta), abs=1e-5)
+
+    def test_extension_beyond_100_mv_rejected(self):
+        fit = d12_fit_between(0.423, 2.629)  # about +-60 deg: +-80 lies 200 mV further out
+        assert voltage_from_phase(fit, 60.0) == pytest.approx(2.629, abs=1e-3)
+        for theta in (-80.0, 80.0):
+            with pytest.raises(CalibrationRejectedError):
+                voltage_from_phase(fit, theta)
+
+
+class TestMonotonicityProof:
+    def test_dip_narrower_than_a_millivolt_rejected(self):
+        # slope = k * ((v - c)**2 - d**2) * ((v - c)**2 + b) is negative only on
+        # (c - d, c + d), d = 0.3 mV, with c halfway between two 1 mV steps from v_lo
+        k, b, d, c, v_lo = 40.0, 1.0, 3e-4, 1.5005, 0.2
+        phase = Polynomial([0.0, -k * d * d * b, 0.0, k * (b - d * d) / 3, 0.0, k / 5])
+        coeffs = phase(Polynomial([-c, 1.0])).coef
+        slope = Polynomial(coeffs).deriv()
+        assert all(slope(v_lo + n * 0.001) > 0.0 for n in range(2701))
+        assert slope(c) < 0.0
+        with pytest.raises(CalibrationRejectedError):
+            CalibrationPolynomial(*coeffs, v_ref=c, v_lo=v_lo, v_hi=2.9, max_err_deg=1.0,
+                                  pair_id="d12")
+
+
+NUMERIC_FIELDS = ("a0", "a1", "a2", "a3", "a4", "a5", "v_ref", "v_lo", "v_hi",
+                  "max_err_deg", "frequency_hz")
+
+
+class TestProfileValidation:
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            dataclasses.replace(TABLE2_D12, **{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_non_positive_frequency_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="frequency_hz"):
+            dataclasses.replace(TABLE2_D12, frequency_hz=value)
+
+    @pytest.mark.parametrize("field,value", [("a0", "nan"), ("max_err_deg", "nan"),
+                                             ("frequency_hz", "-5")])
+    def test_load_profile_rejects_malformed_value(self, field, value):
+        buf = io.StringIO()
+        save_profile(TABLE2_D12, buf)
+        lines = [f"{field} = {value}" if line.startswith(f"{field} =") else line
+                 for line in buf.getvalue().splitlines()]
+        with pytest.raises(FileFormatError):
+            load_profile(io.StringIO("\n".join(lines)))

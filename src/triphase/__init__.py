@@ -4,29 +4,13 @@ Simulates a drone-mounted receiver triangle listening to a single-frequency
 beacon at the landing point: exact near-field phase-shift geometry, measured
 detector calibration models, the six-sector guidance rules, and a closed-loop
 landing simulator with CSV outputs for every stage.
+
+The package exports the names of the library quickstart and the error
+classes; everything else is imported from its module (triphase.geometry,
+.detector, .guidance, .simulator, .cli).
 """
 
-from .detector import (
-    BUILTIN_PROFILES,
-    CALIBRATED_RANGE_DEG,
-    CalibrationPolynomial,
-    IdealDetector,
-    MeasurementSample,
-    TABLE2_D12,
-    TABLE2_D23,
-    TABLE2_D31,
-    TriangularDetector,
-    ad8302_voltage,
-    builtin_profile_set,
-    centered_voltage,
-    fit_calibration,
-    ideal_sine_voltage,
-    load_profile,
-    phase_from_voltage,
-    read_measurement_csv,
-    save_profile,
-    voltage_from_phase,
-)
+from .detector import builtin_profile_set
 from .errors import (
     CalibrationFitError,
     CalibrationRejectedError,
@@ -38,50 +22,7 @@ from .errors import (
     TriphaseError,
     VoltageOutOfRangeError,
 )
-from .geometry import (
-    LandingScenario,
-    PhaseSolution,
-    ReceiverGeometry,
-    RFConfig,
-    SPEED_OF_LIGHT_MPS,
-    Vector3,
-    azimuth_sweep,
-    cone_profile,
-    correction_sensitivity,
-    landing_point_world,
-    nonambiguous_range,
-    phase_solution,
-    receiver_points,
-    wrap_angle_deg,
-    write_cone_csv,
-    write_sweep_csv,
-)
-from .guidance import (
-    GuidanceConfig,
-    HOLD,
-    Maneuver,
-    ManeuverKind,
-    SectorId,
-    VoltageTriple,
-    classify_sector,
-    decide,
-    expected_sector_from_azimuth,
-    tracking_maneuvers,
-    trace_line,
-)
-from .simulator import (
-    DETECTOR_MODES,
-    DroneState,
-    SimConfig,
-    SimulationResult,
-    TrajectoryRecord,
-    TransectRow,
-    apply_maneuver,
-    landing_body_frame,
-    sense,
-    simulate_landing,
-    worst_case_transect,
-    write_trajectory_csv,
-)
+from .geometry import RFConfig, Vector3, receiver_points
+from .simulator import DroneState, sense, simulate_landing
 
 __version__ = "0.1.0"

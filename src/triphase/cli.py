@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from . import detector, geometry, guidance, simulator
 from .errors import FileFormatError, InvalidParameterError, TriphaseError
@@ -63,94 +61,68 @@ def cm_list(text):
     return values
 
 
-@dataclass
-class RunConfig:
-    """Resolved per-invocation configuration."""
-
-    frequency_hz: float
-    spacing_cm: float
-    wave_speed_mps: float
-    profiles: dict | None = None
-    guidance: guidance.GuidanceConfig = field(default_factory=guidance.GuidanceConfig)
-    sim: simulator.SimConfig = field(default_factory=simulator.SimConfig)
-    out: str = "-"
-
-
-def _add_common(parser, with_profile=False):
-    parser.add_argument("--freq-ghz", type=positive_float, default=None,
-                        help="beacon frequency in GHz (default: 2.45; simulate: profile frequency)")
+def _add_common(parser, with_freq=True):
+    if with_freq:
+        parser.add_argument("--freq-ghz", type=positive_float, default=DEFAULT_SWEEP_FREQ_GHZ,
+                            help=f"beacon frequency in GHz (default {DEFAULT_SWEEP_FREQ_GHZ})")
     parser.add_argument("--spacing-cm", type=positive_float, default=7.0,
                         help="receiver input spacing D in cm (default 7)")
     parser.add_argument("--wave-speed", type=positive_float, default=geometry.SPEED_OF_LIGHT_MPS,
                         help="propagation speed in m/s (default vacuum light speed)")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    if with_profile:
-        parser.add_argument("--profile", default="table2",
-                            help="'table2' for the built-in measured profiles, or three "
-                                 "comma-separated built-in names (table2-d12, ...) or "
-                                 "profile file paths covering d12,d23,d31")
 
 
 def _resolve_profiles(selector):
+    builtin = detector.builtin_profile_set()
     if selector == "table2":
-        return detector.builtin_profile_set()
+        return builtin
     profiles = {}
     for item in (p for p in selector.split(",") if p.strip()):
-        poly = detector.BUILTIN_PROFILES.get(item) or detector.load_profile(item)
+        name = item.removeprefix("table2-")
+        poly = builtin[name] if name != item and name in builtin else detector.load_profile(item)
+        if poly.pair_id in profiles:
+            raise InvalidParameterError(f"more than one profile for pair {poly.pair_id}")
         profiles[poly.pair_id] = poly
     missing = [p for p in detector.PAIR_IDS if p not in profiles]
     if missing:
         raise InvalidParameterError(f"profiles missing pairs: {', '.join(missing)}")
+    freqs = sorted({poly.frequency_hz for poly in profiles.values()})
+    if len(freqs) > 1:
+        raise InvalidParameterError(
+            "profiles disagree on frequency: " + ", ".join(f"{f / 1e9:g} GHz" for f in freqs))
     return profiles
 
 
-@contextmanager
-def _open_out(path):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+def _out(args):
+    """Where a command writes its CSV: stdout for '-', else the path."""
+    return sys.stdout if args.out == "-" else args.out
 
 
-def _build_run_config(args, with_profile=False, default_freq_ghz=DEFAULT_SWEEP_FREQ_GHZ):
-    profiles = _resolve_profiles(args.profile) if with_profile else None
-    if args.freq_ghz is not None:
-        freq_hz = args.freq_ghz * 1e9
-    elif with_profile:
-        freq_hz = profiles["d12"].frequency_hz
-    else:
-        freq_hz = default_freq_ghz * 1e9
-    return RunConfig(frequency_hz=freq_hz, spacing_cm=args.spacing_cm,
-                     wave_speed_mps=args.wave_speed, profiles=profiles, out=args.out)
+def _geometry(args, frequency_hz):
+    """Receiver triangle and RF settings from the common options."""
+    return (geometry.receiver_points(args.spacing_cm),
+            geometry.RFConfig(frequency_hz, args.wave_speed))
 
 
 def cmd_sweep(args):
-    cfg = _build_run_config(args)
-    geom = geometry.receiver_points(cfg.spacing_cm)
-    rf = geometry.RFConfig(cfg.frequency_hz, cfg.wave_speed_mps)
+    geom, rf = _geometry(args, args.freq_ghz * 1e9)
     rows = geometry.azimuth_sweep(args.r_cm, args.z_cm, geom, rf, args.n)
-    with _open_out(cfg.out) as fh:
-        geometry.write_sweep_csv(fh, rows)
+    geometry.write_sweep_csv(_out(args), rows)
     return 0
 
 
 def cmd_cone(args):
-    cfg = _build_run_config(args)
-    geom = geometry.receiver_points(cfg.spacing_cm)
-    rf = geometry.RFConfig(cfg.frequency_hz, cfg.wave_speed_mps)
+    geom, rf = _geometry(args, args.freq_ghz * 1e9)
     rows = geometry.cone_profile(args.z_cm, args.theta_limit, geom, rf, args.n_azimuths)
-    with _open_out(cfg.out) as fh:
-        geometry.write_cone_csv(fh, rows)
+    geometry.write_cone_csv(_out(args), rows)
     return 0
 
 
 def cmd_fit(args):
     samples = detector.read_measurement_csv(args.samples)
     poly = detector.fit_calibration(samples, degree=args.degree, pair_id=args.pair_id,
-                                    frequency_hz=(args.freq_ghz or 2.46) * 1e9)
-    with _open_out(args.out) as fh:
-        detector.save_profile(poly, fh)
+                                    frequency_hz=args.freq_ghz * 1e9)
+    detector.save_profile(poly, _out(args))
     print(f"max_err_deg={poly.max_err_deg:.6g}")
     return 0
 
@@ -166,16 +138,15 @@ def cmd_decide(args):
 
 
 def cmd_simulate(args):
-    cfg = _build_run_config(args, with_profile=True)
-    cfg.guidance = guidance.GuidanceConfig(hold_threshold_v=args.hold_threshold,
-                                           rotate_step_deg=args.rotate_step,
-                                           move_step_cm=args.move_step)
-    cfg.sim = simulator.SimConfig(descent_step_cm=args.descent_step,
-                                  min_height_cm=args.min_height,
-                                  max_iterations=args.max_iterations,
-                                  detector_mode=args.mode)
-    geom = geometry.receiver_points(cfg.spacing_cm)
-    rf = geometry.RFConfig(cfg.frequency_hz, cfg.wave_speed_mps)
+    profiles = _resolve_profiles(args.profile)
+    gcfg = guidance.GuidanceConfig(hold_threshold_v=args.hold_threshold,
+                                   rotate_step_deg=args.rotate_step,
+                                   move_step_cm=args.move_step)
+    scfg = simulator.SimConfig(descent_step_cm=args.descent_step,
+                               min_height_cm=args.min_height,
+                               max_iterations=args.max_iterations,
+                               detector_mode=args.mode)
+    geom, rf = _geometry(args, profiles["d12"].frequency_hz)
     start = simulator.DroneState(
         geometry.Vector3(args.start_x, args.start_y, args.start_z), args.heading)
     scenario = geometry.LandingScenario(args.landing_r, args.landing_phi, args.start_z)
@@ -183,10 +154,8 @@ def cmd_simulate(args):
     # scenario is drone-relative; place the beacon on the ground plane in world frame
     landing = geometry.Vector3(args.start_x + world.x, args.start_y + world.y, 0.0)
 
-    result = simulator.simulate_landing(start, landing, geom, rf, cfg.profiles,
-                                        cfg.guidance, cfg.sim)
-    with _open_out(cfg.out) as fh:
-        simulator.write_trajectory_csv(fh, result.records)
+    result = simulator.simulate_landing(start, landing, geom, rf, profiles, gcfg, scfg)
+    simulator.write_trajectory_csv(_out(args), result.records)
 
     final = result.final_state.position
     err = math.hypot(landing.x - final.x, landing.y - final.y)
@@ -230,7 +199,7 @@ def build_parser():
     p.add_argument("samples", help="CSV with header theta_deg,voltage_v,power_dbm")
     p.add_argument("--degree", type=positive_int, default=5, help="polynomial degree (default 5)")
     p.add_argument("--pair-id", choices=detector.PAIR_IDS, default="d12")
-    p.add_argument("--freq-ghz", type=positive_float, default=None,
+    p.add_argument("--freq-ghz", type=positive_float, default=2.46,
                    help="frequency stored in the profile (default 2.46)")
     p.add_argument("--out", default="-", help="profile output path, '-' for stdout")
     p.set_defaults(func=cmd_fit)
@@ -245,7 +214,12 @@ def build_parser():
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("simulate", help="closed-loop landing run, trajectory as CSV")
-    _add_common(p, with_profile=True)
+    _add_common(p, with_freq=False)
+    p.add_argument("--profile", default="table2",
+                   help="'table2' for the built-in measured profiles, or three "
+                        "comma-separated built-in names (table2-d12, ...) or "
+                        "profile file paths covering d12,d23,d31; the run uses "
+                        "their common frequency")
     p.add_argument("--start-x", type=finite_float, default=0.0)
     p.add_argument("--start-y", type=finite_float, default=0.0)
     p.add_argument("--start-z", type=positive_float, default=300.0)

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._textio import text_stream
 from .errors import (
     CalibrationFitError,
     CalibrationRejectedError,
@@ -315,12 +316,6 @@ TABLE2_D12 = _builtin("d12", (-114.203, 199.396, -228.453, 164.691, -55.965, 7.2
 TABLE2_D23 = _builtin("d23", (-125.812, 211.489, -240.403, 172.357, -58.608, 7.596), 1.624, 1.7)
 TABLE2_D31 = _builtin("d31", (-129.954, 274.718, -328.593, 226.222, -73.488, 9.115), 1.436, 3.8)
 
-BUILTIN_PROFILES = {
-    "table2-d12": TABLE2_D12,
-    "table2-d23": TABLE2_D23,
-    "table2-d31": TABLE2_D31,
-}
-
 
 def builtin_profile_set():
     """The measured-prototype trio keyed by pair id."""
@@ -329,23 +324,16 @@ def builtin_profile_set():
 
 def save_profile(poly: CalibrationPolynomial, path_or_file):
     """Write a calibration profile as key = value text."""
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
+    with text_stream(path_or_file, "w") as fh:
         fh.write(f"pair_id = {poly.pair_id}\n")
         for name in _PROFILE_FIELDS[1:]:
             fh.write(f"{name} = {float(getattr(poly, name))!r}\n")
-    else:
-        with open(path_or_file, "w") as fh:
-            save_profile(poly, fh)
 
 
 def load_profile(path_or_file) -> CalibrationPolynomial:
     """Read a key = value calibration profile; '#' starts a comment."""
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as fh:
-            text = fh.read()
+    with text_stream(path_or_file, "r") as fh:
+        text = fh.read()
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -367,23 +355,15 @@ def load_profile(path_or_file) -> CalibrationPolynomial:
 
 def read_measurement_csv(path_or_file):
     """Read measurement samples from CSV with header theta_deg,voltage_v,power_dbm."""
-    if hasattr(path_or_file, "read"):
-        return _parse_measurements(path_or_file)
-    with open(path_or_file, newline="") as fh:
-        return _parse_measurements(fh)
-
-
-def _parse_measurements(fh):
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FileFormatError("empty measurement file") from None
+    with text_stream(path_or_file, "r") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise FileFormatError("empty measurement file")
     expected = ["theta_deg", "voltage_v", "power_dbm"]
-    if [h.strip() for h in header] != expected:
+    if [h.strip() for h in rows[0]] != expected:
         raise FileFormatError(f"line 1: expected header {','.join(expected)}")
     samples = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:

@@ -17,10 +17,10 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
+from ._textio import write_csv
 from .errors import DegenerateGeometryError, InvalidParameterError, RangeUnboundedError
 
 #: speed of light in vacuum [m/s]
@@ -281,21 +281,11 @@ def correction_sensitivity(v_max, v_min, r_best_case_cm):
 
 def write_sweep_csv(path_or_file, rows):
     """Emit azimuth sweep rows as CSV: phi_deg,th12_deg,th23_deg,th31_deg (6 decimals)."""
-    _write_csv(path_or_file, ("phi_deg", "th12_deg", "th23_deg", "th31_deg"),
-               (tuple(f"{v:.6f}" for v in row) for row in rows))
+    write_csv(path_or_file, ("phi_deg", "th12_deg", "th23_deg", "th31_deg"),
+              (tuple(f"{v:.6f}" for v in row) for row in rows))
 
 
 def write_cone_csv(path_or_file, rows):
     """Emit cone profile rows as CSV: z_cm,phi_deg,rmax_cm."""
-    _write_csv(path_or_file, ("z_cm", "phi_deg", "rmax_cm"),
-               ((f"{z:.6f}", f"{phi:.6f}", f"{r:.6f}") for z, phi, r in rows))
-
-
-def _write_csv(path_or_file, header, formatted_rows):
-    if hasattr(path_or_file, "write"):
-        w = csv.writer(path_or_file, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(formatted_rows)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            _write_csv(fh, header, formatted_rows)
+    write_csv(path_or_file, ("z_cm", "phi_deg", "rmax_cm"),
+              ((f"{z:.6f}", f"{phi:.6f}", f"{r:.6f}") for z, phi, r in rows))

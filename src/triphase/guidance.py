@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidParameterError
-from .geometry import wrap_angle_deg
 
 _VALID_SECTORS = {(1, "a"), (1, "b"), (2, "a"), (2, "b"), (3, "a"), (3, "b")}
 
@@ -158,18 +157,6 @@ def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
     if sector.major == 3:
         return [Maneuver(ManeuverKind.YAW_RIGHT, cfg.escape_yaw_deg)]
     return tracking_maneuvers(v, cfg)
-
-
-def expected_sector_from_azimuth(phi_deg) -> SectorId:
-    """Test oracle: the 60-degree sector containing a landing azimuth.
-
-    Sectors are centered at 0 (1a), +60 (3b), +120 (2a), 180 (1b), -120 (3a)
-    and -60 (2b); a boundary angle belongs to the sector above it.
-    """
-    phi = wrap_angle_deg(phi_deg)
-    sectors = (SectorId(1, "a"), SectorId(3, "b"), SectorId(2, "a"),
-               SectorId(1, "b"), SectorId(3, "a"), SectorId(2, "b"))
-    return sectors[math.floor((phi + 30.0) / 60.0) % 6]
 
 
 def trace_line(v: VoltageTriple, sector: SectorId, maneuvers) -> str:

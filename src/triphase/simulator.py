@@ -21,10 +21,10 @@ bit-identical trajectory logs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
+from ._textio import write_csv
 from .detector import (
     IdealDetector,
     TriangularDetector,
@@ -38,6 +38,7 @@ from .geometry import (
     ReceiverGeometry,
     RFConfig,
     Vector3,
+    _check_positive,
     phase_solution,
     wrap_angle_deg,
 )
@@ -102,7 +103,7 @@ class TrajectoryRecord:
     maneuvers: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
     records: list
     touchdown: bool
@@ -135,15 +136,14 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
 
 
 def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFConfig,
-          profiles=None, mode="calibrated",
-          ideal: IdealDetector | None = None,
-          triangular: TriangularDetector | None = None) -> VoltageTriple:
+          profiles=None, mode="calibrated") -> VoltageTriple:
     """Centered detector voltages for the current pose.
 
     `profiles` maps pair ids ("d12", "d23", "d31") to calibration polynomials
     and is required in calibrated mode.  The ideal-sine variant returns
-    gain * sin(theta); the triangular variant returns the linear region of the
-    quadrature-shifted characteristic (slope-matched to the measured curves).
+    sin(theta) from a default IdealDetector; the triangular variant returns
+    the linear region of the quadrature-shifted characteristic of a default
+    TriangularDetector (slope-matched to the measured curves).
     Raises PhaseAmbiguityError when any pair leaves its non-ambiguous range.
     """
     if mode not in DETECTOR_MODES:
@@ -168,13 +168,13 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
         if abs(theta) > limit:
             raise PhaseAmbiguityError(pair, theta)
     if mode == "ideal-sine":
-        det = ideal or IdealDetector()
+        det = IdealDetector()
         return VoltageTriple(*(ideal_sine_voltage(t, det) for t in wrapped.values()))
-    det = triangular or TriangularDetector()
+    det = TriangularDetector()
     return VoltageTriple(*(det.slope_mv_per_deg * t / 1000.0 for t in wrapped.values()))
 
 
-def apply_maneuver(state: DroneState, m: Maneuver, cfg: SimConfig | None = None) -> DroneState:
+def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
     """Pose after one maneuver.
 
     Left turns subtract from the clockwise-positive heading (the beacon's
@@ -237,7 +237,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         records.append(TrajectoryRecord(iteration, state, volts,
                                         classify_sector(volts), tuple(maneuvers)))
         for m in maneuvers:
-            state = apply_maneuver(state, m, scfg)
+            state = apply_maneuver(state, m)
 
         if escape != 0:
             last_escape = escape
@@ -280,8 +280,8 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     """
     if not isinstance(n_samples, int) or n_samples < 2:
         raise InvalidParameterError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    z = float(z_cm)
-    span = float(y_range_cm)
+    z = _check_positive("z_cm", z_cm)
+    span = _check_positive("y_range_cm", y_range_cm)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)
@@ -307,12 +307,4 @@ def write_trajectory_csv(path_or_file, records):
         rows.append((str(r.iteration), f"{p.x:.6f}", f"{p.y:.6f}", f"{p.z:.6f}",
                      f"{r.state.heading_deg:.6f}", f"{v.v12:.6f}", f"{v.v23:.6f}",
                      f"{v.v31:.6f}", str(r.sector), ";".join(m.token for m in r.maneuvers)))
-    if hasattr(path_or_file, "write"):
-        w = csv.writer(path_or_file, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+    write_csv(path_or_file, header, rows)

@@ -17,34 +17,31 @@ from contextlib import contextmanager
 
 import pytest
 
-from triphase import (
-    DroneState,
-    GuidanceConfig,
+from triphase.detector import (
     IdealDetector,
-    LandingScenario,
-    ManeuverKind,
-    RFConfig,
-    SimConfig,
-    Vector3,
     MeasurementSample,
-    VoltageTriple,
+    TABLE2_D12,
+    TABLE2_D23,
+    TABLE2_D31,
     builtin_profile_set,
-    classify_sector,
-    cone_profile,
-    decide,
-    expected_sector_from_azimuth,
     fit_calibration,
     ideal_sine_voltage,
-    landing_point_world,
     phase_from_voltage,
+    voltage_from_phase,
+)
+from triphase.geometry import (
+    LandingScenario,
+    RFConfig,
+    Vector3,
+    cone_profile,
+    landing_point_world,
     phase_solution,
     receiver_points,
-    sense,
-    simulate_landing,
-    voltage_from_phase,
-    worst_case_transect,
 )
-from triphase.detector import TABLE2_D12, TABLE2_D23, TABLE2_D31
+from triphase.guidance import GuidanceConfig, ManeuverKind, VoltageTriple, classify_sector, decide
+from triphase.simulator import DroneState, SimConfig, sense, simulate_landing, worst_case_transect
+
+from sector_oracle import expected_sector_from_azimuth
 
 GEOM = receiver_points(7.0)
 RF245 = RFConfig(2.45e9, 3e8)

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
+import hashlib
 
 import pytest
 
-from triphase import TABLE2_D31, load_profile, save_profile
 from triphase.cli import main
+from triphase.detector import TABLE2_D12, TABLE2_D31, load_profile, save_profile
 
 TABLE1_D12 = [(-80, 0.223), (-70, 0.302), (0, 1.533), (0, 1.533), (70, 2.756), (80, 2.837)]
 
@@ -188,6 +190,58 @@ class TestSimulate:
     def test_incomplete_profile_set_is_usage_error(self, tmp_path):
         assert main(["simulate", "--profile", "table2-d12,table2-d23",
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+    @staticmethod
+    def d12_at_5_8_ghz(tmp_path):
+        path = tmp_path / "d12-5.8.profile"
+        save_profile(dataclasses.replace(TABLE2_D12, frequency_hz=5.8e9), path)
+        return path
+
+    def test_pair_given_twice_is_usage_error(self, tmp_path, capsys):
+        path = self.d12_at_5_8_ghz(tmp_path)
+        assert main(["simulate", "--profile", f"table2-d12,table2-d23,table2-d31,{path}",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert "more than one profile for pair d12" in capsys.readouterr().err
+
+    def test_profiles_at_different_frequencies_are_usage_error(self, tmp_path, capsys):
+        path = self.d12_at_5_8_ghz(tmp_path)
+        assert main(["simulate", "--profile", f"{path},table2-d23,table2-d31",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert "disagree on frequency" in capsys.readouterr().err
+
+    def test_bare_pair_name_is_not_a_builtin(self, tmp_path):
+        # only the table2-* names select built-in profiles; 'd12' is a file path
+        assert main(["simulate", "--profile", "d12,table2-d23,table2-d31",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_frequency_comes_from_the_profiles(self, tmp_path):
+        assert main(["simulate", "--freq-ghz", "5.8", "--out", str(tmp_path / "t.csv")]) == 1
+
+
+class TestOutputDigests:
+    """Default CLI outputs are pinned byte for byte."""
+
+    DIGESTS = {
+        "sweep": "4f5a4f45f3023195a47a86e5e38d0ab1ab08ec6f0f14fe9d33a98ccb0cd684af",
+        "cone": "73854bd47c4e49822eed5ace1d67a75f0ac27177556e88fd72c6658902a1d34f",
+        "simulate": "5f7d28d5334d8dc06a60caaa1a1f68fe7596565bd2392314b5d46c2c155bd134",
+        "simulate --mode ideal-sine --landing-r 40 --start-z 200":
+            "3f175efbe1f00c4806a29b33e542045eb4bd65b70805069e47c6273784f509c2",
+        "simulate --mode triangular --landing-r 40 --start-z 200":
+            "86b6a3428f216013313dc36d145a756da7e6717988b95852a5419b4b4f15c59d",
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_file_output(self, tmp_path, command):
+        out = tmp_path / "out.csv"
+        assert main(command.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
+
+    @pytest.mark.parametrize("command", ["sweep", "cone"])
+    def test_stdout_output(self, capsys, command):
+        assert main([command, "--out", "-"]) == 0
+        data = capsys.readouterr().out.encode()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[command]
 
 
 class TestParsing:

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import Polynomial
 
-from triphase import (
-    CalibrationFitError,
+from triphase.detector import (
     CalibrationPolynomial,
-    CalibrationRejectedError,
-    FileFormatError,
     IdealDetector,
-    InvalidParameterError,
     MeasurementSample,
-    PhaseAmbiguityError,
+    PAIR_IDS,
+    TABLE2_D12,
+    TABLE2_D23,
+    TABLE2_D31,
     TriangularDetector,
-    VoltageOutOfRangeError,
     ad8302_voltage,
     builtin_profile_set,
     centered_voltage,
@@ -28,7 +26,14 @@ from triphase import (
     save_profile,
     voltage_from_phase,
 )
-from triphase.detector import PAIR_IDS, TABLE2_D12, TABLE2_D23, TABLE2_D31
+from triphase.errors import (
+    CalibrationFitError,
+    CalibrationRejectedError,
+    FileFormatError,
+    InvalidParameterError,
+    PhaseAmbiguityError,
+    VoltageOutOfRangeError,
+)
 
 # measured rows: nominal phase [deg] -> raw voltage [V], per pair
 TABLE1 = {

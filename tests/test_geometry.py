@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from triphase import (
-    InvalidParameterError,
+from triphase.errors import InvalidParameterError, RangeUnboundedError
+from triphase.geometry import (
     LandingScenario,
-    RangeUnboundedError,
     RFConfig,
     Vector3,
     azimuth_sweep,

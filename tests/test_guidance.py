@@ -3,25 +3,27 @@ import random
 
 import pytest
 
-from triphase import (
-    GuidanceConfig,
-    IdealDetector,
-    InvalidParameterError,
+from triphase.detector import IdealDetector, ideal_sine_voltage
+from triphase.errors import InvalidParameterError
+from triphase.geometry import (
     LandingScenario,
+    RFConfig,
+    landing_point_world,
+    phase_solution,
+    receiver_points,
+)
+from triphase.guidance import (
+    GuidanceConfig,
     Maneuver,
     ManeuverKind,
-    RFConfig,
     SectorId,
     VoltageTriple,
     classify_sector,
     decide,
-    expected_sector_from_azimuth,
-    ideal_sine_voltage,
-    landing_point_world,
-    phase_solution,
-    receiver_points,
     trace_line,
 )
+
+from sector_oracle import expected_sector_from_azimuth
 
 CFG = GuidanceConfig()
 

@@ -4,23 +4,22 @@ import random
 
 import pytest
 
-from triphase import (
-    DroneState,
-    GuidanceConfig,
-    InvalidParameterError,
+from triphase.detector import builtin_profile_set
+from triphase.errors import InvalidParameterError, PhaseAmbiguityError
+from triphase.geometry import (
     LandingScenario,
-    Maneuver,
-    ManeuverKind,
-    PhaseAmbiguityError,
     RFConfig,
-    SimConfig,
     Vector3,
-    apply_maneuver,
-    builtin_profile_set,
-    landing_body_frame,
     landing_point_world,
     nonambiguous_range,
     receiver_points,
+)
+from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind
+from triphase.simulator import (
+    DroneState,
+    SimConfig,
+    apply_maneuver,
+    landing_body_frame,
     sense,
     simulate_landing,
     worst_case_transect,
@@ -80,33 +79,33 @@ class TestSense:
 
 class TestApplyManeuver:
     def test_yaw_left_subtracts_heading(self):
-        state = apply_maneuver(fig14_start(), Maneuver(ManeuverKind.YAW_LEFT, 60.0), SCFG)
+        state = apply_maneuver(fig14_start(), Maneuver(ManeuverKind.YAW_LEFT, 60.0))
         assert state.heading_deg == -60.0
 
     def test_yaw_left_shifts_body_azimuth_into_sector_one(self):
-        state = apply_maneuver(fig14_start(), Maneuver(ManeuverKind.YAW_LEFT, 60.0), SCFG)
+        state = apply_maneuver(fig14_start(), Maneuver(ManeuverKind.YAW_LEFT, 60.0))
         body = landing_body_frame(state, ground_point(100.0, -35.0))
         azimuth = math.degrees(math.atan2(body.x, body.y))
         assert azimuth == pytest.approx(25.0, abs=1e-9)
 
     def test_forward_moves_along_body_axis(self):
-        state = apply_maneuver(fig14_start(), Maneuver(ManeuverKind.FORWARD, 1.0), SCFG)
+        state = apply_maneuver(fig14_start(), Maneuver(ManeuverKind.FORWARD, 1.0))
         assert state.position.y == pytest.approx(1.0, abs=1e-12)
         assert state.position.x == 0.0
 
     def test_backward_with_heading(self):
         tilted = DroneState(Vector3(0.0, 0.0, 100.0), 90.0)
-        state = apply_maneuver(tilted, Maneuver(ManeuverKind.BACKWARD, 2.0), SCFG)
+        state = apply_maneuver(tilted, Maneuver(ManeuverKind.BACKWARD, 2.0))
         assert state.position.x == pytest.approx(-2.0, abs=1e-12)
         assert abs(state.position.y) < 1e-12
 
     def test_hold_is_identity(self):
         state = fig14_start()
-        assert apply_maneuver(state, Maneuver(ManeuverKind.HOLD), SCFG) == state
+        assert apply_maneuver(state, Maneuver(ManeuverKind.HOLD)) == state
 
     def test_heading_rewraps(self):
         state = DroneState(Vector3(0.0, 0.0, 100.0), 170.0)
-        turned = apply_maneuver(state, Maneuver(ManeuverKind.YAW_RIGHT, 60.0), SCFG)
+        turned = apply_maneuver(state, Maneuver(ManeuverKind.YAW_RIGHT, 60.0))
         assert turned.heading_deg == pytest.approx(-130.0, abs=1e-12)
 
 
@@ -204,6 +203,17 @@ class TestWorstCaseTransect:
             else:
                 assert math.isfinite(r.v23) and math.isfinite(r.v31)
                 assert abs(r.th23) <= 80.0 and abs(r.th31) <= 80.0
+
+    @pytest.mark.parametrize("z_cm,y_range_cm,name", [
+        (-1000.0, 700.0, "z_cm"),  # would mirror the beacon above the drone
+        (0.0, 700.0, "z_cm"),
+        ("1000", 700.0, "z_cm"),
+        (1000.0, -500.0, "y_range_cm"),  # would reverse the rows
+        (1000.0, math.inf, "y_range_cm"),
+    ])
+    def test_rejects_bad_extent(self, z_cm, y_range_cm, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            worst_case_transect(z_cm, y_range_cm, GEOM, RF, PROFILES)
 
     def test_phases_nearly_antisymmetric_in_y(self):
         # the triangle's fore/aft offset breaks exact oddness by a fraction

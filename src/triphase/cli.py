@@ -8,6 +8,7 @@ boundary).  Exit codes: 0 success, 1 usage, 2 I/O, 3 numerical/ambiguity.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -77,7 +78,7 @@ def _resolve_profiles(selector):
     if selector == "table2":
         return builtin
     profiles = {}
-    for item in (p for p in selector.split(",") if p.strip()):
+    for item in (p.strip() for p in selector.split(",") if p.strip()):
         name = item.removeprefix("table2-")
         poly = builtin[name] if name != item and name in builtin else detector.load_profile(item)
         if poly.pair_id in profiles:
@@ -96,6 +97,11 @@ def _resolve_profiles(selector):
 def _out(args):
     """Where a command writes its CSV: stdout for '-', else the path."""
     return sys.stdout if args.out == "-" else args.out
+
+
+def _summary(args, line):
+    """Print a command's summary line, on stderr when its data goes to stdout."""
+    print(line, file=sys.stderr if args.out == "-" else sys.stdout)
 
 
 def _geometry(args, frequency_hz):
@@ -123,7 +129,7 @@ def cmd_fit(args):
     poly = detector.fit_calibration(samples, degree=args.degree, pair_id=args.pair_id,
                                     frequency_hz=args.freq_ghz * 1e9)
     detector.save_profile(poly, _out(args))
-    print(f"max_err_deg={poly.max_err_deg:.6g}")
+    _summary(args, f"max_err_deg={poly.max_err_deg:.6g}")
     return 0
 
 
@@ -163,16 +169,18 @@ def cmd_simulate(args):
         print(f"aborted: {result.diagnostic}", file=sys.stderr)
         return 3
     if result.converged:
-        print(f"converged: first hold at iteration {result.first_hold_iteration}; "
-              f"touchdown at ({final.x:.2f}, {final.y:.2f}) cm; "
-              f"horizontal error {err:.2f} cm in {result.iterations} iterations")
+        _summary(args, f"converged: first hold at iteration {result.first_hold_iteration}; "
+                       f"touchdown at ({final.x:.2f}, {final.y:.2f}) cm; "
+                       f"horizontal error {err:.2f} cm in {result.iterations} iterations")
     else:
-        print(f"non-converged after {result.iterations} iterations "
-              f"(horizontal error {err:.2f} cm)")
+        _summary(args, f"non-converged after {result.iterations} iterations "
+                       f"(horizontal error {err:.2f} cm)")
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args keeps no state in it."""
     parser = _Parser(prog="triphase",
                      description="Triangular RF phase-shift landing sensor toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._textio import write_csv
 from .errors import DegenerateGeometryError, InvalidParameterError, RangeUnboundedError
@@ -76,6 +77,11 @@ class ReceiverGeometry:
     @property
     def points(self):
         return (self.p1, self.p2, self.p3)
+
+    @cached_property
+    def coords(self):
+        """The three points as (x, y, z) tuples, the form `math.dist` takes."""
+        return tuple((p.x, p.y, p.z) for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,20 @@ def landing_point_world(scenario: LandingScenario) -> Vector3:
     )
 
 
+def _path_differences(q, geom: ReceiverGeometry):
+    """Path differences d1 - d2, d2 - d3, d3 - d1 [cm] from the point q = (x, y, z).
+
+    Raises DegenerateGeometryError if q coincides with a receiver input.
+    """
+    p1, p2, p3 = geom.coords
+    d1 = math.dist(q, p1)
+    d2 = math.dist(q, p2)
+    d3 = math.dist(q, p3)
+    if min(d1, d2, d3) <= 0.0:
+        raise DegenerateGeometryError("landing point coincides with a receiver input")
+    return d1 - d2, d2 - d3, d3 - d1
+
+
 def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> PhaseSolution:
     """Exact near-field path differences, delays and phase shifts for one pose.
 
@@ -174,12 +194,7 @@ def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> Ph
     receiver input.  Phases are left unwrapped; wrap only where a detector
     model needs it.
     """
-    d1 = landing.distance_to(geom.p1)
-    d2 = landing.distance_to(geom.p2)
-    d3 = landing.distance_to(geom.p3)
-    if min(d1, d2, d3) <= 0.0:
-        raise DegenerateGeometryError("landing point coincides with a receiver input")
-    dd12, dd23, dd31 = d1 - d2, d2 - d3, d3 - d1
+    dd12, dd23, dd31 = _path_differences((landing.x, landing.y, landing.z), geom)
     c_cm = rf.wave_speed_mps * 100.0
     k = rf.deg_per_cm
     return PhaseSolution(
@@ -207,11 +222,6 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     return rows
 
 
-def _max_abs_phase_at(geom, rf, z_cm, phi_deg, r_cm):
-    sol = phase_solution(geom, landing_point_world(LandingScenario(r_cm, phi_deg, z_cm)), rf)
-    return sol.max_abs_phase
-
-
 def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig,
                        r_ceiling_cm=None, resolution_cm=0.1):
     """Largest radius at which all three |phase shifts| stay within theta_limit.
@@ -227,11 +237,24 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
         raise InvalidParameterError(f"theta_limit_deg must be in (0, 180), got {limit}")
     ceiling = _check_positive("r_ceiling_cm", r_ceiling_cm) if r_ceiling_cm is not None else 100.0 * z
 
+    # the float operations of phase_solution(...).max_abs_phase at the landing
+    # point of LandingScenario(r, phi_deg, z), without building either object
+    phi = math.radians(wrap_angle_deg(phi_deg))
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    k = rf.deg_per_cm
+
+    def max_abs_phase(r):
+        # r overflows only for extents near the float limit; a scan at inf would never end
+        if not math.isfinite(r):
+            raise InvalidParameterError(f"r_cm must be a finite number, got {r!r}")
+        dd12, dd23, dd31 = _path_differences((r * sin_phi, r * cos_phi, -z), geom)
+        return max(abs(k * dd12), abs(k * dd23), abs(k * dd31))
+
     step = z / 100.0
     r_prev, f_prev = 0.0, 0.0
     r = step
     while True:
-        f = _max_abs_phase_at(geom, rf, z, phi_deg, r)
+        f = max_abs_phase(r)
         if f < f_prev - 1e-9:
             raise RangeUnboundedError(
                 f"max|phase| not monotone along the ray at r={r:.1f} cm; cannot bracket")
@@ -246,7 +269,7 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
     lo, hi = r_prev, r
     while hi - lo > resolution_cm:
         mid = 0.5 * (lo + hi)
-        if _max_abs_phase_at(geom, rf, z, phi_deg, mid) < limit:
+        if max_abs_phase(mid) < limit:
             lo = mid
         else:
             hi = mid

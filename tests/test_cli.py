@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 
 import pytest
 
@@ -117,6 +118,18 @@ class TestFit:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv"), "--out", "-"]) == 2
 
+    def test_stdout_profile_loads_bit_exact(self, tmp_path, capsys):
+        samples = tmp_path / "d12.csv"
+        write_samples(samples, TABLE1_D12)
+        path = tmp_path / "d12.profile"
+        assert main(["fit", str(samples), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(samples), "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("max_err_deg=")
+        from_stdout = load_profile(io.StringIO(captured.out))
+        assert repr(dataclasses.astuple(from_stdout)) == repr(dataclasses.astuple(load_profile(path)))
+
 
 class TestDecide:
     def test_escape_snapshot(self, capsys):
@@ -177,6 +190,13 @@ class TestSimulate:
                      "--landing-r", "20", "--landing-phi", "10", "--start-z", "80",
                      "--out", str(tmp_path / "t.csv")]) == 0
 
+    def test_profile_items_are_stripped(self, tmp_path):
+        spaced, table2 = tmp_path / "spaced.csv", tmp_path / "table2.csv"
+        assert main(["simulate", "--profile", "table2-d12, table2-d23, table2-d31",
+                     "--out", str(spaced)]) == 0
+        assert main(["simulate", "--profile", "table2", "--out", str(table2)]) == 0
+        assert spaced.read_bytes() == table2.read_bytes()
+
     @pytest.mark.parametrize("field,value", [("a0", "nan"), ("max_err_deg", "nan"),
                                              ("frequency_hz", "-5")])
     def test_malformed_profile_file_is_io_error(self, tmp_path, field, value):
@@ -229,6 +249,10 @@ class TestOutputDigests:
             "3f175efbe1f00c4806a29b33e542045eb4bd65b70805069e47c6273784f509c2",
         "simulate --mode triangular --landing-r 40 --start-z 200":
             "86b6a3428f216013313dc36d145a756da7e6717988b95852a5419b4b4f15c59d",
+        "cone --z-cm 150,537.2 --theta-limit 80 --freq-ghz 2.46":
+            "4bc5f55ece3382b981df830c47abe5b74c31c61e54cd1a76ebba20f45dd54928",
+        "cone --z-cm 333 --theta-limit 45 --spacing-cm 5 --n-azimuths 36":
+            "59c2b2d17e22bdc0bbaf7484b1af8e3df1aa43c0e64fa3427be109a8e9b00f42",
     }
 
     @pytest.mark.parametrize("command", sorted(DIGESTS))
@@ -237,11 +261,19 @@ class TestOutputDigests:
         assert main(command.split() + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
 
-    @pytest.mark.parametrize("command", ["sweep", "cone"])
+    @pytest.mark.parametrize("command", ["sweep", "cone", "simulate"])
     def test_stdout_output(self, capsys, command):
         assert main([command, "--out", "-"]) == 0
         data = capsys.readouterr().out.encode()
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[command]
+
+    def test_no_parsed_value_carries_over_between_calls(self, tmp_path):
+        # the parser is built once per process; each call must see only its own arguments
+        for command in ("cone --z-cm 333 --theta-limit 45 --spacing-cm 5 --n-azimuths 36",
+                        "sweep", "cone"):
+            out = tmp_path / "out.csv"
+            assert main(command.split() + ["--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
 
 
 class TestParsing:

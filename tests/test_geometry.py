@@ -2,10 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triphase.errors import InvalidParameterError, RangeUnboundedError
+from triphase.errors import (
+    DegenerateGeometryError,
+    InvalidParameterError,
+    RangeUnboundedError,
+    TriphaseError,
+)
 from triphase.geometry import (
     LandingScenario,
+    PhaseSolution,
     RFConfig,
     Vector3,
     azimuth_sweep,
@@ -21,6 +28,72 @@ from triphase.geometry import (
 RF245 = RFConfig(2.45e9, 3e8)
 RF246 = RFConfig(2.46e9, 3e8)
 GEOM7 = receiver_points(7.0)
+
+
+def reference_phase_solution(geom, landing, rf):
+    """The phase law on objects: Vector3.distance_to from the landing point to each input."""
+    d1 = landing.distance_to(geom.p1)
+    d2 = landing.distance_to(geom.p2)
+    d3 = landing.distance_to(geom.p3)
+    if min(d1, d2, d3) <= 0.0:
+        raise DegenerateGeometryError("landing point coincides with a receiver input")
+    dd12, dd23, dd31 = d1 - d2, d2 - d3, d3 - d1
+    c_cm = rf.wave_speed_mps * 100.0
+    k = rf.deg_per_cm
+    return PhaseSolution(
+        dd12=dd12, dd23=dd23, dd31=dd31,
+        dt12=dd12 / c_cm, dt23=dd23 / c_cm, dt31=dd31 / c_cm,
+        th12=k * dd12, th23=k * dd23, th31=k * dd31,
+    )
+
+
+def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf,
+                                 r_ceiling_cm=None, resolution_cm=0.1):
+    """The ray search with a LandingScenario, a landing point and a PhaseSolution per radius.
+
+    The arguments are taken to be valid; only the search and its errors are reproduced.
+    """
+    z, limit = float(z_cm), float(theta_limit_deg)
+    ceiling = 100.0 * z if r_ceiling_cm is None else float(r_ceiling_cm)
+
+    def max_abs_phase(r):
+        landing = landing_point_world(LandingScenario(r, phi_deg, z))
+        return reference_phase_solution(geom, landing, rf).max_abs_phase
+
+    step = z / 100.0
+    r_prev, f_prev = 0.0, 0.0
+    r = step
+    while True:
+        f = max_abs_phase(r)
+        if f < f_prev - 1e-9:
+            raise RangeUnboundedError("not monotone")
+        if f >= limit:
+            break
+        if r > ceiling:
+            raise RangeUnboundedError("no crossing")
+        r_prev, f_prev = r, f
+        r += step
+
+    lo, hi = r_prev, r
+    while hi - lo > resolution_cm:
+        mid = 0.5 * (lo + hi)
+        if max_abs_phase(mid) < limit:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def radius_or_error(search, *args):
+    """A search's radius as exact hex, or the class of the TriphaseError it raised."""
+    try:
+        return search(*args).hex()
+    except TriphaseError as exc:
+        return type(exc)
+
+
+FREQ_HZ = st.floats(1e9, 6e9)
+SPACING_CM = st.floats(2.0, 15.0)
 
 
 class TestReceiverPoints:
@@ -133,6 +206,14 @@ class TestPhaseSolution:
         with pytest.raises(DegenerateGeometryError):
             phase_solution(GEOM7, GEOM7.p1, RF245)
 
+    @given(x=st.floats(-5000.0, 5000.0), y=st.floats(-5000.0, 5000.0),
+           z=st.floats(-5000.0, 5000.0), f=FREQ_HZ, d=SPACING_CM)
+    def test_matches_reference_bit_for_bit(self, x, y, z, f, d):
+        geom, rf, landing = receiver_points(d), RFConfig(f), Vector3(x, y, z)
+        got = phase_solution(geom, landing, rf)
+        want = reference_phase_solution(geom, landing, rf)
+        assert [v.hex() for v in vars(got).values()] == [v.hex() for v in vars(want).values()]
+
 
 class TestAzimuthSweep:
     def test_row_count_and_forward_null(self):
@@ -191,6 +272,20 @@ class TestNonambiguousRange:
             nonambiguous_range(100.0, 0.0, 0.0, GEOM7, RF245)
         with pytest.raises(InvalidParameterError):
             nonambiguous_range(100.0, 0.0, 180.0, GEOM7, RF245)
+
+    def test_scan_past_the_float_range_is_rejected(self):
+        # the default ceiling 100 * z overflows, so the scan's radius reaches inf
+        with pytest.raises(InvalidParameterError, match="r_cm must be a finite number"):
+            nonambiguous_range(1e307, 10.0, 45.0, GEOM7, RF245)
+
+    @settings(deadline=None)
+    @given(z=st.floats(20.0, 2000.0), phi=st.floats(-360.0, 360.0),
+           limit=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+           f=FREQ_HZ, d=SPACING_CM)
+    def test_matches_reference_bit_for_bit(self, z, phi, limit, f, d):
+        args = (z, phi, limit, receiver_points(d), RFConfig(f))
+        assert (radius_or_error(nonambiguous_range, *args)
+                == radius_or_error(reference_nonambiguous_range, *args))
 
 
 class TestConeProfile:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from triphase.detector import IdealDetector, ideal_sine_voltage
 from triphase.errors import InvalidParameterError
@@ -79,6 +80,13 @@ class TestDecide:
         for _ in range(300):
             v = VoltageTriple(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
             assert len(decide(v, CFG)) >= 1
+
+    @given(v=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+           steps=st.tuples(*[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 4))
+    def test_total_over_finite_voltages(self, v, steps):
+        maneuvers = decide(VoltageTriple(*v), GuidanceConfig(*steps))
+        assert len(maneuvers) >= 1
+        assert all(isinstance(m, Maneuver) for m in maneuvers)
 
     def test_scale_invariance(self):
         rng = random.Random(6)

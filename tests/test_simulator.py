@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from triphase.detector import builtin_profile_set
 from triphase.errors import InvalidParameterError, PhaseAmbiguityError
@@ -12,6 +13,7 @@ from triphase.geometry import (
     Vector3,
     landing_point_world,
     nonambiguous_range,
+    phase_solution,
     receiver_points,
 )
 from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind
@@ -75,6 +77,16 @@ class TestSense:
         v10 = sense(fig14_start(), ground_point(10.0, 0.0), GEOM, RF, None, mode="triangular")
         v20 = sense(fig14_start(), ground_point(20.0, 0.0), GEOM, RF, None, mode="triangular")
         assert v20.v23 == pytest.approx(2.0 * v10.v23, rel=0.01)  # near-linear regime
+
+    @given(x=st.floats(-1e4, 1e4), y=st.floats(-1e4, 1e4), z=st.floats(1e-3, 1e4),
+           heading=st.floats(allow_nan=False, allow_infinity=False),
+           bx=st.floats(-1e4, 1e4), by=st.floats(-1e4, 1e4),
+           f=st.floats(0.4e9, 6e9), d=st.floats(1.0, 20.0))
+    def test_pair_phases_sum_to_zero(self, x, y, z, heading, bx, by, f, d):
+        state = DroneState(Vector3(x, y, z), heading)
+        sol = phase_solution(receiver_points(d), landing_body_frame(state, Vector3(bx, by, 0.0)),
+                             RFConfig(f))
+        assert abs(sol.th12 + sol.th23 + sol.th31) <= 1e-9
 
 
 class TestApplyManeuver:

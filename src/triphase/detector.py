@@ -33,6 +33,7 @@ from .errors import (
     PhaseAmbiguityError,
     VoltageOutOfRangeError,
 )
+from .errors import _check_finite, _check_positive
 from .geometry import wrap_angle_deg
 
 #: calibrated non-ambiguous phase range [deg]
@@ -56,8 +57,7 @@ class IdealDetector:
     gain_v: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gain_v) and self.gain_v > 0.0):
-            raise InvalidParameterError(f"gain_v must be > 0, got {self.gain_v}")
+        _check_positive("gain_v", self.gain_v)
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class TriangularDetector:
     slope_mv_per_deg: float = 10.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.slope_mv_per_deg) and self.slope_mv_per_deg > 0.0):
-            raise InvalidParameterError(f"slope_mv_per_deg must be > 0, got {self.slope_mv_per_deg}")
+        _check_positive("slope_mv_per_deg", self.slope_mv_per_deg)
 
 
 def ideal_sine_voltage(theta_deg, det: IdealDetector) -> float:
@@ -137,10 +136,8 @@ class MeasurementSample:
     power_dbm: float | None = None  # input amplitude, metadata only
 
     def __post_init__(self):
-        if not math.isfinite(self.theta_deg):
-            raise InvalidParameterError("theta_deg must be finite")
-        if not (math.isfinite(self.voltage_v) and self.voltage_v >= 0.0):
-            raise InvalidParameterError(f"voltage_v must be >= 0, got {self.voltage_v}")
+        _check_finite("theta_deg", self.theta_deg)
+        _check_positive("voltage_v", self.voltage_v, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -170,15 +167,12 @@ class CalibrationPolynomial:
     def __post_init__(self):
         if self.pair_id not in PAIR_IDS:
             raise InvalidParameterError(f"pair_id must be one of {PAIR_IDS}, got {self.pair_id!r}")
-        for name in _PROFILE_FIELDS[1:]:
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.frequency_hz > 0.0:
-            raise InvalidParameterError(f"frequency_hz must be > 0, got {self.frequency_hz}")
+        for name in _PROFILE_FIELDS[1:-2]:  # a0..a5, v_ref, v_lo, v_hi
+            _check_finite(name, getattr(self, name))
+        _check_positive("max_err_deg", self.max_err_deg, zero_ok=True)
+        _check_positive("frequency_hz", self.frequency_hz)
         if not self.v_lo < self.v_hi:
             raise InvalidParameterError(f"need v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
-        if self.max_err_deg < 0.0:
-            raise InvalidParameterError("max_err_deg must be >= 0")
         if not _increasing(self.coeffs, self.v_lo, self.v_hi):
             raise CalibrationRejectedError(
                 f"{self.pair_id}: polynomial not strictly increasing on "
@@ -212,8 +206,7 @@ def phase_from_voltage(poly: CalibrationPolynomial, v) -> float:
     within the guard band the result is clamped to the +-80 deg range.
     Outside, the detector state is ambiguous and an error is raised.
     """
-    if not math.isfinite(v):
-        raise InvalidParameterError(f"voltage must be finite, got {v!r}")
+    _check_finite("v", v)
     if v < poly.v_lo - GUARD_BAND_V or v > poly.v_hi + GUARD_BAND_V:
         raise VoltageOutOfRangeError(
             f"{poly.pair_id}: {v:.4f} V outside [{poly.v_lo:.4f}, {poly.v_hi:.4f}] V "
@@ -234,8 +227,7 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     bracket extends at most 100 mV past that end, over which the polynomial
     must reach theta while strictly increasing.
     """
-    if not math.isfinite(theta_deg):
-        raise InvalidParameterError(f"theta_deg must be finite, got {theta_deg!r}")
+    _check_finite("theta_deg", theta_deg)
     if abs(theta_deg) > CALIBRATED_RANGE_DEG:
         raise PhaseAmbiguityError(poly.pair_id, theta_deg)
 

@@ -2,8 +2,11 @@
 
 Errors are grouped so the CLI can map them onto exit codes: invalid
 parameters are usage problems, file-format problems are I/O failures, and
-ambiguity / range / fit failures are numerical outcomes.
+ambiguity / range / fit failures are numerical outcomes.  Every number a
+caller passes in is checked by `_check_finite` or `_check_positive`.
 """
+
+import math
 
 
 class TriphaseError(Exception):
@@ -48,3 +51,22 @@ class CalibrationFitError(TriphaseError):
 
 class CalibrationRejectedError(TriphaseError):
     """A fitted or loaded calibration violates its model invariants (e.g. monotonicity)."""
+
+
+def _check_finite(name, value):
+    """`value` as a float if it is a finite real number (int, float, numpy scalar);
+    else InvalidParameterError naming `name`, e.g. for a str, None, complex, nan or inf."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_positive(name, value, zero_ok=False):
+    """`value` as a float if it is finite and > 0 (>= 0 when `zero_ok`)."""
+    value = _check_finite(name, value)
+    if value > 0.0 or (zero_ok and value == 0.0):
+        return value
+    raise InvalidParameterError(f"{name} must be {'>=' if zero_ok else '>'} 0, got {value}")

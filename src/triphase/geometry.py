@@ -23,22 +23,10 @@ from functools import cached_property
 
 from ._textio import write_csv
 from .errors import DegenerateGeometryError, InvalidParameterError, RangeUnboundedError
+from .errors import _check_finite, _check_positive
 
 #: speed of light in vacuum [m/s]
 SPEED_OF_LIGHT_MPS = 299_792_458.0
-
-
-def _check_finite(name, value):
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _check_positive(name, value):
-    value = _check_finite(name, value)
-    if value <= 0.0:
-        raise InvalidParameterError(f"{name} must be > 0, got {value}")
-    return value
 
 
 def wrap_angle_deg(angle):
@@ -115,10 +103,7 @@ class LandingScenario:
     height_cm: float
 
     def __post_init__(self):
-        r = _check_finite("r_cm", self.r_cm)
-        if r < 0.0:
-            raise InvalidParameterError(f"r_cm must be >= 0, got {r}")
-        object.__setattr__(self, "r_cm", r)
+        object.__setattr__(self, "r_cm", _check_positive("r_cm", self.r_cm, zero_ok=True))
         object.__setattr__(self, "phi_deg", wrap_angle_deg(self.phi_deg))
         object.__setattr__(self, "height_cm", _check_positive("height_cm", self.height_cm))
 
@@ -213,12 +198,17 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     """
     if not isinstance(n_samples, int) or n_samples < 3:
         raise InvalidParameterError(f"n_samples must be an integer >= 3, got {n_samples!r}")
+    r = _check_positive("r_cm", r_cm, zero_ok=True)
+    z = _check_positive("z_cm", z_cm)
+    k = rf.deg_per_cm
     rows = []
     step = 360.0 / (n_samples - 1)
-    for k in range(n_samples):
-        phi = -180.0 + k * step
-        sol = phase_solution(geom, landing_point_world(LandingScenario(r_cm, phi, z_cm)), rf)
-        rows.append((phi, sol.th12, sol.th23, sol.th31))
+    for j in range(n_samples):
+        phi = -180.0 + j * step
+        # the float operations of phase_solution at landing_point_world(LandingScenario(r, phi, z))
+        a = math.radians(wrap_angle_deg(phi))
+        dd12, dd23, dd31 = _path_differences((r * math.sin(a), r * math.cos(a), -z), geom)
+        rows.append((phi, k * dd12, k * dd23, k * dd31))
     return rows
 
 
@@ -262,7 +252,7 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
             break
         if r > ceiling:
             raise RangeUnboundedError(
-                f"no {limit:g} deg crossing below r = {ceiling:.0f} cm at phi = {phi_deg:g} deg")
+                f"no {limit:g} deg crossing below r = {ceiling:g} cm at phi = {phi_deg:g} deg")
         r_prev, f_prev = r, f
         r += step
 

@@ -12,11 +12,10 @@ sign(0) counts as positive everywhere a sign enters a comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_finite, _check_positive
 
 _VALID_SECTORS = {(1, "a"), (1, "b"), (2, "a"), (2, "b"), (3, "a"), (3, "b")}
 
@@ -44,8 +43,7 @@ class VoltageTriple:
 
     def __post_init__(self):
         for name in ("v12", "v23", "v31"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+            _check_finite(name, getattr(self, name))
 
     @property
     def as_tuple(self):
@@ -77,8 +75,8 @@ class Maneuver:
         if self.kind is ManeuverKind.HOLD:
             if self.magnitude is not None:
                 raise InvalidParameterError("Hold carries no magnitude")
-        elif self.magnitude is None or not math.isfinite(self.magnitude) or self.magnitude <= 0.0:
-            raise InvalidParameterError(f"{self.kind.value} needs a positive magnitude")
+        else:
+            _check_positive("magnitude", self.magnitude)
 
     @property
     def token(self) -> str:
@@ -99,9 +97,7 @@ class GuidanceConfig:
 
     def __post_init__(self):
         for name in ("hold_threshold_v", "rotate_step_deg", "move_step_cm", "escape_yaw_deg"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParameterError(f"{name} must be > 0, got {v}")
+            _check_positive(name, getattr(self, name))
 
 
 def _sign(x) -> float:

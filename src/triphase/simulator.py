@@ -33,12 +33,11 @@ from .detector import (
     ideal_sine_voltage,
     voltage_from_phase,
 )
-from .errors import InvalidParameterError, PhaseAmbiguityError
+from .errors import InvalidParameterError, PhaseAmbiguityError, _check_positive
 from .geometry import (
     ReceiverGeometry,
     RFConfig,
     Vector3,
-    _check_positive,
     phase_solution,
     wrap_angle_deg,
 )
@@ -82,9 +81,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("descent_step_cm", "min_height_cm"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParameterError(f"{name} must be > 0, got {v}")
+            _check_positive(name, getattr(self, name))
         if not isinstance(self.max_iterations, int) or self.max_iterations <= 0:
             raise InvalidParameterError("max_iterations must be a positive integer")
         if self.detector_mode not in DETECTOR_MODES:

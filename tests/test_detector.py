@@ -3,7 +3,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
 from triphase.detector import (
@@ -214,12 +214,39 @@ class TestFitCalibration:
             fit_calibration(samples, degree=5)
 
 
+def valid_profile(a0, a1, higher, v_lo, width, ref, slack, pair_id, frequency_hz):
+    """A profile that passes every check: on [0, 3] V the slope is at least
+    a1 - (2*3 + 3*9 + 4*27 + 5*81) = a1 - 546, so a1 > 546 proves it increasing."""
+    coeffs = (a0, a1, *higher)
+    v_hi = v_lo + width
+    v_ref = v_lo + ref * width
+    ref_phase = sum(c * v_ref ** k for k, c in enumerate(coeffs))
+    return CalibrationPolynomial(*coeffs, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
+                                 max_err_deg=abs(ref_phase) + slack, pair_id=pair_id,
+                                 frequency_hz=frequency_hz)
+
+
 class TestProfileIO:
     def test_save_load_round_trip(self):
         buf = io.StringIO()
         save_profile(TABLE2_D31, buf)
         loaded = load_profile(io.StringIO(buf.getvalue()))
         assert loaded == TABLE2_D31
+
+    @settings(deadline=None)
+    @given(poly=st.builds(valid_profile, a0=st.floats(-1e3, 1e3), a1=st.floats(550.0, 1e6),
+                          higher=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                          v_lo=st.floats(0.0, 2.0), width=st.floats(1e-3, 1.0),
+                          ref=st.floats(0.0, 1.0), slack=st.floats(0.0, 1e3),
+                          pair_id=st.sampled_from(PAIR_IDS),
+                          frequency_hz=st.floats(0.0, exclude_min=True, allow_infinity=False)))
+    def test_save_load_round_trip_is_bit_exact(self, poly):
+        buf = io.StringIO()
+        save_profile(poly, buf)
+        loaded = load_profile(io.StringIO(buf.getvalue()))
+        assert loaded.pair_id == poly.pair_id
+        assert ([getattr(loaded, f).hex() for f in NUMERIC_FIELDS]
+                == [getattr(poly, f).hex() for f in NUMERIC_FIELDS])
 
     def test_missing_field_rejected(self):
         from triphase import FileFormatError

@@ -84,6 +84,18 @@ def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf,
     return 0.5 * (lo + hi)
 
 
+def reference_azimuth_sweep(r_cm, z_cm, geom, rf, n_samples):
+    """The sweep with a LandingScenario, a landing point and a PhaseSolution per sample."""
+    step = 360.0 / (n_samples - 1)
+    rows = []
+    for k in range(n_samples):
+        phi = -180.0 + k * step
+        landing = landing_point_world(LandingScenario(r_cm, phi, z_cm))
+        sol = reference_phase_solution(geom, landing, rf)
+        rows.append((phi, sol.th12, sol.th23, sol.th31))
+    return rows
+
+
 def radius_or_error(search, *args):
     """A search's radius as exact hex, or the class of the TriphaseError it raised."""
     try:
@@ -243,6 +255,21 @@ class TestAzimuthSweep:
         with pytest.raises(InvalidParameterError):
             azimuth_sweep(10.0, 100.0, GEOM7, RF245, 2)
 
+    @pytest.mark.parametrize("r_cm,z_cm,name", [
+        (-1.0, 100.0, "r_cm"), (math.nan, 100.0, "r_cm"), ("10", 100.0, "r_cm"),
+        (10.0, 0.0, "z_cm"), (10.0, math.inf, "z_cm"), (10.0, None, "z_cm"),
+    ])
+    def test_rejects_bad_extent(self, r_cm, z_cm, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} "):
+            azimuth_sweep(r_cm, z_cm, GEOM7, RF245, 37)
+
+    @given(r=st.floats(0.0, 5000.0), z=st.floats(0.5, 5000.0), n=st.integers(3, 40),
+           f=FREQ_HZ, d=SPACING_CM)
+    def test_matches_reference_bit_for_bit(self, r, z, n, f, d):
+        args = (r, z, receiver_points(d), RFConfig(f), n)
+        got, want = azimuth_sweep(*args), reference_azimuth_sweep(*args)
+        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
 
 class TestNonambiguousRange:
     def test_best_case_at_input_direction(self):
@@ -277,6 +304,12 @@ class TestNonambiguousRange:
         # the default ceiling 100 * z overflows, so the scan's radius reaches inf
         with pytest.raises(InvalidParameterError, match="r_cm must be a finite number"):
             nonambiguous_range(1e307, 10.0, 45.0, GEOM7, RF245)
+
+    def test_unbounded_message_stays_short_at_extreme_heights(self):
+        # the ceiling 100 * z = 5e307 cm printed in full would take 308 digits
+        with pytest.raises(RangeUnboundedError) as info:
+            nonambiguous_range(5e305, 10.0, 90.0, GEOM7, RFConfig(0.4e9, 3e8))
+        assert len(str(info.value)) < 200
 
     @settings(deadline=None)
     @given(z=st.floats(20.0, 2000.0), phi=st.floats(-360.0, 360.0),

@@ -3,10 +3,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from triphase.detector import builtin_profile_set
-from triphase.errors import InvalidParameterError, PhaseAmbiguityError
+from triphase.errors import InvalidParameterError, PhaseAmbiguityError, TriphaseError
 from triphase.geometry import (
     LandingScenario,
     RFConfig,
@@ -18,6 +18,7 @@ from triphase.geometry import (
 )
 from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind
 from triphase.simulator import (
+    DETECTOR_MODES,
     DroneState,
     SimConfig,
     apply_maneuver,
@@ -191,6 +192,27 @@ class TestSimulateLanding:
             target = ground_point(r, phi)
             err = math.hypot(final.x - target.x, final.y - target.y)
             assert err <= 2.0 * gcfg.move_step_cm
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestSimulateLandingErrors:
+    @settings(deadline=None)
+    @given(x=FINITE, y=FINITE, z=POSITIVE, heading=FINITE, bx=FINITE, by=FINITE, bz=FINITE,
+           gcfg=st.builds(GuidanceConfig, POSITIVE, POSITIVE, POSITIVE, POSITIVE),
+           scfg=st.builds(SimConfig, POSITIVE, POSITIVE, st.integers(1, 200),
+                          st.sampled_from(DETECTOR_MODES)))
+    def test_raises_only_documented_errors(self, x, y, z, heading, bx, by, bz, gcfg, scfg):
+        assume(bz < z)  # the beacon is below the drone
+        start = DroneState(Vector3(x, y, z), heading)
+        try:
+            result = simulate_landing(start, Vector3(bx, by, bz), GEOM, RF, PROFILES, gcfg, scfg)
+        except TriphaseError as exc:
+            assert type(exc).__module__ == "triphase.errors"
+        else:
+            assert result.iterations <= scfg.max_iterations
 
 
 class TestWorstCaseTransect:

@@ -2,14 +2,14 @@
 
 Three models map a pair phase shift to a DC voltage:
 
-* an ideal multiplier-style detector, ``v = gain * sin(theta)``, non-ambiguous
-  over +-90 deg;
-* the uncalibrated triangular characteristic of the analog gain/phase chip,
-  ``v = slope * (180 - |theta|)``, even in theta;
+* the ideal detector of the 90-degree hybrid couplers, ``v = sin(theta)`` in
+  volts, non-ambiguous over +-90 deg;
+* the linear region of the quadrature-shifted triangular chip characteristic,
+  ``v = 10 mV/deg * theta``, odd in theta and slope-matched to the measurements;
 * calibrated fifth-degree polynomials (voltage in, degrees out) measured on
   the prototype, one per input pair, non-ambiguous over +-80 deg.
 
-The calibrated polynomials are the model the simulator uses.  Their strict
+The calibrated polynomials are the simulator's default model.  Their strict
 monotonicity is proven exactly, so forward voltage synthesis has one root to
 find, by a safeguarded Newton-bisection seeded from a per-profile table.
 """
@@ -50,34 +50,18 @@ _PROFILE_FIELDS = ("pair_id", "a0", "a1", "a2", "a3", "a4", "a5",
                    "v_ref", "v_lo", "v_hi", "max_err_deg", "frequency_hz")
 
 
-@dataclass(frozen=True)
-class IdealDetector:
-    """Sine-law detector: voltage = gain_v * sin(theta)."""
-
-    gain_v: float = 1.0
-
-    def __post_init__(self):
-        _check_positive("gain_v", self.gain_v)
+#: slope of the triangular model's linear region [mV/deg]
+TRIANGULAR_SLOPE_MV_PER_DEG = 10.0
 
 
-@dataclass(frozen=True)
-class TriangularDetector:
-    """Triangular characteristic: voltage = slope * (180 - |theta|), slope in mV/deg."""
-
-    slope_mv_per_deg: float = 10.0
-
-    def __post_init__(self):
-        _check_positive("slope_mv_per_deg", self.slope_mv_per_deg)
+def ideal_sine_voltage(theta_deg) -> float:
+    """Ideal detector output in volts, sin(theta); theta wrapped to (-180, 180]."""
+    return 1.0 * math.sin(math.radians(wrap_angle_deg(theta_deg)))
 
 
-def ideal_sine_voltage(theta_deg, det: IdealDetector) -> float:
-    """Ideal detector output in volts; theta wrapped to (-180, 180]."""
-    return det.gain_v * math.sin(math.radians(wrap_angle_deg(theta_deg)))
-
-
-def ad8302_voltage(theta_deg, det: TriangularDetector) -> float:
-    """Uncalibrated triangular detector output in volts; even in theta."""
-    return det.slope_mv_per_deg * (180.0 - abs(wrap_angle_deg(theta_deg))) / 1000.0
+def triangular_voltage(theta_deg) -> float:
+    """Triangular detector output in volts over its linear region, slope * theta."""
+    return TRIANGULAR_SLOPE_MV_PER_DEG * theta_deg / 1000.0
 
 
 def _horner(coeffs, v):
@@ -138,6 +122,8 @@ class MeasurementSample:
     def __post_init__(self):
         _check_finite("theta_deg", self.theta_deg)
         _check_positive("voltage_v", self.voltage_v, zero_ok=True)
+        if self.power_dbm is not None:
+            _check_finite("power_dbm", self.power_dbm)
 
 
 @dataclass(frozen=True)
@@ -295,9 +281,13 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
 
 
 def _builtin(pair_id, coeffs, v_ref, max_err_deg):
-    # Validity interval = exact voltages where the polynomial reaches -80/+80 deg,
-    # so voltage synthesis covers the whole calibrated range.
+    # Validity interval = voltages where the polynomial reaches -80/+80 deg (a root
+    # rounded inside is stepped out by ulps), so synthesis covers the whole range.
     v_lo, v_hi = (_solve(coeffs, s * CALIBRATED_RANGE_DEG, 0.05, 3.2, 1.625) for s in (-1, 1))
+    while _horner(coeffs, v_lo) > -CALIBRATED_RANGE_DEG:
+        v_lo = math.nextafter(v_lo, -math.inf)
+    while _horner(coeffs, v_hi) < CALIBRATED_RANGE_DEG:
+        v_hi = math.nextafter(v_hi, math.inf)
     return CalibrationPolynomial(
         *coeffs, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
         max_err_deg=max_err_deg, pair_id=pair_id, frequency_hz=2.46e9)

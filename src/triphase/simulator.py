@@ -1,12 +1,12 @@
 """Closed-loop landing simulation.
 
 Each cycle senses the beacon through the full chain (world pose -> body-frame
-geometry -> pair phase shifts -> calibrated detector voltages -> centered
-voltages), asks the guidance rules for maneuvers, applies them, and descends
-one step after every tracking-or-hold cycle (an escape yaw is a reorientation
-and does not descend).  The loop ends at the minimum height or when the
-iteration budget runs out; a phase-ambiguity event aborts with a diagnostic
-and the partial log.
+geometry -> pair phase shifts -> centered voltages of one DETECTOR_MODES
+entry, calibrated by default), asks the guidance rules for maneuvers, applies
+them, and descends one step after every tracking-or-hold cycle (an escape yaw
+is a reorientation and does not descend).  The loop ends at the minimum height
+or when the iteration budget runs out; a phase-ambiguity event aborts with a
+diagnostic and the partial log.
 
 One guard exists beyond the plain decision rules: when two consecutive cycles
 request opposite 60-degree escape yaws (the beacon sits on the seam between
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 from ._textio import write_csv
 from .detector import (
-    IdealDetector,
-    TriangularDetector,
     CALIBRATED_RANGE_DEG,
+    PAIR_IDS,
     centered_voltage,
     ideal_sine_voltage,
+    triangular_voltage,
     voltage_from_phase,
 )
 from .errors import InvalidParameterError, PhaseAmbiguityError, _check_positive
@@ -52,10 +52,19 @@ from .guidance import (
     tracking_maneuvers,
 )
 
-#: non-ambiguous phase range of the sine / triangular model variants [deg]
-IDEAL_RANGE_DEG = 90.0
 
-DETECTOR_MODES = ("calibrated", "ideal-sine", "triangular")
+def _calibrated_voltage(theta, pair, profiles):
+    # looks voltage_from_phase up in this module, where the benchmark tracer wraps it
+    return centered_voltage(voltage_from_phase(profiles[pair], theta), profiles[pair])
+
+
+#: detector mode -> (non-ambiguous range [deg], f(theta, pair, profiles) giving the
+#: centered voltage [V] of a wrapped pair phase); only "calibrated" reads profiles
+DETECTOR_MODES = {
+    "calibrated": (CALIBRATED_RANGE_DEG, _calibrated_voltage),
+    "ideal-sine": (90.0, lambda theta, pair, profiles: ideal_sine_voltage(theta)),
+    "triangular": (90.0, lambda theta, pair, profiles: triangular_voltage(theta)),
+}
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,8 @@ class DroneState:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Loop settings; detector_mode names a DETECTOR_MODES entry."""
+
     descent_step_cm: float = 1.0
     min_height_cm: float = 1.0
     max_iterations: int = 100_000
@@ -86,7 +97,7 @@ class SimConfig:
             raise InvalidParameterError("max_iterations must be a positive integer")
         if self.detector_mode not in DETECTOR_MODES:
             raise InvalidParameterError(
-                f"detector_mode must be one of {DETECTOR_MODES}, got {self.detector_mode!r}")
+                f"detector_mode must be one of {tuple(DETECTOR_MODES)}, got {self.detector_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -136,39 +147,26 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
           profiles=None, mode="calibrated") -> VoltageTriple:
     """Centered detector voltages for the current pose.
 
-    `profiles` maps pair ids ("d12", "d23", "d31") to calibration polynomials
-    and is required in calibrated mode.  The ideal-sine variant returns
-    sin(theta) from a default IdealDetector; the triangular variant returns
-    the linear region of the quadrature-shifted characteristic of a default
-    TriangularDetector (slope-matched to the measured curves).
+    `mode` is a key of DETECTOR_MODES, which sets each pair's non-ambiguous
+    range and voltage.  `profiles` maps pair ids ("d12", "d23", "d31") to
+    calibration polynomials and is required in calibrated mode.  The +-90 deg
+    ideal-sine variant returns sin(theta); the triangular one 10 mV/deg * theta,
+    the linear region of the quadrature-shifted triangular characteristic.
     Raises PhaseAmbiguityError when any pair leaves its non-ambiguous range.
     """
     if mode not in DETECTOR_MODES:
         raise InvalidParameterError(f"unknown detector mode {mode!r}")
+    limit, voltage = DETECTOR_MODES[mode]
     sol = phase_solution(geom, landing_body_frame(state, landing), rf)
-    wrapped = {pair: wrap_angle_deg(th)
-               for pair, th in zip(("d12", "d23", "d31"), sol.phases)}
-
-    if mode == "calibrated":
-        if profiles is None:
-            raise InvalidParameterError("calibrated mode requires calibration profiles")
-        out = []
-        for pair, theta in wrapped.items():
-            if abs(theta) > CALIBRATED_RANGE_DEG:
-                raise PhaseAmbiguityError(pair, theta)
-            poly = profiles[pair]
-            out.append(centered_voltage(voltage_from_phase(poly, theta), poly))
-        return VoltageTriple(*out)
-
-    limit = IDEAL_RANGE_DEG
-    for pair, theta in wrapped.items():
+    if profiles is None and mode == "calibrated":
+        raise InvalidParameterError("calibrated mode requires calibration profiles")
+    out = []
+    for pair, theta in zip(PAIR_IDS, sol.phases):
+        theta = wrap_angle_deg(theta)
         if abs(theta) > limit:
             raise PhaseAmbiguityError(pair, theta)
-    if mode == "ideal-sine":
-        det = IdealDetector()
-        return VoltageTriple(*(ideal_sine_voltage(t, det) for t in wrapped.values()))
-    det = TriangularDetector()
-    return VoltageTriple(*(det.slope_mv_per_deg * t / 1000.0 for t in wrapped.values()))
+        out.append(voltage(theta, pair, profiles))
+    return VoltageTriple(*out)
 
 
 def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
@@ -206,6 +204,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     """Run the sense-decide-act loop until touchdown, abort, or budget exhaustion."""
     gcfg = gcfg or GuidanceConfig()
     scfg = scfg or SimConfig()
+    if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
+        raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     state = start
     records = []
     first_hold = None
@@ -288,8 +288,8 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
         if ambiguous:
             v23 = v31 = math.nan
         else:
-            v23 = centered_voltage(voltage_from_phase(profiles["d23"], th23), profiles["d23"])
-            v31 = centered_voltage(voltage_from_phase(profiles["d31"], th31), profiles["d31"])
+            v23 = _calibrated_voltage(th23, "d23", profiles)
+            v31 = _calibrated_voltage(th31, "d31", profiles)
         rows.append(TransectRow(y, sol.th12, th23, th31, v23, v31, ambiguous))
     return rows
 

@@ -18,7 +18,6 @@ from contextlib import contextmanager
 import pytest
 
 from triphase.detector import (
-    IdealDetector,
     MeasurementSample,
     TABLE2_D12,
     TABLE2_D23,
@@ -235,7 +234,6 @@ def test_criterion_09_worst_case_transect():
 
 def test_criterion_10_guidance_oracle_agreement():
     with criterion(10, "sector classifier agrees with the 60-degree azimuth oracle"):
-        det = IdealDetector(gain_v=1.0)
         boundaries = (-150.0, -90.0, -30.0, 30.0, 90.0, 150.0)
         for phi_int in range(-180, 181):
             phi = float(phi_int)
@@ -243,7 +241,7 @@ def test_criterion_10_guidance_oracle_agreement():
                 continue
             sol = phase_solution(GEOM, landing_point_world(
                 LandingScenario(10.0, phi, 100.0)), RF245)
-            v = VoltageTriple(*(ideal_sine_voltage(t, det) for t in sol.phases))
+            v = VoltageTriple(*(ideal_sine_voltage(t) for t in sol.phases))
             assert classify_sector(v) == expected_sector_from_azimuth(phi), f"phi={phi}"
 
 

@@ -110,6 +110,12 @@ class TestFit:
         assert main(["fit", str(bad), "--out", str(tmp_path / "p.profile")]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_finite_power_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("theta_deg,voltage_v,power_dbm\n0,1.5,-20\n10,1.7,nan\n")
+        assert main(["fit", str(bad), "--out", str(tmp_path / "p.profile")]) == 2
+        assert "line 3: power_dbm" in capsys.readouterr().err
+
     def test_empty_file_is_io_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

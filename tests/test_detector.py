@@ -8,14 +8,11 @@ from numpy.polynomial import Polynomial
 
 from triphase.detector import (
     CalibrationPolynomial,
-    IdealDetector,
     MeasurementSample,
     PAIR_IDS,
     TABLE2_D12,
     TABLE2_D23,
     TABLE2_D31,
-    TriangularDetector,
-    ad8302_voltage,
     builtin_profile_set,
     centered_voltage,
     fit_calibration,
@@ -24,6 +21,7 @@ from triphase.detector import (
     phase_from_voltage,
     read_measurement_csv,
     save_profile,
+    triangular_voltage,
     voltage_from_phase,
 )
 from triphase.errors import (
@@ -54,29 +52,23 @@ def in_range_rows(pair):
 
 class TestIdealSine:
     def test_anchor_values(self):
-        det = IdealDetector(gain_v=1.0)
-        assert ideal_sine_voltage(0.0, det) == 0.0
-        assert ideal_sine_voltage(90.0, det) == pytest.approx(1.0, abs=1e-12)
-        assert ideal_sine_voltage(30.0, det) == pytest.approx(0.5, abs=1e-12)
-
-    def test_gain_scales(self):
-        det = IdealDetector(gain_v=2.5)
-        assert ideal_sine_voltage(-90.0, det) == pytest.approx(-2.5, abs=1e-12)
+        assert ideal_sine_voltage(0.0) == 0.0
+        assert ideal_sine_voltage(90.0) == pytest.approx(1.0, abs=1e-12)
+        assert ideal_sine_voltage(30.0) == pytest.approx(0.5, abs=1e-12)
+        assert ideal_sine_voltage(-90.0) == pytest.approx(-1.0, abs=1e-12)
+        assert ideal_sine_voltage(390.0) == ideal_sine_voltage(30.0)  # wrapped first
 
 
 class TestTriangularModel:
     def test_anchor_values(self):
-        det = TriangularDetector()
-        assert ad8302_voltage(180.0, det) == 0.0
-        assert ad8302_voltage(-180.0, det) == 0.0
-        assert ad8302_voltage(0.0, det) == pytest.approx(1.800, abs=1e-12)
-        assert ad8302_voltage(-90.0, det) == pytest.approx(0.900, abs=1e-12)
+        assert triangular_voltage(0.0) == 0.0
+        assert triangular_voltage(90.0) == pytest.approx(0.900, abs=1e-12)
+        assert triangular_voltage(-90.0) == pytest.approx(-0.900, abs=1e-12)
 
-    def test_even_and_piecewise_linear(self):
-        det = TriangularDetector()
-        for theta in range(-180, 181):
-            assert ad8302_voltage(theta, det) == ad8302_voltage(-theta, det)
-            assert ad8302_voltage(theta, det) == det.slope_mv_per_deg * (180 - abs(theta)) / 1000.0
+    def test_odd_and_linear(self):
+        for theta in range(-90, 91):
+            assert triangular_voltage(theta) == -triangular_voltage(-theta)
+            assert triangular_voltage(theta) == 10.0 * theta / 1000.0
 
 
 class TestCrossValidation:
@@ -144,6 +136,11 @@ class TestVoltageFromPhase:
         with pytest.raises(PhaseAmbiguityError) as err:
             voltage_from_phase(TABLE2_D23, 80.5)
         assert err.value.pair == "d23"
+
+    @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
+    def test_builtin_interval_spans_the_calibrated_range(self, poly):
+        # +-80 deg then synthesizes inside [v_lo, v_hi], never on the extension path
+        assert poly.evaluate(poly.v_lo) <= -80.0 <= 80.0 <= poly.evaluate(poly.v_hi)
 
 
 class TestCenteredVoltage:
@@ -274,6 +271,25 @@ class TestMeasurementCsv:
         from triphase import FileFormatError
         with pytest.raises(FileFormatError):
             read_measurement_csv(io.StringIO(""))
+
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    def test_non_finite_power_rejected(self, power):
+        bad = f"theta_deg,voltage_v,power_dbm\n-80,0.223,-20\n0,1.533,{power}\n"
+        with pytest.raises(FileFormatError, match="^line 3: power_dbm "):
+            read_measurement_csv(io.StringIO(bad))
+
+    def test_blank_power_reads_as_none(self):
+        samples = read_measurement_csv(io.StringIO("theta_deg,voltage_v,power_dbm\n0,1.533,\n"))
+        assert samples[0].power_dbm is None
+
+
+class TestMeasurementSample:
+    @pytest.mark.parametrize("power", ["x", "1", math.nan, math.inf, -math.inf])
+    def test_power_is_none_or_a_finite_number(self, power):
+        assert MeasurementSample(0.0, 1.0, None).power_dbm is None
+        assert MeasurementSample(0.0, 1.0, -20).power_dbm == -20
+        with pytest.raises(InvalidParameterError, match="^power_dbm must be a finite number"):
+            MeasurementSample(0.0, 1.0, power)
 
 
 def reference_voltage_from_phase(poly, theta_deg):

@@ -8,10 +8,8 @@ import pytest
 
 from triphase.detector import (
     CalibrationPolynomial,
-    IdealDetector,
     MeasurementSample,
     TABLE2_D12,
-    TriangularDetector,
     phase_from_voltage,
     voltage_from_phase,
 )
@@ -29,8 +27,6 @@ ENTRY_POINTS = [
      ("hold_threshold_v", "rotate_step_deg", "move_step_cm", "escape_yaw_deg")),
     (VoltageTriple, {"v12": 0.1, "v23": -0.2, "v31": 0.3}, ("v12", "v23", "v31")),
     (Maneuver, {"kind": ManeuverKind.FORWARD, "magnitude": 1.0}, ("magnitude",)),
-    (IdealDetector, {}, ("gain_v",)),
-    (TriangularDetector, {}, ("slope_mv_per_deg",)),
     (MeasurementSample, {"theta_deg": 10.0, "voltage_v": 1.5}, ("theta_deg", "voltage_v")),
     (CalibrationPolynomial, PROFILE_FIELDS,
      ("a0", "a1", "a2", "a3", "a4", "a5", "v_ref", "v_lo", "v_hi",

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from triphase.detector import IdealDetector, ideal_sine_voltage
+from triphase.detector import ideal_sine_voltage
 from triphase.errors import InvalidParameterError
 from triphase.geometry import (
     LandingScenario,
@@ -124,14 +124,13 @@ class TestOracleAgreement:
         # sign-faithful sine detector over the reference sweep geometry
         geom = receiver_points(7.0)
         rf = RFConfig(2.45e9, 3e8)
-        det = IdealDetector(gain_v=1.0)
         boundaries = (-150.0, -90.0, -30.0, 30.0, 90.0, 150.0)
         for tenth in range(-1800, 1801):
             phi = tenth / 10.0
             if any(abs(phi - b) <= 1.0 for b in boundaries):
                 continue
             sol = phase_solution(geom, landing_point_world(LandingScenario(10.0, phi, 100.0)), rf)
-            v = VoltageTriple(*(ideal_sine_voltage(t, det) for t in sol.phases))
+            v = VoltageTriple(*(ideal_sine_voltage(t) for t in sol.phases))
             assert classify_sector(v) == expected_sector_from_azimuth(phi), f"phi={phi}"
 
 

@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from triphase.detector import builtin_profile_set
+from triphase import simulator
+from triphase.detector import (
+    CALIBRATED_RANGE_DEG,
+    builtin_profile_set,
+    centered_voltage,
+    voltage_from_phase,
+)
 from triphase.errors import InvalidParameterError, PhaseAmbiguityError, TriphaseError
 from triphase.geometry import (
     LandingScenario,
@@ -15,8 +21,9 @@ from triphase.geometry import (
     nonambiguous_range,
     phase_solution,
     receiver_points,
+    wrap_angle_deg,
 )
-from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind
+from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple
 from triphase.simulator import (
     DETECTOR_MODES,
     DroneState,
@@ -43,6 +50,43 @@ def ground_point(r_cm, phi_deg):
 
 def fig14_start():
     return DroneState(Vector3(0.0, 0.0, 300.0), 0.0)
+
+
+def reference_sense(state, landing, geom, rf, profiles=None, mode="calibrated"):
+    """Sensing with one branch and loop per detector mode, and the sine and
+    triangular formulas written out at their unit gain and 10 mV/deg slope."""
+    if mode not in ("calibrated", "ideal-sine", "triangular"):
+        raise InvalidParameterError(f"unknown detector mode {mode!r}")
+    sol = phase_solution(geom, landing_body_frame(state, landing), rf)
+    wrapped = {pair: wrap_angle_deg(th)
+               for pair, th in zip(("d12", "d23", "d31"), sol.phases)}
+
+    if mode == "calibrated":
+        if profiles is None:
+            raise InvalidParameterError("calibrated mode requires calibration profiles")
+        out = []
+        for pair, theta in wrapped.items():
+            if abs(theta) > CALIBRATED_RANGE_DEG:
+                raise PhaseAmbiguityError(pair, theta)
+            poly = profiles[pair]
+            out.append(centered_voltage(voltage_from_phase(poly, theta), poly))
+        return VoltageTriple(*out)
+
+    for pair, theta in wrapped.items():
+        if abs(theta) > 90.0:
+            raise PhaseAmbiguityError(pair, theta)
+    if mode == "ideal-sine":
+        return VoltageTriple(*(1.0 * math.sin(math.radians(wrap_angle_deg(t)))
+                               for t in wrapped.values()))
+    return VoltageTriple(*(10.0 * t / 1000.0 for t in wrapped.values()))
+
+
+def hex_or_error(fn, *args):
+    try:
+        v = fn(*args)
+    except TriphaseError as exc:
+        return type(exc), str(exc)
+    return v.v12.hex(), v.v23.hex(), v.v31.hex()
 
 
 class TestSense:
@@ -78,6 +122,42 @@ class TestSense:
         v10 = sense(fig14_start(), ground_point(10.0, 0.0), GEOM, RF, None, mode="triangular")
         v20 = sense(fig14_start(), ground_point(20.0, 0.0), GEOM, RF, None, mode="triangular")
         assert v20.v23 == pytest.approx(2.0 * v10.v23, rel=0.01)  # near-linear regime
+
+    @settings(deadline=None, max_examples=300)
+    @given(x=st.floats(-500, 500), y=st.floats(-500, 500), z=st.floats(10.0, 2000.0),
+           heading=st.floats(-720.0, 720.0), bx=st.floats(-500, 500), by=st.floats(-500, 500),
+           bz=st.floats(-10.0, 50.0), f=st.floats(1e9, 6e9), d=st.floats(2.0, 15.0),
+           profiles=st.sampled_from([PROFILES, None]),
+           mode=st.sampled_from(["calibrated", "ideal-sine", "triangular", "sine"]))
+    def test_matches_reference_bit_for_bit(self, x, y, z, heading, bx, by, bz, f, d,
+                                           profiles, mode):
+        args = (DroneState(Vector3(x, y, z), heading), Vector3(bx, by, bz),
+                receiver_points(d), RFConfig(f), profiles, mode)
+        assert hex_or_error(sense, *args) == hex_or_error(reference_sense, *args)
+
+    @pytest.mark.parametrize("mode,limit", [("calibrated", 80.0), ("ideal-sine", 90.0),
+                                            ("triangular", 90.0)])
+    def test_range_edge_matches_reference(self, mode, limit):
+        # 0.05 cm either side of the mode's cone edge, |theta| is within 0.03 deg of the limit
+        r = nonambiguous_range(300.0, 90.0, limit, GEOM, RF)
+        results = []
+        for dr in (-0.05, 0.05):
+            args = (fig14_start(), ground_point(r + dr, 90.0), GEOM, RF, PROFILES, mode)
+            results.append(hex_or_error(sense, *args))
+            assert results[-1] == hex_or_error(reference_sense, *args)
+        assert isinstance(results[0][0], str) and results[1][0] is PhaseAmbiguityError
+
+    def test_calibrated_inversion_is_looked_up_in_the_simulator(self, monkeypatch):
+        # the landing benchmark's tracer counts inversions by patching this name
+        calls = []
+
+        def counting(poly, theta):
+            calls.append(poly.pair_id)
+            return voltage_from_phase(poly, theta)
+
+        monkeypatch.setattr(simulator, "voltage_from_phase", counting)
+        sense(fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES)
+        assert calls == ["d12", "d23", "d31"]
 
     @given(x=st.floats(-1e4, 1e4), y=st.floats(-1e4, 1e4), z=st.floats(1e-3, 1e4),
            heading=st.floats(allow_nan=False, allow_infinity=False),
@@ -151,6 +231,12 @@ class TestSimulateLanding:
         assert (final.x, final.y) == (0.0, 0.0)
         assert final.z <= SCFG.min_height_cm
 
+    def test_beacon_above_touchdown_height_rejected_before_first_cycle(self):
+        # z is the height above the beacon plane; the run would descend past the beacon
+        with pytest.raises(InvalidParameterError, match="^landing z must be <= min_height_cm"):
+            simulate_landing(fig14_start(), Vector3(0.0, 0.0, 50.0), GEOM, RF, PROFILES,
+                             GCFG, SimConfig(max_iterations=1))
+
     def test_start_outside_cone_aborts_with_diagnostic(self):
         result = simulate_landing(fig14_start(), ground_point(250.0, 90.0),
                                   GEOM, RF, PROFILES, GCFG, SCFG)
@@ -203,7 +289,7 @@ class TestSimulateLandingErrors:
     @given(x=FINITE, y=FINITE, z=POSITIVE, heading=FINITE, bx=FINITE, by=FINITE, bz=FINITE,
            gcfg=st.builds(GuidanceConfig, POSITIVE, POSITIVE, POSITIVE, POSITIVE),
            scfg=st.builds(SimConfig, POSITIVE, POSITIVE, st.integers(1, 200),
-                          st.sampled_from(DETECTOR_MODES)))
+                          st.sampled_from(tuple(DETECTOR_MODES))))
     def test_raises_only_documented_errors(self, x, y, z, heading, bx, by, bz, gcfg, scfg):
         assume(bz < z)  # the beacon is below the drone
         start = DroneState(Vector3(x, y, z), heading)

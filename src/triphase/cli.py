@@ -84,9 +84,7 @@ def _resolve_profiles(selector):
         if poly.pair_id in profiles:
             raise InvalidParameterError(f"more than one profile for pair {poly.pair_id}")
         profiles[poly.pair_id] = poly
-    missing = [p for p in detector.PAIR_IDS if p not in profiles]
-    if missing:
-        raise InvalidParameterError(f"profiles missing pairs: {', '.join(missing)}")
+    simulator._check_profiles(profiles)
     freqs = sorted({poly.frequency_hz for poly in profiles.values()})
     if len(freqs) > 1:
         raise InvalidParameterError(

@@ -33,7 +33,7 @@ from .errors import (
     PhaseAmbiguityError,
     VoltageOutOfRangeError,
 )
-from .errors import _check_finite, _check_positive
+from .errors import _check_count, _check_finite, _check_positive
 from .geometry import wrap_angle_deg
 
 #: calibrated non-ambiguous phase range [deg]
@@ -169,7 +169,7 @@ class CalibrationPolynomial:
                 f"{self.pair_id}: phase at v_ref is {ref_phase:+.3f} deg, "
                 f"exceeds max_err {self.max_err_deg:g} deg")
 
-    @property
+    @cached_property
     def coeffs(self):
         return (self.a0, self.a1, self.a2, self.a3, self.a4, self.a5)
 
@@ -247,7 +247,7 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
     largest absolute residual; v_lo/v_hi come from the sample extrema; v_ref
     is the fitted zero crossing.  Non-monotone fits are rejected.
     """
-    if not isinstance(degree, int) or not 1 <= degree <= 5:
+    if _check_count("degree", degree, 1) > 5:
         raise InvalidParameterError(f"degree must be an integer in [1, 5], got {degree!r}")
     samples = list(samples)
     if len(samples) < degree + 1:

@@ -2,8 +2,8 @@
 
 Errors are grouped so the CLI can map them onto exit codes: invalid
 parameters are usage problems, file-format problems are I/O failures, and
-ambiguity / range / fit failures are numerical outcomes.  Every number a
-caller passes in is checked by `_check_finite` or `_check_positive`.
+ambiguity / range / fit failures are numerical outcomes.  Every number or
+count a caller passes in is checked by one of the `_check_*` helpers below.
 """
 
 import math
@@ -70,3 +70,10 @@ def _check_positive(name, value, zero_ok=False):
     if value > 0.0 or (zero_ok and value == 0.0):
         return value
     raise InvalidParameterError(f"{name} must be {'>=' if zero_ok else '>'} 0, got {value}")
+
+
+def _check_count(name, value, minimum):
+    """`value` if it is an int >= `minimum`; a bool, a float such as 1.0 or a str is not."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+        return value
+    raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

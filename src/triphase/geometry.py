@@ -23,7 +23,7 @@ from functools import cached_property
 
 from ._textio import write_csv
 from .errors import DegenerateGeometryError, InvalidParameterError, RangeUnboundedError
-from .errors import _check_finite, _check_positive
+from .errors import _check_count, _check_finite, _check_positive
 
 #: speed of light in vacuum [m/s]
 SPEED_OF_LIGHT_MPS = 299_792_458.0
@@ -83,7 +83,7 @@ class RFConfig:
         object.__setattr__(self, "frequency_hz", _check_positive("frequency_hz", self.frequency_hz))
         object.__setattr__(self, "wave_speed_mps", _check_positive("wave_speed_mps", self.wave_speed_mps))
 
-    @property
+    @cached_property
     def deg_per_cm(self) -> float:
         """Unwrapped phase shift per cm of path difference."""
         # path difference is in cm, wave speed in m/s
@@ -196,8 +196,7 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     grid from -180 to +180 (n_samples >= 3; n_samples = 361 gives a 1-degree
     grid including phi = 0).
     """
-    if not isinstance(n_samples, int) or n_samples < 3:
-        raise InvalidParameterError(f"n_samples must be an integer >= 3, got {n_samples!r}")
+    _check_count("n_samples", n_samples, 3)
     r = _check_positive("r_cm", r_cm, zero_ok=True)
     z = _check_positive("z_cm", z_cm)
     k = rf.deg_per_cm
@@ -272,8 +271,7 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
     Azimuths sample (-180, +180] uniformly; rows are sorted by (z, phi).
     Returns a list of (z_cm, phi_deg, r_max_cm).
     """
-    if not isinstance(n_azimuths, int) or n_azimuths < 1:
-        raise InvalidParameterError(f"n_azimuths must be a positive integer, got {n_azimuths!r}")
+    _check_count("n_azimuths", n_azimuths, 1)
     rows = []
     for z in sorted(_check_positive("z", z) for z in z_list):
         for j in range(n_azimuths):

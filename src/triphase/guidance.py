@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import InvalidParameterError, _check_finite, _check_positive
 
@@ -31,6 +32,10 @@ class SectorId:
 
     def __str__(self):
         return f"{self.major}{self.sub}"
+
+
+#: the six sectors, built once; classify_sector returns these shared objects
+_SECTORS = {key: SectorId(*key) for key in _VALID_SECTORS}
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,14 @@ class GuidanceConfig:
         for name in ("hold_threshold_v", "rotate_step_deg", "move_step_cm", "escape_yaw_deg"):
             _check_positive(name, getattr(self, name))
 
+    @cached_property
+    def _maneuvers(self):
+        """Every move this config commands, built once and shared: kind -> Maneuver."""
+        sizes = ((ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT, self.escape_yaw_deg),
+                 (ManeuverKind.ROTATE_LEFT, ManeuverKind.ROTATE_RIGHT, self.rotate_step_deg),
+                 (ManeuverKind.FORWARD, ManeuverKind.BACKWARD, self.move_step_cm))
+        return {kind: Maneuver(kind, step) for *kinds, step in sizes for kind in kinds}
+
 
 def _sign(x) -> float:
     return 1.0 if x >= 0.0 else -1.0
@@ -114,10 +127,10 @@ def classify_sector(v: VoltageTriple) -> SectorId:
     """
     a12, a23, a31 = abs(v.v12), abs(v.v23), abs(v.v31)
     if a12 <= a23 and a12 <= a31:
-        return SectorId(1, "a" if _sign(v.v23) > 0 else "b")
+        return _SECTORS[1, "a" if _sign(v.v23) > 0 else "b"]
     if a23 < a31:
-        return SectorId(2, "b" if v.v31 < 0 else "a")
-    return SectorId(3, "a" if v.v23 < 0 else "b")
+        return _SECTORS[2, "b" if v.v31 < 0 else "a"]
+    return _SECTORS[3, "a" if v.v23 < 0 else "b"]
 
 
 def tracking_maneuvers(v: VoltageTriple, cfg: GuidanceConfig):
@@ -126,15 +139,10 @@ def tracking_maneuvers(v: VoltageTriple, cfg: GuidanceConfig):
     Rotate right when v12 and v23 disagree in sign (beacon on the right side),
     else left; move forward when v23 is non-negative, else backward.
     """
-    if _sign(v.v12) != _sign(v.v23):
-        rotation = Maneuver(ManeuverKind.ROTATE_RIGHT, cfg.rotate_step_deg)
-    else:
-        rotation = Maneuver(ManeuverKind.ROTATE_LEFT, cfg.rotate_step_deg)
-    if _sign(v.v23) > 0:
-        translation = Maneuver(ManeuverKind.FORWARD, cfg.move_step_cm)
-    else:
-        translation = Maneuver(ManeuverKind.BACKWARD, cfg.move_step_cm)
-    return [rotation, translation]
+    right = _sign(v.v12) != _sign(v.v23)
+    rotation = ManeuverKind.ROTATE_RIGHT if right else ManeuverKind.ROTATE_LEFT
+    translation = ManeuverKind.FORWARD if _sign(v.v23) > 0 else ManeuverKind.BACKWARD
+    return [cfg._maneuvers[rotation], cfg._maneuvers[translation]]
 
 
 def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
@@ -149,9 +157,9 @@ def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
         return [HOLD]
     sector = classify_sector(v)
     if sector.major == 2:
-        return [Maneuver(ManeuverKind.YAW_LEFT, cfg.escape_yaw_deg)]
+        return [cfg._maneuvers[ManeuverKind.YAW_LEFT]]
     if sector.major == 3:
-        return [Maneuver(ManeuverKind.YAW_RIGHT, cfg.escape_yaw_deg)]
+        return [cfg._maneuvers[ManeuverKind.YAW_RIGHT]]
     return tracking_maneuvers(v, cfg)
 
 

@@ -33,11 +33,12 @@ from .detector import (
     triangular_voltage,
     voltage_from_phase,
 )
-from .errors import InvalidParameterError, PhaseAmbiguityError, _check_positive
+from .errors import InvalidParameterError, PhaseAmbiguityError, _check_count, _check_positive
 from .geometry import (
     ReceiverGeometry,
     RFConfig,
     Vector3,
+    _path_differences,
     phase_solution,
     wrap_angle_deg,
 )
@@ -51,6 +52,15 @@ from .guidance import (
     decide,
     tracking_maneuvers,
 )
+
+
+def _check_profiles(profiles):
+    """Reject a calibration set that lacks a pair or holds one under another pair's id."""
+    if profiles is None:
+        raise InvalidParameterError("calibrated mode requires calibration profiles")
+    for pair in PAIR_IDS:
+        if pair not in profiles or getattr(profiles[pair], "pair_id", None) != pair:
+            raise InvalidParameterError(f"calibration profiles need a {pair} profile under {pair!r}")
 
 
 def _calibrated_voltage(theta, pair, profiles):
@@ -93,8 +103,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("descent_step_cm", "min_height_cm"):
             _check_positive(name, getattr(self, name))
-        if not isinstance(self.max_iterations, int) or self.max_iterations <= 0:
-            raise InvalidParameterError("max_iterations must be a positive integer")
+        _check_count("max_iterations", self.max_iterations, 1)
         if self.detector_mode not in DETECTOR_MODES:
             raise InvalidParameterError(
                 f"detector_mode must be one of {tuple(DETECTOR_MODES)}, got {self.detector_mode!r}")
@@ -131,8 +140,8 @@ class SimulationResult:
         return len(self.records)
 
 
-def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
-    """Express the landing point in the drone body frame (beacon must be below)."""
+def _body_point(state: DroneState, landing: Vector3):
+    """The landing point in the drone body frame as an (x, y, z) tuple of floats."""
     dx = landing.x - state.position.x
     dy = landing.y - state.position.y
     dz = landing.z - state.position.z
@@ -140,7 +149,12 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
         raise InvalidParameterError("landing point must lie below the drone plane")
     h = math.radians(state.heading_deg)
     cos_h, sin_h = math.cos(h), math.sin(h)
-    return Vector3(dx * cos_h - dy * sin_h, dy * cos_h + dx * sin_h, dz)
+    return dx * cos_h - dy * sin_h, dy * cos_h + dx * sin_h, dz
+
+
+def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
+    """Express the landing point in the drone body frame (beacon must be below)."""
+    return Vector3(*_body_point(state, landing))
 
 
 def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFConfig,
@@ -149,7 +163,7 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
 
     `mode` is a key of DETECTOR_MODES, which sets each pair's non-ambiguous
     range and voltage.  `profiles` maps pair ids ("d12", "d23", "d31") to
-    calibration polynomials and is required in calibrated mode.  The +-90 deg
+    their calibration polynomials, required in calibrated mode.  The +-90 deg
     ideal-sine variant returns sin(theta); the triangular one 10 mV/deg * theta,
     the linear region of the quadrature-shifted triangular characteristic.
     Raises PhaseAmbiguityError when any pair leaves its non-ambiguous range.
@@ -157,16 +171,31 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     if mode not in DETECTOR_MODES:
         raise InvalidParameterError(f"unknown detector mode {mode!r}")
     limit, voltage = DETECTOR_MODES[mode]
-    sol = phase_solution(geom, landing_body_frame(state, landing), rf)
-    if profiles is None and mode == "calibrated":
-        raise InvalidParameterError("calibrated mode requires calibration profiles")
+    # the float operations of phase_solution(geom, landing_body_frame(state, landing), rf)
+    path_differences = _path_differences(_body_point(state, landing), geom)
+    if mode == "calibrated":
+        _check_profiles(profiles)
     out = []
-    for pair, theta in zip(PAIR_IDS, sol.phases):
-        theta = wrap_angle_deg(theta)
+    for pair, dd in zip(PAIR_IDS, path_differences):
+        theta = wrap_angle_deg(rf.deg_per_cm * dd)
         if abs(theta) > limit:
             raise PhaseAmbiguityError(pair, theta)
         out.append(voltage(theta, pair, profiles))
     return VoltageTriple(*out)
+
+
+def _moved(x, y, heading, m: Maneuver):
+    """(x, y, heading) after one maneuver; a turn returns the heading wrapped."""
+    kind = m.kind
+    if kind is ManeuverKind.HOLD:
+        return x, y, heading
+    if kind in (ManeuverKind.YAW_LEFT, ManeuverKind.ROTATE_LEFT):
+        return x, y, wrap_angle_deg(heading - m.magnitude)
+    if kind in (ManeuverKind.YAW_RIGHT, ManeuverKind.ROTATE_RIGHT):
+        return x, y, wrap_angle_deg(heading + m.magnitude)
+    h = math.radians(heading)
+    step = m.magnitude if kind is ManeuverKind.FORWARD else -m.magnitude
+    return x + step * math.sin(h), y + step * math.cos(h), heading
 
 
 def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
@@ -176,19 +205,8 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
     body azimuth grows by the turn magnitude); forward/backward translate
     along the world-frame body +Y direction.  Hold is the identity.
     """
-    kind = m.kind
-    if kind is ManeuverKind.HOLD:
-        return state
-    if kind in (ManeuverKind.YAW_LEFT, ManeuverKind.ROTATE_LEFT):
-        return DroneState(state.position, state.heading_deg - m.magnitude)
-    if kind in (ManeuverKind.YAW_RIGHT, ManeuverKind.ROTATE_RIGHT):
-        return DroneState(state.position, state.heading_deg + m.magnitude)
-    h = math.radians(state.heading_deg)
-    step = m.magnitude if kind is ManeuverKind.FORWARD else -m.magnitude
-    pos = Vector3(state.position.x + step * math.sin(h),
-                  state.position.y + step * math.cos(h),
-                  state.position.z)
-    return DroneState(pos, state.heading_deg)
+    x, y, heading = _moved(state.position.x, state.position.y, state.heading_deg, m)
+    return DroneState(Vector3(x, y, state.position.z), heading)
 
 
 def _escape_direction(maneuvers):
@@ -206,7 +224,9 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     scfg = scfg or SimConfig()
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
+    # the pose is carried as floats; the one DroneState per cycle is the record's
     state = start
+    x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     records = []
     first_hold = None
     last_escape = 0
@@ -215,7 +235,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     diagnostic = None
 
     for iteration in range(scfg.max_iterations):
-        if state.position.z <= scfg.min_height_cm:
+        if z <= scfg.min_height_cm:
             touchdown = True
             break
         try:
@@ -234,19 +254,18 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         records.append(TrajectoryRecord(iteration, state, volts,
                                         classify_sector(volts), tuple(maneuvers)))
         for m in maneuvers:
-            state = apply_maneuver(state, m)
+            x, y, heading = _moved(x, y, heading, m)
 
         if escape != 0:
-            last_escape = escape
-            continue  # reorientation only: no descent
-        last_escape = 0
-        if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
-            first_hold = iteration
-        pos = state.position
-        # descend one step, never past the touchdown height
-        new_z = max(pos.z - scfg.descent_step_cm, min(pos.z, scfg.min_height_cm))
-        state = DroneState(Vector3(pos.x, pos.y, new_z), state.heading_deg)
-        if state.position.z <= scfg.min_height_cm:
+            last_escape = escape  # reorientation only: no descent
+        else:
+            last_escape = 0
+            if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
+                first_hold = iteration
+            # descend one step, never past the touchdown height
+            z = max(z - scfg.descent_step_cm, min(z, scfg.min_height_cm))
+        state = DroneState(Vector3(x, y, z), heading)
+        if z <= scfg.min_height_cm:
             touchdown = True
             break
 
@@ -275,10 +294,10 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     balanced on this line, so th12 is identically zero.  Rows whose phases
     leave the calibrated range carry NaN voltages and an ambiguous flag.
     """
-    if not isinstance(n_samples, int) or n_samples < 2:
-        raise InvalidParameterError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    _check_count("n_samples", n_samples, 2)
     z = _check_positive("z_cm", z_cm)
     span = _check_positive("y_range_cm", y_range_cm)
+    _check_profiles(profiles)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)

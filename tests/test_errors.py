@@ -10,13 +10,22 @@ from triphase.detector import (
     CalibrationPolynomial,
     MeasurementSample,
     TABLE2_D12,
+    builtin_profile_set,
+    fit_calibration,
     phase_from_voltage,
     voltage_from_phase,
 )
 from triphase.errors import InvalidParameterError, _check_finite, _check_positive
-from triphase.geometry import LandingScenario, RFConfig, Vector3
+from triphase.geometry import (
+    LandingScenario,
+    RFConfig,
+    Vector3,
+    azimuth_sweep,
+    cone_profile,
+    receiver_points,
+)
 from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple
-from triphase.simulator import SimConfig
+from triphase.simulator import SimConfig, worst_case_transect
 
 PROFILE_FIELDS = {f.name: getattr(TABLE2_D12, f.name) for f in dataclasses.fields(TABLE2_D12)}
 
@@ -48,6 +57,35 @@ CASES = [pytest.param(entry, kwargs, name, id=f"{entry.__name__}-{name}")
 def test_entry_point_rejects_bad_number(entry, kwargs, name, bad):
     entry(**kwargs)  # the valid arguments pass
     with pytest.raises(InvalidParameterError, match=f"^{name} "):
+        entry(**{**kwargs, name: bad})
+
+
+GEOM = receiver_points(7.0)
+RF = RFConfig(2.46e9)
+SAMPLES = [MeasurementSample(TABLE2_D12.evaluate(v), v)
+           for v in np.linspace(TABLE2_D12.v_lo, TABLE2_D12.v_hi, 12)]
+
+# entry point, valid keyword arguments, the count parameter to spoil
+COUNT_ENTRY_POINTS = [
+    (SimConfig, {}, "max_iterations"),
+    (cone_profile, {"z_list": [100.0], "theta_limit_deg": 80.0, "geom": GEOM, "rf": RF,
+                    "n_azimuths": 2}, "n_azimuths"),
+    (azimuth_sweep, {"r_cm": 10.0, "z_cm": 100.0, "geom": GEOM, "rf": RF, "n_samples": 3},
+     "n_samples"),
+    (worst_case_transect, {"z_cm": 1000.0, "y_range_cm": 700.0, "geom": GEOM, "rf": RF,
+                           "profiles": builtin_profile_set(), "n_samples": 3}, "n_samples"),
+    (fit_calibration, {"samples": SAMPLES, "degree": 5}, "degree"),
+]
+
+
+@pytest.mark.parametrize("entry,kwargs,name", [
+    pytest.param(entry, kwargs, name, id=f"{entry.__name__}-{name}")
+    for entry, kwargs, name in COUNT_ENTRY_POINTS])
+@pytest.mark.parametrize("bad", [True, False, 1.0, "3", None], ids=repr)
+def test_entry_point_rejects_bad_count(entry, kwargs, name, bad):
+    # bool is an int subclass, so True and False need their own rejection
+    entry(**kwargs)  # the valid arguments pass
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer"):
         entry(**{**kwargs, name: bad})
 
 

@@ -1,3 +1,4 @@
+import collections
 import io
 import math
 import random
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from triphase import simulator
 from triphase.detector import (
     CALIBRATED_RANGE_DEG,
+    TABLE2_D12,
     builtin_profile_set,
     centered_voltage,
     voltage_from_phase,
@@ -23,11 +25,21 @@ from triphase.geometry import (
     receiver_points,
     wrap_angle_deg,
 )
-from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple
+from triphase.guidance import (
+    GuidanceConfig,
+    Maneuver,
+    ManeuverKind,
+    VoltageTriple,
+    classify_sector,
+    decide,
+    tracking_maneuvers,
+)
 from triphase.simulator import (
     DETECTOR_MODES,
     DroneState,
     SimConfig,
+    SimulationResult,
+    TrajectoryRecord,
     apply_maneuver,
     landing_body_frame,
     sense,
@@ -87,6 +99,90 @@ def hex_or_error(fn, *args):
     except TriphaseError as exc:
         return type(exc), str(exc)
     return v.v12.hex(), v.v23.hex(), v.v31.hex()
+
+
+def reference_apply_maneuver(state, m):
+    """One maneuver as a new DroneState, which rewraps the heading every time."""
+    kind = m.kind
+    if kind is ManeuverKind.HOLD:
+        return state
+    if kind in (ManeuverKind.YAW_LEFT, ManeuverKind.ROTATE_LEFT):
+        return DroneState(state.position, state.heading_deg - m.magnitude)
+    if kind in (ManeuverKind.YAW_RIGHT, ManeuverKind.ROTATE_RIGHT):
+        return DroneState(state.position, state.heading_deg + m.magnitude)
+    h = math.radians(state.heading_deg)
+    step = m.magnitude if kind is ManeuverKind.FORWARD else -m.magnitude
+    pos = Vector3(state.position.x + step * math.sin(h),
+                  state.position.y + step * math.cos(h),
+                  state.position.z)
+    return DroneState(pos, state.heading_deg)
+
+
+def reference_simulate_landing(start, landing, geom, rf, profiles, gcfg, scfg):
+    """The landing loop on pose objects: a DroneState after every maneuver and descent."""
+    if landing.z > scfg.min_height_cm:
+        raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
+    state = start
+    records = []
+    first_hold = None
+    last_escape = 0
+    touchdown = aborted = False
+    diagnostic = None
+    for iteration in range(scfg.max_iterations):
+        if state.position.z <= scfg.min_height_cm:
+            touchdown = True
+            break
+        try:
+            volts = reference_sense(state, landing, geom, rf, profiles, scfg.detector_mode)
+        except PhaseAmbiguityError as exc:
+            aborted = True
+            diagnostic = f"iteration {iteration}: {exc}"
+            break
+        maneuvers = decide(volts, gcfg)
+        escape = 0
+        if len(maneuvers) == 1 and maneuvers[0].kind is ManeuverKind.YAW_LEFT:
+            escape = -1
+        elif len(maneuvers) == 1 and maneuvers[0].kind is ManeuverKind.YAW_RIGHT:
+            escape = +1
+        if escape != 0 and escape == -last_escape:
+            maneuvers = tracking_maneuvers(volts, gcfg)
+            escape = 0
+        records.append(TrajectoryRecord(iteration, state, volts, classify_sector(volts),
+                                        tuple(maneuvers)))
+        for m in maneuvers:
+            state = reference_apply_maneuver(state, m)
+        if escape != 0:
+            last_escape = escape
+            continue
+        last_escape = 0
+        if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
+            first_hold = iteration
+        pos = state.position
+        new_z = max(pos.z - scfg.descent_step_cm, min(pos.z, scfg.min_height_cm))
+        state = DroneState(Vector3(pos.x, pos.y, new_z), state.heading_deg)
+        if state.position.z <= scfg.min_height_cm:
+            touchdown = True
+            break
+    return SimulationResult(records=records, touchdown=touchdown, aborted=aborted,
+                            diagnostic=diagnostic, first_hold_iteration=first_hold,
+                            final_state=state)
+
+
+def landing_hex_or_error(fn, *args):
+    """Every float of a landing as .hex(), with its sectors, tokens and outcome."""
+    try:
+        result = fn(*args)
+    except TriphaseError as exc:
+        return type(exc), str(exc)
+
+    def pose(state):
+        p = state.position
+        return p.x.hex(), p.y.hex(), p.z.hex(), state.heading_deg.hex()
+
+    rows = [(r.iteration, *pose(r.state), *(v.hex() for v in r.voltages.as_tuple),
+             str(r.sector), tuple(m.token for m in r.maneuvers)) for r in result.records]
+    return (rows, result.first_hold_iteration, result.touchdown, result.aborted,
+            result.diagnostic, pose(result.final_state))
 
 
 class TestSense:
@@ -261,6 +357,46 @@ class TestSimulateLanding:
         assert result.converged
         assert result.iterations < 1000
 
+    @settings(deadline=None, max_examples=150)
+    @given(x=st.floats(-300.0, 300.0), y=st.floats(-300.0, 300.0), z=st.floats(1.0, 400.0),
+           heading=st.floats(-720.0, 720.0), slope=st.floats(0.0, 1.0),
+           phi=st.floats(-180.0, 180.0), bz=st.floats(-5.0, 0.0),
+           gcfg=st.builds(GuidanceConfig, st.floats(0.005, 0.2), st.floats(0.25, 20.0),
+                          st.floats(0.25, 20.0), st.floats(1.0, 179.0)),
+           scfg=st.builds(SimConfig, st.floats(0.25, 25.0), st.floats(0.5, 5.0),
+                          st.integers(1, 600), st.sampled_from(tuple(DETECTOR_MODES))))
+    def test_matches_object_based_loop_bit_for_bit(self, x, y, z, heading, slope, phi, bz,
+                                                   gcfg, scfg):
+        # the cone's edge lies near slope 0.5, so about half the starts abort at once
+        r, a = slope * z, math.radians(phi)
+        args = (DroneState(Vector3(x, y, z), heading),
+                Vector3(x + r * math.sin(a), y + r * math.cos(a), bz),
+                GEOM, RF, PROFILES, gcfg, scfg)
+        assert (landing_hex_or_error(simulate_landing, *args)
+                == landing_hex_or_error(reference_simulate_landing, *args))
+
+    def test_one_sense_three_inversions_and_one_pose_per_cycle(self, monkeypatch):
+        start, beacon = fig14_start(), ground_point(100.0, -35.0)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulator, "sense", counted("sense", simulator.sense))
+        monkeypatch.setattr(simulator, "voltage_from_phase",
+                            counted("inversion", simulator.voltage_from_phase))
+        monkeypatch.setattr(DroneState, "__post_init__",
+                            counted("state", DroneState.__post_init__))
+        result = simulate_landing(start, beacon, GEOM, RF, PROFILES, GCFG, SCFG)
+        cycles = result.iterations
+        assert result.converged and cycles > 100
+        assert calls["sense"] == cycles
+        assert calls["inversion"] == 3 * cycles
+        assert calls["state"] <= cycles + 1
+
     def test_randomized_convergence_inside_half_cone(self):
         rng = random.Random(20260810)
         gcfg, scfg = GuidanceConfig(), SimConfig()
@@ -299,6 +435,21 @@ class TestSimulateLandingErrors:
             assert type(exc).__module__ == "triphase.errors"
         else:
             assert result.iterations <= scfg.max_iterations
+
+
+class TestProfileSet:
+    @pytest.mark.parametrize("profiles,pair", [
+        ({"d12": TABLE2_D12}, "d23"),
+        ({"d12": TABLE2_D12, "d23": TABLE2_D12, "d31": TABLE2_D12}, "d23"),
+        ({**PROFILES, "d31": "table2-d31"}, "d31"),
+    ], ids=["missing", "mislabelled", "not-a-profile"])
+    @pytest.mark.parametrize("run", [
+        lambda profiles: sense(fig14_start(), ground_point(100.0, -35.0), GEOM, RF, profiles),
+        lambda profiles: worst_case_transect(1000.0, 700.0, GEOM, RF, profiles, n_samples=3),
+    ], ids=["sense", "worst_case_transect"])
+    def test_rejects_a_bad_set_naming_the_pair(self, run, profiles, pair):
+        with pytest.raises(InvalidParameterError, match=f"need a {pair} profile"):
+            run(profiles)
 
 
 class TestWorstCaseTransect:

@@ -17,6 +17,9 @@ from .errors import FileFormatError, InvalidParameterError, TriphaseError
 
 DEFAULT_SWEEP_FREQ_GHZ = 2.45
 
+#: exit code per error class, the first match wins: usage, I/O, numerical
+_EXIT_CODES = ((InvalidParameterError, 1), ((FileFormatError, OSError), 2), (TriphaseError, 3))
+
 
 class _UsageError(Exception):
     pass
@@ -28,49 +31,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def finite_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
-    return value
-
-
-def positive_float(text):
-    value = finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"value must be > 0, got {text!r}")
-    return value
-
-
-def positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"value must be > 0, got {text!r}")
-    return value
-
-
 def cm_list(text):
-    values = [positive_float(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of heights")
-    return values
+    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def _add_common(parser, with_freq=True):
     if with_freq:
-        parser.add_argument("--freq-ghz", type=positive_float, default=DEFAULT_SWEEP_FREQ_GHZ,
+        parser.add_argument("--freq-ghz", type=float, default=DEFAULT_SWEEP_FREQ_GHZ,
                             help=f"beacon frequency in GHz (default {DEFAULT_SWEEP_FREQ_GHZ})")
-    parser.add_argument("--spacing-cm", type=positive_float, default=7.0,
+    parser.add_argument("--spacing-cm", type=float, default=7.0,
                         help="receiver input spacing D in cm (default 7)")
-    parser.add_argument("--wave-speed", type=positive_float, default=geometry.SPEED_OF_LIGHT_MPS,
+    parser.add_argument("--wave-speed", type=float, default=geometry.SPEED_OF_LIGHT_MPS,
                         help="propagation speed in m/s (default vacuum light speed)")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
+
+
+def _add_guidance(parser):
+    parser.add_argument("--hold-threshold", type=float, default=0.02)
+    parser.add_argument("--rotate-step", type=float, default=1.0)
+    parser.add_argument("--move-step", type=float, default=1.0)
 
 
 def _resolve_profiles(selector):
@@ -84,11 +63,6 @@ def _resolve_profiles(selector):
         if poly.pair_id in profiles:
             raise InvalidParameterError(f"more than one profile for pair {poly.pair_id}")
         profiles[poly.pair_id] = poly
-    simulator._check_profiles(profiles)
-    freqs = sorted({poly.frequency_hz for poly in profiles.values()})
-    if len(freqs) > 1:
-        raise InvalidParameterError(
-            "profiles disagree on frequency: " + ", ".join(f"{f / 1e9:g} GHz" for f in freqs))
     return profiles
 
 
@@ -131,26 +105,29 @@ def cmd_fit(args):
     return 0
 
 
+def _guidance(args):
+    """GuidanceConfig from the options `_add_guidance` declares."""
+    return guidance.GuidanceConfig(hold_threshold_v=args.hold_threshold,
+                                   rotate_step_deg=args.rotate_step,
+                                   move_step_cm=args.move_step)
+
+
 def cmd_decide(args):
     triple = guidance.VoltageTriple(args.v12, args.v23, args.v31)
-    cfg = guidance.GuidanceConfig(hold_threshold_v=args.hold_threshold,
-                                  rotate_step_deg=args.rotate_step,
-                                  move_step_cm=args.move_step)
-    maneuvers = guidance.decide(triple, cfg)
+    maneuvers = guidance.decide(triple, _guidance(args))
     print(guidance.trace_line(triple, guidance.classify_sector(triple), maneuvers))
     return 0
 
 
 def cmd_simulate(args):
     profiles = _resolve_profiles(args.profile)
-    gcfg = guidance.GuidanceConfig(hold_threshold_v=args.hold_threshold,
-                                   rotate_step_deg=args.rotate_step,
-                                   move_step_cm=args.move_step)
     scfg = simulator.SimConfig(descent_step_cm=args.descent_step,
                                min_height_cm=args.min_height,
                                max_iterations=args.max_iterations,
                                detector_mode=args.mode)
-    geom, rf = _geometry(args, profiles["d12"].frequency_hz)
+    # every mode runs at the profiles' frequency; a set without d12 fails whatever stands in
+    geom, rf = _geometry(args, profiles.get("d12", detector.TABLE2_D12).frequency_hz)
+    simulator._check_profiles(profiles, rf)
     start = simulator.DroneState(
         geometry.Vector3(args.start_x, args.start_y, args.start_z), args.heading)
     scenario = geometry.LandingScenario(args.landing_r, args.landing_phi, args.start_z)
@@ -158,7 +135,7 @@ def cmd_simulate(args):
     # scenario is drone-relative; place the beacon on the ground plane in world frame
     landing = geometry.Vector3(args.start_x + world.x, args.start_y + world.y, 0.0)
 
-    result = simulator.simulate_landing(start, landing, geom, rf, profiles, gcfg, scfg)
+    result = simulator.simulate_landing(start, landing, geom, rf, profiles, _guidance(args), scfg)
     simulator.write_trajectory_csv(_out(args), result.records)
 
     final = result.final_state.position
@@ -185,38 +162,35 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="phase shifts vs landing azimuth (CSV)")
     _add_common(p)
-    p.add_argument("--r-cm", type=positive_float, default=10.0, help="landing radius (default 10)")
-    p.add_argument("--z-cm", type=positive_float, default=100.0, help="drone height (default 100)")
-    p.add_argument("--n", type=positive_int, default=361, help="azimuth samples (default 361)")
+    p.add_argument("--r-cm", type=float, default=10.0, help="landing radius (default 10)")
+    p.add_argument("--z-cm", type=float, default=100.0, help="drone height (default 100)")
+    p.add_argument("--n", type=int, default=361, help="azimuth samples (default 361)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cone", help="non-ambiguity cone radii per height and azimuth (CSV)")
     _add_common(p)
-    p.add_argument("--theta-limit", type=positive_float, default=90.0,
+    p.add_argument("--theta-limit", type=float, default=90.0,
                    help="non-ambiguous phase limit in degrees (default 90)")
     p.add_argument("--z-cm", type=cm_list,
                    default=[100.0 * k for k in range(1, 11)],
                    help="comma-separated heights in cm (default 100..1000)")
-    p.add_argument("--n-azimuths", type=positive_int, default=24,
+    p.add_argument("--n-azimuths", type=int, default=24,
                    help="azimuth samples per height (default 24)")
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("fit", help="fit a calibration polynomial from a measurement CSV")
     p.add_argument("samples", help="CSV with header theta_deg,voltage_v,power_dbm")
-    p.add_argument("--degree", type=positive_int, default=5, help="polynomial degree (default 5)")
+    p.add_argument("--degree", type=int, default=5, help="polynomial degree (default 5)")
     p.add_argument("--pair-id", choices=detector.PAIR_IDS, default="d12")
-    p.add_argument("--freq-ghz", type=positive_float, default=2.46,
+    p.add_argument("--freq-ghz", type=float, default=2.46,
                    help="frequency stored in the profile (default 2.46)")
     p.add_argument("--out", default="-", help="profile output path, '-' for stdout")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("decide", help="one guidance decision from three centered voltages")
-    p.add_argument("v12", type=finite_float)
-    p.add_argument("v23", type=finite_float)
-    p.add_argument("v31", type=finite_float)
-    p.add_argument("--hold-threshold", type=positive_float, default=0.02)
-    p.add_argument("--rotate-step", type=positive_float, default=1.0)
-    p.add_argument("--move-step", type=positive_float, default=1.0)
+    for name in ("v12", "v23", "v31"):
+        p.add_argument(name, type=float)
+    _add_guidance(p)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("simulate", help="closed-loop landing run, trajectory as CSV")
@@ -226,20 +200,18 @@ def build_parser():
                         "comma-separated built-in names (table2-d12, ...) or "
                         "profile file paths covering d12,d23,d31; the run uses "
                         "their common frequency")
-    p.add_argument("--start-x", type=finite_float, default=0.0)
-    p.add_argument("--start-y", type=finite_float, default=0.0)
-    p.add_argument("--start-z", type=positive_float, default=300.0)
-    p.add_argument("--heading", type=finite_float, default=0.0)
-    p.add_argument("--landing-r", type=finite_float, default=100.0,
+    p.add_argument("--start-x", type=float, default=0.0)
+    p.add_argument("--start-y", type=float, default=0.0)
+    p.add_argument("--start-z", type=float, default=300.0)
+    p.add_argument("--heading", type=float, default=0.0)
+    p.add_argument("--landing-r", type=float, default=100.0,
                    help="beacon radius from the start pose, cm")
-    p.add_argument("--landing-phi", type=finite_float, default=-35.0,
+    p.add_argument("--landing-phi", type=float, default=-35.0,
                    help="beacon azimuth from the start pose, deg")
-    p.add_argument("--hold-threshold", type=positive_float, default=0.02)
-    p.add_argument("--rotate-step", type=positive_float, default=1.0)
-    p.add_argument("--move-step", type=positive_float, default=1.0)
-    p.add_argument("--descent-step", type=positive_float, default=1.0)
-    p.add_argument("--min-height", type=positive_float, default=1.0)
-    p.add_argument("--max-iterations", type=positive_int, default=100_000)
+    _add_guidance(p)
+    p.add_argument("--descent-step", type=float, default=1.0)
+    p.add_argument("--min-height", type=float, default=1.0)
+    p.add_argument("--max-iterations", type=int, default=100_000)
     p.add_argument("--mode", choices=simulator.DETECTOR_MODES, default="calibrated")
     p.set_defaults(func=cmd_simulate)
 
@@ -254,15 +226,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (TriphaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TriphaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

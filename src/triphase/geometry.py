@@ -104,7 +104,7 @@ class LandingScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "r_cm", _check_positive("r_cm", self.r_cm, zero_ok=True))
-        object.__setattr__(self, "phi_deg", wrap_angle_deg(self.phi_deg))
+        object.__setattr__(self, "phi_deg", wrap_angle_deg(_check_finite("phi_deg", self.phi_deg)))
         object.__setattr__(self, "height_cm", _check_positive("height_cm", self.height_cm))
 
 
@@ -211,20 +211,19 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     return rows
 
 
-def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig,
-                       r_ceiling_cm=None, resolution_cm=0.1):
+def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig):
     """Largest radius at which all three |phase shifts| stay within theta_limit.
 
     Brackets the first crossing with an outward scan (step z/100), verifying
     that max|th| grows monotonically along the ray, then bisects the bracket
-    down to `resolution_cm`.  Raises RangeUnboundedError when no crossing is
-    found below the ceiling (default 100 * z).
+    down to 0.1 cm.  Raises RangeUnboundedError when no crossing is found
+    below r = 100 * z.
     """
     z = _check_positive("z_cm", z_cm)
     limit = _check_finite("theta_limit_deg", theta_limit_deg)
     if not 0.0 < limit < 180.0:
         raise InvalidParameterError(f"theta_limit_deg must be in (0, 180), got {limit}")
-    ceiling = _check_positive("r_ceiling_cm", r_ceiling_cm) if r_ceiling_cm is not None else 100.0 * z
+    ceiling = 100.0 * z
 
     # the float operations of phase_solution(...).max_abs_phase at the landing
     # point of LandingScenario(r, phi_deg, z), without building either object
@@ -256,7 +255,7 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
         r += step
 
     lo, hi = r_prev, r
-    while hi - lo > resolution_cm:
+    while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
         if max_abs_phase(mid) < limit:
             lo = mid
@@ -272,8 +271,11 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
     Returns a list of (z_cm, phi_deg, r_max_cm).
     """
     _check_count("n_azimuths", n_azimuths, 1)
+    heights = sorted(_check_positive("z", z) for z in z_list)
+    if not heights:
+        raise InvalidParameterError("z_list must hold at least one height, got none")
     rows = []
-    for z in sorted(_check_positive("z", z) for z in z_list):
+    for z in heights:
         for j in range(n_azimuths):
             phi = -180.0 + (j + 1) * 360.0 / n_azimuths
             rows.append((z, phi, nonambiguous_range(z, phi, theta_limit_deg, geom, rf)))

@@ -33,7 +33,8 @@ from .detector import (
     triangular_voltage,
     voltage_from_phase,
 )
-from .errors import InvalidParameterError, PhaseAmbiguityError, _check_count, _check_positive
+from .errors import InvalidParameterError, PhaseAmbiguityError
+from .errors import _check_count, _check_finite, _check_positive
 from .geometry import (
     ReceiverGeometry,
     RFConfig,
@@ -54,13 +55,17 @@ from .guidance import (
 )
 
 
-def _check_profiles(profiles):
-    """Reject a calibration set that lacks a pair or holds one under another pair's id."""
+def _check_profiles(profiles, rf: RFConfig):
+    """Reject a calibration set that lacks a pair, mislabels one or was measured off rf's frequency."""
     if profiles is None:
         raise InvalidParameterError("calibrated mode requires calibration profiles")
     for pair in PAIR_IDS:
-        if pair not in profiles or getattr(profiles[pair], "pair_id", None) != pair:
+        poly = profiles[pair] if pair in profiles else None
+        if getattr(poly, "pair_id", None) != pair:
             raise InvalidParameterError(f"calibration profiles need a {pair} profile under {pair!r}")
+        if poly.frequency_hz != rf.frequency_hz:
+            raise InvalidParameterError(f"profile {pair} and rf disagree on frequency: "
+                                        f"{poly.frequency_hz} Hz vs {rf.frequency_hz} Hz")
 
 
 def _calibrated_voltage(theta, pair, profiles):
@@ -86,9 +91,9 @@ class DroneState:
     heading_deg: float = 0.0
 
     def __post_init__(self):
-        if self.position.z <= 0.0:
-            raise InvalidParameterError(f"airborne height must be > 0, got {self.position.z}")
-        object.__setattr__(self, "heading_deg", wrap_angle_deg(self.heading_deg))
+        _check_positive("position.z", self.position.z)
+        object.__setattr__(self, "heading_deg",
+                           wrap_angle_deg(_check_finite("heading_deg", self.heading_deg)))
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,7 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     # the float operations of phase_solution(geom, landing_body_frame(state, landing), rf)
     path_differences = _path_differences(_body_point(state, landing), geom)
     if mode == "calibrated":
-        _check_profiles(profiles)
+        _check_profiles(profiles, rf)
     out = []
     for pair, dd in zip(PAIR_IDS, path_differences):
         theta = wrap_angle_deg(rf.deg_per_cm * dd)
@@ -224,6 +229,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     scfg = scfg or SimConfig()
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
+    if scfg.detector_mode == "calibrated":  # also when the start is already at touchdown
+        _check_profiles(profiles, rf)
     # the pose is carried as floats; the one DroneState per cycle is the record's
     state = start
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
@@ -297,7 +304,7 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     _check_count("n_samples", n_samples, 2)
     z = _check_positive("z_cm", z_cm)
     span = _check_positive("y_range_cm", y_range_cm)
-    _check_profiles(profiles)
+    _check_profiles(profiles, rf)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)

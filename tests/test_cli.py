@@ -124,6 +124,9 @@ class TestFit:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv"), "--out", "-"]) == 2
 
+    def test_file_is_read_before_the_frequency_is_checked(self, tmp_path):
+        assert main(["fit", str(tmp_path / "nope.csv"), "--freq-ghz", "0", "--out", "-"]) == 2
+
     def test_stdout_profile_loads_bit_exact(self, tmp_path, capsys):
         samples = tmp_path / "d12.csv"
         write_samples(samples, TABLE1_D12)
@@ -235,6 +238,21 @@ class TestSimulate:
                      "--out", str(tmp_path / "t.csv")]) == 1
         assert "disagree on frequency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["calibrated", "ideal-sine"])
+    def test_profiles_at_different_frequencies_are_usage_error_in_every_mode(self, tmp_path,
+                                                                           capsys, mode):
+        # every mode runs at the profiles' frequency, so a mixed set has none to run at
+        path = tmp_path / "d31-5.8.profile"
+        save_profile(dataclasses.replace(TABLE2_D31, frequency_hz=5.8e9), path)
+        assert main(["simulate", "--mode", mode, "--profile", f"table2-d12,table2-d23,{path}",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert "error: profile d31 and rf disagree on frequency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selector", [",", " , ,"])
+    def test_no_profile_is_usage_error_naming_d12(self, tmp_path, capsys, selector):
+        assert main(["simulate", "--profile", selector, "--out", str(tmp_path / "t.csv")]) == 1
+        assert "error: calibration profiles need a d12 profile" in capsys.readouterr().err
+
     def test_bare_pair_name_is_not_a_builtin(self, tmp_path):
         # only the table2-* names select built-in profiles; 'd12' is a file path
         assert main(["simulate", "--profile", "d12,table2-d23,table2-d31",
@@ -280,6 +298,76 @@ class TestOutputDigests:
             out = tmp_path / "out.csv"
             assert main(command.split() + ["--out", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
+
+
+# command, option, the library parameter that checks it, and its domain: "finite" takes
+# -1, 0 and 2.5, "positive" only 2.5, ">= 0" also 0, and "count" none of the bad values
+NUMERIC_OPTIONS = [
+    *((cmd, opt, name, "positive") for cmd in ("sweep", "cone")
+      for opt, name in (("--freq-ghz", "frequency_hz"), ("--spacing-cm", "spacing_cm"),
+                        ("--wave-speed", "wave_speed_mps"))),
+    ("sweep", "--r-cm", "r_cm", ">= 0"),
+    ("sweep", "--z-cm", "z_cm", "positive"),
+    ("sweep", "--n", "n_samples", "count"),
+    ("cone", "--theta-limit", "theta_limit_deg", "positive"),
+    ("cone", "--z-cm", "z", "positive"),
+    ("cone", "--n-azimuths", "n_azimuths", "count"),
+    ("fit", "--degree", "degree", "count"),
+    ("fit", "--freq-ghz", "frequency_hz", "positive"),
+    *(("decide", v, v, "finite") for v in ("v12", "v23", "v31")),
+    *((cmd, opt, name, "positive") for cmd in ("decide", "simulate")
+      for opt, name in (("--hold-threshold", "hold_threshold_v"),
+                        ("--rotate-step", "rotate_step_deg"), ("--move-step", "move_step_cm"))),
+    ("simulate", "--spacing-cm", "spacing_cm", "positive"),
+    ("simulate", "--wave-speed", "wave_speed_mps", "positive"),
+    ("simulate", "--start-x", "x", "finite"),
+    ("simulate", "--start-y", "y", "finite"),
+    ("simulate", "--start-z", "z", "positive"),
+    ("simulate", "--heading", "heading_deg", "finite"),
+    ("simulate", "--landing-r", "r_cm", ">= 0"),
+    ("simulate", "--landing-phi", "phi_deg", "finite"),
+    ("simulate", "--descent-step", "descent_step_cm", "positive"),
+    ("simulate", "--min-height", "min_height_cm", "positive"),
+    ("simulate", "--max-iterations", "max_iterations", "count"),
+]
+BAD_NUMBERS = ["nan", "inf", "-1", "0", "abc", "2.5", "1e400", ","]
+ACCEPTED = {"finite": {"-1", "0", "2.5"}, "positive": {"2.5"}, ">= 0": {"0", "2.5"},
+            "count": set()}
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS)
+@pytest.mark.parametrize("command,option,name,domain", NUMERIC_OPTIONS,
+                         ids=[f"{cmd}-{opt.lstrip('-')}" for cmd, opt, _, _ in NUMERIC_OPTIONS])
+def test_bad_number_exit_code_names_the_parameter(tmp_path, capsys, command, option, name,
+                                                  domain, value):
+    out = str(tmp_path / "out")
+    if command == "decide":
+        volts = {"v12": "0", "v23": "0", "v31": "0"}
+        if option in volts:
+            volts[option] = value
+            argv = ["decide", "--", *volts.values()]
+        else:
+            argv = ["decide", option, value, "0", "0", "0"]
+    else:
+        samples = tmp_path / "d12.csv"
+        write_samples(samples, TABLE1_D12)
+        base = {"sweep": ["--n", "3"], "cone": ["--z-cm", "100", "--n-azimuths", "2", "--theta-limit", "30"],
+                "fit": [str(samples)], "simulate": ["--landing-r", "0", "--max-iterations", "3"]}
+        argv = [command, *base[command], option, value, "--out", out]
+    accepted = value in ACCEPTED[domain]
+    assert main(argv) == (0 if accepted else 1)
+    err = capsys.readouterr().err
+    if accepted:
+        return
+    if (command, option, value) == ("cone", "--z-cm", ","):  # a list of no heights
+        assert "error: z_list must hold at least one height" in err
+        return
+    try:
+        (int if domain == "count" else float)(value)
+    except ValueError:  # argparse rejects the text, naming the option
+        assert f"argument {option}: invalid" in err
+    else:  # the library rejects the number, naming its parameter
+        assert f"error: {name} must" in err or f"error: position.{name} must" in err
 
 
 class TestParsing:

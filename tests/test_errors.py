@@ -25,7 +25,7 @@ from triphase.geometry import (
     receiver_points,
 )
 from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple
-from triphase.simulator import SimConfig, worst_case_transect
+from triphase.simulator import DroneState, SimConfig, worst_case_transect
 
 PROFILE_FIELDS = {f.name: getattr(TABLE2_D12, f.name) for f in dataclasses.fields(TABLE2_D12)}
 
@@ -45,7 +45,8 @@ ENTRY_POINTS = [
     (Vector3, {"x": 1.0, "y": 2.0, "z": 3.0}, ("x", "y", "z")),
     (RFConfig, {"frequency_hz": 2.46e9}, ("frequency_hz", "wave_speed_mps")),
     (LandingScenario, {"r_cm": 10.0, "phi_deg": 30.0, "height_cm": 100.0},
-     ("r_cm", "height_cm")),
+     ("r_cm", "phi_deg", "height_cm")),
+    (DroneState, {"position": Vector3(0.0, 0.0, 300.0), "heading_deg": 10.0}, ("heading_deg",)),
 ]
 
 CASES = [pytest.param(entry, kwargs, name, id=f"{entry.__name__}-{name}")

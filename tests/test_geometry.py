@@ -47,14 +47,13 @@ def reference_phase_solution(geom, landing, rf):
     )
 
 
-def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf,
-                                 r_ceiling_cm=None, resolution_cm=0.1):
+def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf):
     """The ray search with a LandingScenario, a landing point and a PhaseSolution per radius.
 
     The arguments are taken to be valid; only the search and its errors are reproduced.
     """
     z, limit = float(z_cm), float(theta_limit_deg)
-    ceiling = 100.0 * z if r_ceiling_cm is None else float(r_ceiling_cm)
+    ceiling = 100.0 * z
 
     def max_abs_phase(r):
         landing = landing_point_world(LandingScenario(r, phi_deg, z))
@@ -75,7 +74,7 @@ def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf,
         r += step
 
     lo, hi = r_prev, r
-    while hi - lo > resolution_cm:
+    while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
         if max_abs_phase(mid) < limit:
             lo = mid
@@ -336,6 +335,11 @@ class TestConeProfile:
         radii = [r[2] for r in rows]
         assert min(radii) == pytest.approx(486.0, rel=0.02)
         assert max(radii) == pytest.approx(585.0, rel=0.02)
+
+    @pytest.mark.parametrize("z_list", [[], ()], ids=repr)
+    def test_rejects_an_empty_height_list(self, z_list):
+        with pytest.raises(InvalidParameterError, match="^z_list must hold at least one height"):
+            cone_profile(z_list, 80.0, GEOM7, RF246)
 
 
 class TestCorrectionSensitivity:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import io
 import math
 import random
@@ -76,6 +77,11 @@ def reference_sense(state, landing, geom, rf, profiles=None, mode="calibrated"):
     if mode == "calibrated":
         if profiles is None:
             raise InvalidParameterError("calibrated mode requires calibration profiles")
+        for pair in wrapped:
+            if profiles[pair].frequency_hz != rf.frequency_hz:
+                raise InvalidParameterError(
+                    f"profile {pair} and rf disagree on frequency: "
+                    f"{profiles[pair].frequency_hz} Hz vs {rf.frequency_hz} Hz")
         out = []
         for pair, theta in wrapped.items():
             if abs(theta) > CALIBRATED_RANGE_DEG:
@@ -91,6 +97,12 @@ def reference_sense(state, landing, geom, rf, profiles=None, mode="calibrated"):
         return VoltageTriple(*(1.0 * math.sin(math.radians(wrap_angle_deg(t)))
                                for t in wrapped.values()))
     return VoltageTriple(*(10.0 * t / 1000.0 for t in wrapped.values()))
+
+
+def at_frequency(profiles, frequency_hz):
+    """The profiles with their frequency set to `frequency_hz`."""
+    return {pair: dataclasses.replace(poly, frequency_hz=frequency_hz)
+            for pair, poly in profiles.items()}
 
 
 def hex_or_error(fn, *args):
@@ -223,10 +235,14 @@ class TestSense:
     @given(x=st.floats(-500, 500), y=st.floats(-500, 500), z=st.floats(10.0, 2000.0),
            heading=st.floats(-720.0, 720.0), bx=st.floats(-500, 500), by=st.floats(-500, 500),
            bz=st.floats(-10.0, 50.0), f=st.floats(1e9, 6e9), d=st.floats(2.0, 15.0),
-           profiles=st.sampled_from([PROFILES, None]),
+           profiles=st.sampled_from([PROFILES, "at f", None]),
            mode=st.sampled_from(["calibrated", "ideal-sine", "triangular", "sine"]))
     def test_matches_reference_bit_for_bit(self, x, y, z, heading, bx, by, bz, f, d,
                                            profiles, mode):
+        # the 2.46 GHz built-in set mostly meets another f, so it compares the errors;
+        # the set moved to f compares the calibrated voltages
+        if profiles == "at f":
+            profiles = at_frequency(PROFILES, f)
         args = (DroneState(Vector3(x, y, z), heading), Vector3(bx, by, bz),
                 receiver_points(d), RFConfig(f), profiles, mode)
         assert hex_or_error(sense, *args) == hex_or_error(reference_sense, *args)
@@ -437,19 +453,61 @@ class TestSimulateLandingErrors:
             assert result.iterations <= scfg.max_iterations
 
 
+# every entry point that takes a calibration set, as f(profiles, rf)
+CALIBRATED_RUNS = {
+    "sense": lambda profiles, rf: sense(fig14_start(), ground_point(30.0, -35.0), GEOM, rf,
+                                        profiles),
+    "worst_case_transect": lambda profiles, rf: worst_case_transect(1000.0, 700.0, GEOM, rf,
+                                                                    profiles, n_samples=3),
+    "simulate_landing": lambda profiles, rf: simulate_landing(
+        fig14_start(), ground_point(30.0, -35.0), GEOM, rf, profiles, GCFG,
+        SimConfig(max_iterations=3)),
+}
+
+
 class TestProfileSet:
     @pytest.mark.parametrize("profiles,pair", [
         ({"d12": TABLE2_D12}, "d23"),
         ({"d12": TABLE2_D12, "d23": TABLE2_D12, "d31": TABLE2_D12}, "d23"),
         ({**PROFILES, "d31": "table2-d31"}, "d31"),
     ], ids=["missing", "mislabelled", "not-a-profile"])
-    @pytest.mark.parametrize("run", [
-        lambda profiles: sense(fig14_start(), ground_point(100.0, -35.0), GEOM, RF, profiles),
-        lambda profiles: worst_case_transect(1000.0, 700.0, GEOM, RF, profiles, n_samples=3),
-    ], ids=["sense", "worst_case_transect"])
+    @pytest.mark.parametrize("run", CALIBRATED_RUNS.values(), ids=CALIBRATED_RUNS.keys())
     def test_rejects_a_bad_set_naming_the_pair(self, run, profiles, pair):
         with pytest.raises(InvalidParameterError, match=f"need a {pair} profile"):
-            run(profiles)
+            run(profiles, RF)
+
+    @pytest.mark.parametrize("profiles,rf,pair", [
+        (PROFILES, RFConfig(5.8e9, 3e8), "d12"),
+        (at_frequency(PROFILES, 5.8e9), RF, "d12"),
+        ({**PROFILES, "d31": dataclasses.replace(PROFILES["d31"], frequency_hz=2.45e9)}, RF,
+         "d31"),
+    ], ids=["rf-moved", "set-moved", "one-profile-moved"])
+    @pytest.mark.parametrize("run", CALIBRATED_RUNS.values(), ids=CALIBRATED_RUNS.keys())
+    def test_rejects_profiles_measured_at_another_frequency(self, run, profiles, rf, pair):
+        # a calibration curve maps phase to voltage only at the frequency it was measured at
+        with pytest.raises(InvalidParameterError,
+                           match=f"^profile {pair} and rf disagree on frequency: "):
+            run(profiles, rf)
+
+    def test_the_same_set_passes_at_its_own_frequency(self):
+        moved = at_frequency(PROFILES, 5.8e9)
+        for run in CALIBRATED_RUNS.values():
+            run(moved, RFConfig(5.8e9, 3e8))
+
+    @pytest.mark.parametrize("profiles", [None, {"d12": "x"}, at_frequency(PROFILES, 5.8e9)],
+                             ids=["none", "not-a-set", "other-frequency"])
+    def test_landing_checks_the_set_before_the_first_cycle(self, profiles):
+        # a start at or below the touchdown height runs no cycle, so sense never sees the set
+        start = DroneState(Vector3(0.0, 0.0, 0.5), 0.0)
+        with pytest.raises(InvalidParameterError):
+            simulate_landing(start, ground_point(0.0, 0.0), GEOM, RF, profiles, GCFG, SCFG)
+
+    def test_modes_without_a_calibration_ignore_the_set(self):
+        for mode in ("ideal-sine", "triangular"):
+            result = simulate_landing(DroneState(Vector3(0.0, 0.0, 0.5), 0.0),
+                                      ground_point(0.0, 0.0), GEOM, RF, None, GCFG,
+                                      SimConfig(detector_mode=mode))
+            assert result.touchdown and result.records == []
 
 
 class TestWorstCaseTransect:
@@ -506,5 +564,5 @@ class TestConfigValidation:
             SimConfig(detector_mode="other")
 
     def test_drone_state_requires_height(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="^position.z must be > 0"):
             DroneState(Vector3(0.0, 0.0, 0.0), 0.0)

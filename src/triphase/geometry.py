@@ -21,12 +21,16 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from ._textio import write_csv
 from .errors import DegenerateGeometryError, InvalidParameterError, RangeUnboundedError
 from .errors import _check_count, _check_finite, _check_positive
 
 #: speed of light in vacuum [m/s]
 SPEED_OF_LIGHT_MPS = 299_792_458.0
+
+_SCREEN_RAYS, _SCREEN_STEPS, _ROUNDING = 256, 128, 32.0 * 2.0 ** -52  # see _screened_ranges
 
 
 def wrap_angle_deg(angle):
@@ -189,6 +193,12 @@ def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> Ph
     )
 
 
+def _direction(phi_deg):
+    """(sin, cos) of a landing azimuth, rounded as landing_point_world rounds them."""
+    phi = math.radians(wrap_angle_deg(phi_deg))
+    return math.sin(phi), math.cos(phi)
+
+
 def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     """Phase shifts vs landing azimuth at fixed radius and height.
 
@@ -204,33 +214,21 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     step = 360.0 / (n_samples - 1)
     for j in range(n_samples):
         phi = -180.0 + j * step
-        # the float operations of phase_solution at landing_point_world(LandingScenario(r, phi, z))
-        a = math.radians(wrap_angle_deg(phi))
-        dd12, dd23, dd31 = _path_differences((r * math.sin(a), r * math.cos(a), -z), geom)
+        sin_phi, cos_phi = _direction(phi)  # phase_solution's float operations
+        dd12, dd23, dd31 = _path_differences((r * sin_phi, r * cos_phi, -z), geom)
         rows.append((phi, k * dd12, k * dd23, k * dd31))
     return rows
 
 
-def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig):
-    """Largest radius at which all three |phase shifts| stay within theta_limit.
-
-    Brackets the first crossing with an outward scan (step z/100), verifying
-    that max|th| grows monotonically along the ray, then bisects the bracket
-    down to 0.1 cm.  Raises RangeUnboundedError when no crossing is found
-    below r = 100 * z.
-    """
-    z = _check_positive("z_cm", z_cm)
+def _check_limit(theta_limit_deg):
     limit = _check_finite("theta_limit_deg", theta_limit_deg)
     if not 0.0 < limit < 180.0:
         raise InvalidParameterError(f"theta_limit_deg must be in (0, 180), got {limit}")
-    ceiling = 100.0 * z
+    return limit
 
-    # the float operations of phase_solution(...).max_abs_phase at the landing
-    # point of LandingScenario(r, phi_deg, z), without building either object
-    phi = math.radians(wrap_angle_deg(phi_deg))
-    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-    k = rf.deg_per_cm
 
+def _ray_kernel(z, sin_phi, cos_phi, geom: ReceiverGeometry, k):
+    """max|th| at radius r on one ray, by the float operations of phase_solution(...)."""
     def max_abs_phase(r):
         # r overflows only for extents near the float limit; a scan at inf would never end
         if not math.isfinite(r):
@@ -238,23 +236,10 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
         dd12, dd23, dd31 = _path_differences((r * sin_phi, r * cos_phi, -z), geom)
         return max(abs(k * dd12), abs(k * dd23), abs(k * dd31))
 
-    step = z / 100.0
-    r_prev, f_prev = 0.0, 0.0
-    r = step
-    while True:
-        f = max_abs_phase(r)
-        if f < f_prev - 1e-9:
-            raise RangeUnboundedError(
-                f"max|phase| not monotone along the ray at r={r:.1f} cm; cannot bracket")
-        if f >= limit:
-            break
-        if r > ceiling:
-            raise RangeUnboundedError(
-                f"no {limit:g} deg crossing below r = {ceiling:g} cm at phi = {phi_deg:g} deg")
-        r_prev, f_prev = r, f
-        r += step
+    return max_abs_phase
 
-    lo, hi = r_prev, r
+
+def _bisect(max_abs_phase, lo, hi, limit):
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
         if max_abs_phase(mid) < limit:
@@ -264,21 +249,86 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
     return 0.5 * (lo + hi)
 
 
+def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig):
+    """Largest radius at which all three |phase shifts| stay within theta_limit.
+
+    Brackets the first crossing with an outward scan (step z/100), verifying
+    that max|th| grows monotonically along the ray, then bisects the bracket
+    down to 0.1 cm.  Raises RangeUnboundedError when no crossing is found
+    below r = 100 * z, at once when the limit exceeds k*D plus the kernel's
+    rounding at the last scan point: |d_i - d_j| < D, so max|th| < k*D.
+    """
+    z = _check_positive("z_cm", z_cm)
+    limit = _check_limit(theta_limit_deg)
+    ceiling, step, k = 100.0 * z, z / 100.0, rf.deg_per_cm
+    max_abs_phase = _ray_kernel(z, *_direction(phi_deg), geom, k)
+    unbounded = f"no {limit:g} deg crossing below r = {ceiling:g} cm at phi = {phi_deg:g} deg"
+    d_far = math.hypot(ceiling + step, z) + geom.spacing_cm  # inf if the scan would overflow
+    if limit > k * (geom.spacing_cm + 3.0 * _ROUNDING * d_far):
+        raise RangeUnboundedError(unbounded)
+    r_prev, f_prev, r = 0.0, 0.0, step
+    while True:
+        f = max_abs_phase(r)
+        if f < f_prev - 1e-9:
+            raise RangeUnboundedError(
+                f"max|phase| not monotone along the ray at r={r:.1f} cm; cannot bracket")
+        if f >= limit:
+            break
+        if r > ceiling:
+            raise RangeUnboundedError(unbounded)
+        r_prev, f_prev = r, f
+        r += step
+    return _bisect(max_abs_phase, r_prev, r, limit)
+
+
+def _screened_ranges(z, limit, directions, geom: ReceiverGeometry, k):
+    """nonambiguous_range at height z along each (sin, cos) direction; None if unsettled.
+
+    numpy replays each ray's first _SCREEN_STEPS scan points: the radii
+    exactly (the same sums in order), max|th| to within tol = 32 eps k
+    (max d1 + max d2 + max d3).  From the same coordinate differences,
+    math.dist is within 1 ulp of a distance d and numpy's sqrt of squares
+    within 1.25 eps d; the pair subtractions and products add 2 eps (d_i +
+    d_j), so |th| differs by at most 4.25 eps k (d_i + d_j); 32 also covers
+    rounding in f_prev - 1e-9 and in the tests here.  A ray is settled when
+    every test of its scan up to the first max|th| >= limit clears tol, so
+    the scalar scan takes the same branches; the scalar kernel then bisects.
+    """
+    r = np.add.accumulate(np.full(_SCREEN_STEPS, z / 100.0))
+    x, y = np.array(directions).T[:, :, None] * r
+    with np.errstate(all="ignore"):  # an overflow leaves tol non-finite, which settles nothing
+        d = [np.sqrt((x - px) ** 2 + (y - py) ** 2 + np.square(-z - pz)) for px, py, pz in geom.coords]
+        f = np.maximum.reduce([abs(k * (d[0] - d[1])), abs(k * (d[1] - d[2])), abs(k * (d[2] - d[0]))])
+        tol = _ROUNDING * k * sum(float(di.max()) for di in d)
+        clear = (abs(f - limit) >= tol) & (np.diff(f, axis=1, prepend=0.0) + 1e-9 >= 2.0 * tol)
+    stop = np.logical_and.accumulate(clear, axis=1) & (f >= limit)  # the first crossing, if clear
+    first, settled = stop.argmax(axis=1), stop.any(axis=1)
+    sound = math.isfinite(tol) and z > 1e-150  # d >= z keeps every square clear of underflow
+    return [_bisect(_ray_kernel(z, *direction, geom, k), float(r[n - 1]) if n else 0.0,
+                    float(r[n]), limit) if sound and ok and r[n] < 100.0 * z else None
+            for direction, n, ok in zip(directions, first.tolist(), settled.tolist())]
+
+
 def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, n_azimuths=24):
     """Non-ambiguity cone: per-height, per-azimuth maximum radius.
 
     Azimuths sample (-180, +180] uniformly; rows are sorted by (z, phi).
-    Returns a list of (z_cm, phi_deg, r_max_cm).
+    Returns a list of (z_cm, phi_deg, r_max_cm), radii and errors bit for bit
+    nonambiguous_range's, which takes the rays _screened_ranges leaves.
     """
     _check_count("n_azimuths", n_azimuths, 1)
     heights = sorted(_check_positive("z", z) for z in z_list)
     if not heights:
         raise InvalidParameterError("z_list must hold at least one height, got none")
+    limit = _check_limit(theta_limit_deg)
+    phis = [-180.0 + (j + 1) * 360.0 / n_azimuths for j in range(n_azimuths)]
+    directions = [_direction(phi) for phi in phis]
     rows = []
     for z in heights:
-        for j in range(n_azimuths):
-            phi = -180.0 + (j + 1) * 360.0 / n_azimuths
-            rows.append((z, phi, nonambiguous_range(z, phi, theta_limit_deg, geom, rf)))
+        for i in range(0, n_azimuths, _SCREEN_RAYS):  # bounds the screen's arrays
+            radii = _screened_ranges(z, limit, directions[i:i + _SCREEN_RAYS], geom, rf.deg_per_cm)
+            rows += [(z, phi, nonambiguous_range(z, phi, limit, geom, rf) if r is None else r)
+                     for phi, r in zip(phis[i:i + _SCREEN_RAYS], radii)]
     return rows
 
 

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triphase import geometry
+from triphase.cli import main
 from triphase.errors import (
     DegenerateGeometryError,
     InvalidParameterError,
@@ -93,6 +95,21 @@ def reference_azimuth_sweep(r_cm, z_cm, geom, rf, n_samples):
         sol = reference_phase_solution(geom, landing, rf)
         rows.append((phi, sol.th12, sol.th23, sol.th31))
     return rows
+
+
+def reference_cone_profile(z_list, theta_limit_deg, geom, rf, n_azimuths):
+    """The cone as a per-ray loop: nonambiguous_range for each (z, phi) in row order."""
+    return [(z, phi, nonambiguous_range(z, phi, theta_limit_deg, geom, rf))
+            for z in sorted(z_list)
+            for phi in (-180.0 + (j + 1) * 360.0 / n_azimuths for j in range(n_azimuths))]
+
+
+def rows_or_error(cone, *args):
+    """A cone's rows as exact hex, or the class and message of the TriphaseError it raised."""
+    try:
+        return [tuple(v.hex() for v in row) for row in cone(*args)]
+    except TriphaseError as exc:
+        return type(exc), str(exc)
 
 
 def radius_or_error(search, *args):
@@ -340,6 +357,73 @@ class TestConeProfile:
     def test_rejects_an_empty_height_list(self, z_list):
         with pytest.raises(InvalidParameterError, match="^z_list must hold at least one height"):
             cone_profile(z_list, 80.0, GEOM7, RF246)
+
+    @settings(deadline=None)
+    @given(z_list=st.lists(st.floats(20.0, 2000.0), min_size=1, max_size=3),
+           limit=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+           d=SPACING_CM, f=FREQ_HZ, n=st.integers(1, 30))
+    def test_matches_per_ray_loop(self, z_list, limit, d, f, n):
+        args = (z_list, limit, receiver_points(d), RFConfig(f), n)
+        assert rows_or_error(cone_profile, *args) == rows_or_error(reference_cone_profile, *args)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The (z, phi) of every ray cone_profile leaves to nonambiguous_range."""
+    rays = []
+
+    def counted(z_cm, phi_deg, *rest):
+        rays.append((z_cm, phi_deg))
+        return nonambiguous_range(z_cm, phi_deg, *rest)
+
+    monkeypatch.setattr(geometry, "nonambiguous_range", counted)
+    return rays
+
+
+def scan_point_limit(z, phi, n, geom, rf):
+    """max|th| of the n-th point of the scan along (z, phi), through the phase-law objects."""
+    step = z / 100.0
+    r = step
+    for _ in range(n - 1):
+        r += step
+    return phase_solution(geom, landing_point_world(LandingScenario(r, phi, z)), rf).max_abs_phase
+
+
+GEOM5 = receiver_points(5.0)  # k*D = 147 deg at 2.45 GHz
+
+
+@pytest.mark.filterwarnings("error")
+class TestConeScreen:
+    """The numpy screen settles a ray only when the scalar scan would take its branches."""
+
+    @pytest.mark.parametrize("z_list,limit,geom,rf,n,unsettled", [
+        # the limit is the scan's own value at point 40 of the phi = -90 ray
+        ([1000.0], scan_point_limit(1000.0, -90.0, 40, GEOM7, RF245), GEOM7, RF245, 24,
+         [(1000.0, -90.0)]),
+        # every crossing lies past the screen's 128 scan points
+        ([500.0], 0.85 * RF245.deg_per_cm * 5.0, GEOM5, RF245, 4,
+         [(500.0, -90.0), (500.0, 0.0), (500.0, 90.0), (500.0, 180.0)]),
+        # the -90 deg crossing lies past the screen; the 0 deg ray has none
+        ([500.0], 0.99 * RF245.deg_per_cm * 5.0, GEOM5, RF245, 4, [(500.0, -90.0), (500.0, 0.0)]),
+        # beyond k*D: nonambiguous_range raises on the first ray without a scan
+        ([100.0], 90.0, receiver_points(2.5), RF245, 24, [(100.0, -165.0)]),
+        # the screen's squares overflow; the scan's radius overflows too
+        ([1e307], 45.0, GEOM7, RF245, 24, [(1e307, -165.0)]),
+    ], ids=["limit-on-a-scan-point", "crossing-past-the-screen", "crossing-then-none",
+            "limit-beyond-kD", "overflowing-height"])
+    def test_unsettled_rays_take_the_scan(self, fallbacks, z_list, limit, geom, rf, n, unsettled):
+        args = (z_list, limit, geom, rf, n)
+        assert rows_or_error(cone_profile, *args) == rows_or_error(reference_cone_profile, *args)
+        assert set(unsettled) <= set(fallbacks)
+
+    def test_azimuths_past_one_screen_batch(self, fallbacks):
+        args = ([1000.0], 80.0, GEOM7, RF246, 300)
+        assert rows_or_error(cone_profile, *args) == rows_or_error(reference_cone_profile, *args)
+        assert fallbacks == []
+
+    def test_default_cone_settles_every_ray(self, fallbacks, tmp_path):
+        assert main(["cone", "--out", str(tmp_path / "cone.csv")]) == 0
+        assert fallbacks == []
 
 
 class TestCorrectionSensitivity:

@@ -35,10 +35,13 @@ _SCREEN_RAYS, _SCREEN_STEPS, _ROUNDING = 256, 128, 32.0 * 2.0 ** -52  # see _scr
 
 def wrap_angle_deg(angle):
     """Wrap an angle in degrees to (-180, +180]."""
-    a = _check_finite("angle", angle) % 360.0
-    if a > 180.0:
-        a -= 360.0
-    return a
+    return _wrap(_check_finite("angle", angle))
+
+
+def _wrap(angle):
+    """wrap_angle_deg of a float known to be finite (nan for inf or nan)."""
+    a = angle % 360.0
+    return a - 360.0 if a > 180.0 else a
 
 
 @dataclass(frozen=True)
@@ -240,8 +243,8 @@ def _ray_kernel(z, sin_phi, cos_phi, geom: ReceiverGeometry, k):
 
 
 def _bisect(max_abs_phase, lo, hi, limit):
-    while hi - lo > 0.1:
-        mid = 0.5 * (lo + hi)
+    # where r's ulp exceeds 0.1 cm the midpoint of a one-ulp bracket rounds to an end: stop
+    while hi - lo > 0.1 and (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if max_abs_phase(mid) < limit:
             lo = mid
         else:
@@ -254,9 +257,11 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
 
     Brackets the first crossing with an outward scan (step z/100), verifying
     that max|th| grows monotonically along the ray, then bisects the bracket
-    down to 0.1 cm.  Raises RangeUnboundedError when no crossing is found
-    below r = 100 * z, at once when the limit exceeds k*D plus the kernel's
-    rounding at the last scan point: |d_i - d_j| < D, so max|th| < k*D.
+    down to 0.1 cm, or to one ulp where r's ulp exceeds 0.1 cm.  Raises
+    RangeUnboundedError when no crossing is found below r = 100 * z, at once
+    when the limit exceeds k*D plus the kernel's rounding at the last scan
+    point: |d_i - d_j| < D, so max|th| < k*D.  Raises InvalidParameterError
+    when z/100 is too small to move the scan (subnormal z).
     """
     z = _check_positive("z_cm", z_cm)
     limit = _check_limit(theta_limit_deg)
@@ -278,6 +283,8 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
             raise RangeUnboundedError(unbounded)
         r_prev, f_prev = r, f
         r += step
+        if r == r_prev:  # the step z/100 underflowed to 0
+            raise InvalidParameterError(f"z_cm too small for a scan step of z/100, got {z!r}")
     return _bisect(max_abs_phase, r_prev, r, limit)
 
 

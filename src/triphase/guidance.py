@@ -81,7 +81,7 @@ class Maneuver:
             if self.magnitude is not None:
                 raise InvalidParameterError("Hold carries no magnitude")
         else:
-            _check_positive("magnitude", self.magnitude)
+            object.__setattr__(self, "magnitude", _check_positive("magnitude", self.magnitude))
 
     @property
     def token(self) -> str:

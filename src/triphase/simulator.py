@@ -15,6 +15,11 @@ through to the fine-tracking maneuvers computed from the fresh voltages.
 That mirrors the original maneuver program, whose listing always continues
 from the escape branch into the tracking branch.
 
+Inputs are validated where they enter: at the public constructors, in `sense`,
+and once per run at `simulate_landing` entry, never inside the loop.  The
+loop's pose is plain floats, finite by construction; only the inversion
+voltage_from_phase checks its theta again.
+
 Runs are single-threaded and fully deterministic: identical inputs produce
 bit-identical trajectory logs.
 """
@@ -40,6 +45,7 @@ from .geometry import (
     RFConfig,
     Vector3,
     _path_differences,
+    _wrap,
     phase_solution,
     wrap_angle_deg,
 )
@@ -145,21 +151,42 @@ class SimulationResult:
         return len(self.records)
 
 
-def _body_point(state: DroneState, landing: Vector3):
-    """The landing point in the drone body frame as an (x, y, z) tuple of floats."""
-    dx = landing.x - state.position.x
-    dy = landing.y - state.position.y
-    dz = landing.z - state.position.z
-    if dz >= 0.0:
+def _trusted(cls, **fields):
+    """An instance of frozen dataclass cls from fields known valid: no __post_init__ runs."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _body_point(x, y, z, heading, landing: Vector3):
+    """The landing point in the body frame of the pose (x, y, z, heading) as a float tuple."""
+    dx = landing.x - x
+    dy = landing.y - y
+    dz = landing.z - z
+    if dz >= 0.0:  # the one home of the below-plane rule; sense relies on it
         raise InvalidParameterError("landing point must lie below the drone plane")
-    h = math.radians(state.heading_deg)
+    h = math.radians(heading)
     cos_h, sin_h = math.cos(h), math.sin(h)
     return dx * cos_h - dy * sin_h, dy * cos_h + dx * sin_h, dz
 
 
 def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
     """Express the landing point in the drone body frame (beacon must be below)."""
-    return Vector3(*_body_point(state, landing))
+    p = state.position
+    return Vector3(*_body_point(p.x, p.y, p.z, state.heading_deg, landing))
+
+
+def _sense(x, y, z, heading, landing, geom, k, limit, voltage, profiles):
+    """sense on a float pose, k = rf.deg_per_cm and a DETECTOR_MODES entry its caller checked."""
+    # the float operations of phase_solution(geom, landing_body_frame(state, landing), rf)
+    out = []
+    for pair, dd in zip(PAIR_IDS, _path_differences(_body_point(x, y, z, heading, landing), geom)):
+        theta = _wrap(k * dd)
+        if not abs(theta) <= limit:  # also nan, when the beacon offset overflowed
+            _check_finite("angle", k * dd)
+            raise PhaseAmbiguityError(pair, theta)
+        out.append(voltage(theta, pair, profiles))
+    return _trusted(VoltageTriple, v12=out[0], v23=out[1], v31=out[2])
 
 
 def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFConfig,
@@ -172,21 +199,19 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     ideal-sine variant returns sin(theta); the triangular one 10 mV/deg * theta,
     the linear region of the quadrature-shifted triangular characteristic.
     Raises PhaseAmbiguityError when any pair leaves its non-ambiguous range.
+    This entry checks the mode, the beacon's side and the profile set, in that
+    order; simulate_landing checks them once per run and calls the unchecked
+    core _sense every cycle.
     """
     if mode not in DETECTOR_MODES:
         raise InvalidParameterError(f"unknown detector mode {mode!r}")
-    limit, voltage = DETECTOR_MODES[mode]
-    # the float operations of phase_solution(geom, landing_body_frame(state, landing), rf)
-    path_differences = _path_differences(_body_point(state, landing), geom)
+    p = state.position
+    _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
     if mode == "calibrated":
         _check_profiles(profiles, rf)
-    out = []
-    for pair, dd in zip(PAIR_IDS, path_differences):
-        theta = wrap_angle_deg(rf.deg_per_cm * dd)
-        if abs(theta) > limit:
-            raise PhaseAmbiguityError(pair, theta)
-        out.append(voltage(theta, pair, profiles))
-    return VoltageTriple(*out)
+    limit, voltage = DETECTOR_MODES[mode]
+    return _sense(p.x, p.y, p.z, state.heading_deg, landing, geom, rf.deg_per_cm,
+                  limit, voltage, profiles)
 
 
 def _moved(x, y, heading, m: Maneuver):
@@ -195,9 +220,9 @@ def _moved(x, y, heading, m: Maneuver):
     if kind is ManeuverKind.HOLD:
         return x, y, heading
     if kind in (ManeuverKind.YAW_LEFT, ManeuverKind.ROTATE_LEFT):
-        return x, y, wrap_angle_deg(heading - m.magnitude)
+        return x, y, _wrap(heading - m.magnitude)
     if kind in (ManeuverKind.YAW_RIGHT, ManeuverKind.ROTATE_RIGHT):
-        return x, y, wrap_angle_deg(heading + m.magnitude)
+        return x, y, _wrap(heading + m.magnitude)
     h = math.radians(heading)
     step = m.magnitude if kind is ManeuverKind.FORWARD else -m.magnitude
     return x + step * math.sin(h), y + step * math.cos(h), heading
@@ -214,10 +239,8 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
     return DroneState(Vector3(x, y, state.position.z), heading)
 
 
-def _escape_direction(maneuvers):
-    if len(maneuvers) == 1 and maneuvers[0].kind in (ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT):
-        return -1 if maneuvers[0].kind is ManeuverKind.YAW_LEFT else +1
-    return 0
+#: escape yaw -> its direction; decide commands an escape yaw as the only maneuver
+_ESCAPES = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: +1}
 
 
 def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry,
@@ -231,29 +254,30 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     if scfg.detector_mode == "calibrated":  # also when the start is already at touchdown
         _check_profiles(profiles, rf)
-    # the pose is carried as floats; the one DroneState per cycle is the record's
+    limit, voltage = DETECTOR_MODES[scfg.detector_mode]
+    k = rf.deg_per_cm
+    step = float(scfg.descent_step_cm)
+    floor = float(scfg.min_height_cm)
+    # from here on the pose is floats, finite by construction; the one DroneState per
+    # cycle is the record's
     state = start
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     records = []
     first_hold = None
     last_escape = 0
-    touchdown = False
-    aborted = False
     diagnostic = None
 
     for iteration in range(scfg.max_iterations):
-        if z <= scfg.min_height_cm:
-            touchdown = True
+        if z <= floor:
             break
         try:
-            volts = sense(state, landing, geom, rf, profiles, mode=scfg.detector_mode)
+            volts = _sense(x, y, z, heading, landing, geom, k, limit, voltage, profiles)
         except PhaseAmbiguityError as exc:
-            aborted = True
             diagnostic = f"iteration {iteration}: {exc}"
             break
 
         maneuvers = decide(volts, gcfg)
-        escape = _escape_direction(maneuvers)
+        escape = _ESCAPES.get(maneuvers[0].kind, 0)
         if escape != 0 and escape == -last_escape:
             # opposite escape yaws back to back: fall through to tracking
             maneuvers = tracking_maneuvers(volts, gcfg)
@@ -270,15 +294,14 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
                 first_hold = iteration
             # descend one step, never past the touchdown height
-            z = max(z - scfg.descent_step_cm, min(z, scfg.min_height_cm))
-        state = DroneState(Vector3(x, y, z), heading)
-        if z <= scfg.min_height_cm:
-            touchdown = True
-            break
+            z = max(z - step, min(z, floor))
+        if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
+            Vector3(x, y, z)
+        state = _trusted(DroneState, position=_trusted(Vector3, x=x, y=y, z=z), heading_deg=heading)
 
-    return SimulationResult(records=records, touchdown=touchdown, aborted=aborted,
-                            diagnostic=diagnostic, first_hold_iteration=first_hold,
-                            final_state=state)
+    return SimulationResult(records=records, touchdown=z <= floor,
+                            aborted=diagnostic is not None, diagnostic=diagnostic,
+                            first_hold_iteration=first_hold, final_state=state)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +337,47 @@ class TestNonambiguousRange:
         args = (z, phi, limit, receiver_points(d), RFConfig(f))
         assert (radius_or_error(nonambiguous_range, *args)
                 == radius_or_error(reference_nonambiguous_range, *args))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run `seconds`, so a hang fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestEveryRangeTerminates:
+    # near r = 1e16 cm a bracket one ulp wide is wider than 0.1 cm, and its midpoint
+    # rounds to an end; below z = 5e-322 cm the scan step z/100 rounds to 0
+    def test_bisection_stops_at_a_one_ulp_bracket(self):
+        with deadline(1.0):
+            r = nonambiguous_range(1.5e17, 0.0, 80.0, GEOM7, RF245)
+        assert 0.0 < r < 100.0 * 1.5e17
+
+    def test_cone_stops_at_a_one_ulp_bracket(self):
+        args = ([1.5e17], 80.0, GEOM7, RF245, 24)
+        with deadline(1.0):
+            rows = rows_or_error(cone_profile, *args)
+        assert len(rows) == 24
+        with deadline(1.0):
+            assert rows == rows_or_error(reference_cone_profile, *args)
+
+    @pytest.mark.parametrize("search", [
+        lambda z: nonambiguous_range(z, 0.0, 45.0, GEOM7, RF245),
+        lambda z: cone_profile([z], 45.0, GEOM7, RF245),
+    ], ids=["nonambiguous_range", "cone_profile"])
+    def test_a_step_that_underflows_is_rejected(self, search):
+        with deadline(1.0), pytest.raises(InvalidParameterError,
+                                          match="^z_cm too small for a scan step of z/100"):
+            search(1e-323)
 
 
 class TestConeProfile:

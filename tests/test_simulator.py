@@ -4,6 +4,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -391,6 +392,46 @@ class TestSimulateLanding:
         assert (landing_hex_or_error(simulate_landing, *args)
                 == landing_hex_or_error(reference_simulate_landing, *args))
 
+    @pytest.mark.parametrize("mode", tuple(DETECTOR_MODES))
+    @pytest.mark.parametrize("x", [1e308, -1e308], ids=["drone-east", "drone-west"])
+    def test_overflowing_beacon_offset_keeps_its_error(self, x, mode):
+        # beacon minus drone overflows to inf and the path differences to nan; the
+        # object-based loop meets the inf sooner, in its body-frame Vector3
+        start, beacon = DroneState(Vector3(x, 0.0, 300.0), 0.0), Vector3(-x, 0.0, 0.0)
+        error = (InvalidParameterError, "angle must be a finite number, got nan")
+        assert landing_hex_or_error(simulate_landing, start, beacon, GEOM, RF, PROFILES, GCFG,
+                                    SimConfig(detector_mode=mode)) == error
+        assert hex_or_error(sense, start, beacon, GEOM, RF, PROFILES, mode) == error
+
+    @pytest.mark.parametrize("mode", tuple(DETECTOR_MODES))
+    def test_far_drone_over_a_near_beacon_matches_object_based_loop(self, mode):
+        # every distance rounds to 1e308: all phases are 0, and the run holds to touchdown
+        args = (DroneState(Vector3(1e308, 0.0, 300.0), 0.0), Vector3(0.0, 0.0, 0.0),
+                GEOM, RF, PROFILES, GCFG, SimConfig(detector_mode=mode))
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert len(got[0]) == 299 and got[1] == 0
+
+    @pytest.mark.parametrize("mode", tuple(DETECTOR_MODES))
+    def test_overflowing_translate_matches_object_based_loop(self, mode):
+        # the first cycle tracks (ROTL, FWD) and the forward step carries x past the float range
+        args = (DroneState(Vector3(1.7e308, 0.0, 300.0), 20.0), Vector3(1.7e308, 10.0, 0.0),
+                GEOM, RF, PROFILES, GuidanceConfig(move_step_cm=1.7e308),
+                SimConfig(detector_mode=mode))
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert got == (InvalidParameterError, "x must be a finite number, got inf")
+
+    def test_records_hold_floats_whatever_number_types_configure_the_run(self):
+        # the records' poses skip the Vector3 and DroneState checks that coerce to float
+        result = simulate_landing(fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES,
+                                  GuidanceConfig(0.02, np.float32(1.0), np.float32(1.0), 60),
+                                  SimConfig(descent_step_cm=1, min_height_cm=np.float32(1.0)))
+        assert result.converged
+        for state in [r.state for r in result.records] + [result.final_state]:
+            p = state.position
+            assert {type(v) for v in (p.x, p.y, p.z, state.heading_deg)} == {float}
+
     def test_one_sense_three_inversions_and_one_pose_per_cycle(self, monkeypatch):
         start, beacon = fig14_start(), ground_point(100.0, -35.0)
         calls = collections.Counter()
@@ -401,7 +442,7 @@ class TestSimulateLanding:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(simulator, "sense", counted("sense", simulator.sense))
+        monkeypatch.setattr(simulator, "_sense", counted("sense", simulator._sense))
         monkeypatch.setattr(simulator, "voltage_from_phase",
                             counted("inversion", simulator.voltage_from_phase))
         monkeypatch.setattr(DroneState, "__post_init__",

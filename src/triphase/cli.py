@@ -130,10 +130,9 @@ def cmd_simulate(args):
     simulator._check_profiles(profiles, rf)
     start = simulator.DroneState(
         geometry.Vector3(args.start_x, args.start_y, args.start_z), args.heading)
-    scenario = geometry.LandingScenario(args.landing_r, args.landing_phi, args.start_z)
-    world = geometry.landing_point_world(scenario)
-    # scenario is drone-relative; place the beacon on the ground plane in world frame
-    landing = geometry.Vector3(args.start_x + world.x, args.start_y + world.y, 0.0)
+    offset = geometry.landing_point(args.landing_r, args.landing_phi, args.start_z)
+    # the offset is drone-relative; place the beacon on the ground plane in world frame
+    landing = geometry.Vector3(args.start_x + offset.x, args.start_y + offset.y, 0.0)
 
     result = simulator.simulate_landing(start, landing, geom, rf, profiles, _guidance(args), scfg)
     simulator.write_trajectory_csv(_out(args), result.records)

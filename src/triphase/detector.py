@@ -34,7 +34,7 @@ from .errors import (
     VoltageOutOfRangeError,
 )
 from .errors import _check_count, _check_finite, _check_positive
-from .geometry import wrap_angle_deg
+from .geometry import _wrap
 
 #: calibrated non-ambiguous phase range [deg]
 CALIBRATED_RANGE_DEG = 80.0
@@ -56,12 +56,12 @@ TRIANGULAR_SLOPE_MV_PER_DEG = 10.0
 
 def ideal_sine_voltage(theta_deg) -> float:
     """Ideal detector output in volts, sin(theta); theta wrapped to (-180, 180]."""
-    return 1.0 * math.sin(math.radians(wrap_angle_deg(theta_deg)))
+    return 1.0 * math.sin(math.radians(_wrap(_check_finite("theta_deg", theta_deg))))
 
 
 def triangular_voltage(theta_deg) -> float:
     """Triangular detector output in volts over its linear region, slope * theta."""
-    return TRIANGULAR_SLOPE_MV_PER_DEG * theta_deg / 1000.0
+    return TRIANGULAR_SLOPE_MV_PER_DEG * _check_finite("theta_deg", theta_deg) / 1000.0
 
 
 def _horner(coeffs, v):
@@ -313,10 +313,10 @@ def save_profile(poly: CalibrationPolynomial, path_or_file):
 
 
 def load_profile(path_or_file) -> CalibrationPolynomial:
-    """Read a key = value calibration profile; '#' starts a comment."""
+    """Read a key = value calibration profile, each key once; '#' starts a comment."""
     with text_stream(path_or_file, "r") as fh:
         text = fh.read()
-    values = {}
+    values = dict.fromkeys(_PROFILE_FIELDS)  # each key's text, None until its line is read
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -324,8 +324,12 @@ def load_profile(path_or_file) -> CalibrationPolynomial:
         if "=" not in line:
             raise FileFormatError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
-    missing = [f for f in _PROFILE_FIELDS if f not in values]
+        key = key.strip()
+        if values.get(key, "") is not None:  # one lookup: "" if unknown, text if repeated
+            raise FileFormatError(
+                f"line {lineno}: {'repeated' if key in values else 'unknown'} key {key!r}")
+        values[key] = raw.strip()
+    missing = [f for f in _PROFILE_FIELDS if values[f] is None]
     if missing:
         raise FileFormatError(f"profile missing fields: {', '.join(missing)}")
     try:

@@ -69,14 +69,10 @@ class ReceiverGeometry:
     p2: Vector3
     p3: Vector3
 
-    @property
-    def points(self):
-        return (self.p1, self.p2, self.p3)
-
     @cached_property
     def coords(self):
         """The three points as (x, y, z) tuples, the form `math.dist` takes."""
-        return tuple((p.x, p.y, p.z) for p in self.points)
+        return tuple((p.x, p.y, p.z) for p in (self.p1, self.p2, self.p3))
 
 
 @dataclass(frozen=True)
@@ -95,24 +91,6 @@ class RFConfig:
         """Unwrapped phase shift per cm of path difference."""
         # path difference is in cm, wave speed in m/s
         return 2.0 * self.frequency_hz * 180.0 / (self.wave_speed_mps * 100.0)
-
-
-@dataclass(frozen=True)
-class LandingScenario:
-    """Beacon position in drone-centered cylindrical coordinates.
-
-    phi_deg is the landing azimuth, positive from body +Y toward body +X;
-    height_cm is the drone height above the beacon plane.
-    """
-
-    r_cm: float
-    phi_deg: float
-    height_cm: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_cm", _check_positive("r_cm", self.r_cm, zero_ok=True))
-        object.__setattr__(self, "phi_deg", wrap_angle_deg(_check_finite("phi_deg", self.phi_deg)))
-        object.__setattr__(self, "height_cm", _check_positive("height_cm", self.height_cm))
 
 
 @dataclass(frozen=True)
@@ -155,14 +133,19 @@ def receiver_points(spacing_cm) -> ReceiverGeometry:
     )
 
 
-def landing_point_world(scenario: LandingScenario) -> Vector3:
-    """Cylindrical landing coordinates -> Cartesian (x, y, -height)."""
-    phi = math.radians(scenario.phi_deg)
-    return Vector3(
-        scenario.r_cm * math.sin(phi),
-        scenario.r_cm * math.cos(phi),
-        -scenario.height_cm,
-    )
+def _direction(phi_deg):
+    """(sin, cos) of a landing azimuth wrapped to (-180, 180], rounded once for every caller."""
+    phi = math.radians(wrap_angle_deg(phi_deg))
+    return math.sin(phi), math.cos(phi)
+
+
+def landing_point(r_cm, phi_deg, height_cm) -> Vector3:
+    """Beacon position (x, y, -height_cm) from drone-centered cylindrical coordinates: radius
+    r_cm, azimuth phi_deg from body +Y toward body +X, height_cm above the beacon plane."""
+    r = _check_positive("r_cm", r_cm, zero_ok=True)
+    sin_phi, cos_phi = _direction(_check_finite("phi_deg", phi_deg))
+    height = _check_positive("height_cm", height_cm)
+    return Vector3(r * sin_phi, r * cos_phi, -height)
 
 
 def _path_differences(q, geom: ReceiverGeometry):
@@ -194,12 +177,6 @@ def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> Ph
         dt12=dd12 / c_cm, dt23=dd23 / c_cm, dt31=dd31 / c_cm,
         th12=k * dd12, th23=k * dd23, th31=k * dd31,
     )
-
-
-def _direction(phi_deg):
-    """(sin, cos) of a landing azimuth, rounded as landing_point_world rounds them."""
-    phi = math.radians(wrap_angle_deg(phi_deg))
-    return math.sin(phi), math.cos(phi)
 
 
 def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):

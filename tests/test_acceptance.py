@@ -29,11 +29,10 @@ from triphase.detector import (
     voltage_from_phase,
 )
 from triphase.geometry import (
-    LandingScenario,
     RFConfig,
     Vector3,
     cone_profile,
-    landing_point_world,
+    landing_point,
     phase_solution,
     receiver_points,
 )
@@ -65,7 +64,7 @@ def criterion(cid, label):
 
 
 def ground_point(r_cm, phi_deg):
-    p = landing_point_world(LandingScenario(r_cm, phi_deg, 1.0))
+    p = landing_point(r_cm, phi_deg, 1.0)
     return Vector3(p.x, p.y, 0.0)
 
 
@@ -76,9 +75,9 @@ def test_criterion_01_zero_sum_identity():
         for _ in range(1000):
             geom = receiver_points(rng.uniform(1.0, 20.0))
             rf = RFConfig(rng.uniform(0.4e9, 6.0e9))
-            sol = phase_solution(geom, landing_point_world(LandingScenario(
+            sol = phase_solution(geom, landing_point(
                 rng.uniform(0.0, 2000.0), rng.uniform(-180.0, 180.0),
-                rng.uniform(10.0, 3000.0))), rf)
+                rng.uniform(10.0, 3000.0)), rf)
             assert abs(sol.dd12 + sol.dd23 + sol.dd31) <= 1e-9
             assert abs(sol.th12 + sol.th23 + sol.th31) <= 1e-9
         elapsed = time.perf_counter() - t0
@@ -104,12 +103,12 @@ def test_criterion_03_cone_extrema_80deg():
 
 def test_criterion_04_azimuth_sweep_features():
     with criterion(4, "sweep null at phi=0 and 10-degree sector-boundary crossing"):
-        sol0 = phase_solution(GEOM, landing_point_world(LandingScenario(10.0, 0.0, 100.0)), RF245)
+        sol0 = phase_solution(GEOM, landing_point(10.0, 0.0, 100.0), RF245)
         assert abs(sol0.th12) <= 1e-9
         # locate the |th12| = |th31| crossing near +30 deg
         lo, hi = 20.0, 40.0
         def gap(phi):
-            s = phase_solution(GEOM, landing_point_world(LandingScenario(10.0, phi, 100.0)), RF245)
+            s = phase_solution(GEOM, landing_point(10.0, phi, 100.0), RF245)
             return abs(s.th12) - abs(s.th31)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -117,7 +116,7 @@ def test_criterion_04_azimuth_sweep_features():
                 lo = mid
             else:
                 hi = mid
-        s = phase_solution(GEOM, landing_point_world(LandingScenario(10.0, lo, 100.0)), RF245)
+        s = phase_solution(GEOM, landing_point(10.0, lo, 100.0), RF245)
         assert abs(s.th12) == pytest.approx(10.0, abs=2.0), f"crossing at {abs(s.th12):.2f} deg"
 
 
@@ -239,8 +238,7 @@ def test_criterion_10_guidance_oracle_agreement():
             phi = float(phi_int)
             if any(abs(phi - b) <= 1.0 for b in boundaries):
                 continue
-            sol = phase_solution(GEOM, landing_point_world(
-                LandingScenario(10.0, phi, 100.0)), RF245)
+            sol = phase_solution(GEOM, landing_point(10.0, phi, 100.0), RF245)
             v = VoltageTriple(*(ideal_sine_voltage(t) for t in sol.phases))
             assert classify_sector(v) == expected_sector_from_azimuth(phi), f"phi={phi}"
 

@@ -262,6 +262,67 @@ class TestSimulate:
         assert main(["simulate", "--freq-ghz", "5.8", "--out", str(tmp_path / "t.csv")]) == 1
 
 
+def saved_d31(edit):
+    """The built-in d31 profile as save_profile writes it (12 lines), then edited."""
+    buf = io.StringIO()
+    save_profile(TABLE2_D31, buf)
+    return edit(buf.getvalue())
+
+
+HEADER = "theta_deg,voltage_v,power_dbm\n"
+MEASURED = HEADER + "".join(f"{t},{v},-20\n" for t, v in TABLE1_D12)
+
+# command, the text of the file it reads, more options, exit code, and what stderr must hold:
+# each branch of the profile reader, the measurement reader, the fit and the ray scan that
+# rejects or skips an input
+INPUT_BRANCHES = [
+    pytest.param("simulate", saved_d31(lambda t: t + "v_hi 2.9\n"), [], 2,
+                 "line 13: expected 'key = value'", id="profile-line-without-equals"),
+    pytest.param("simulate", saved_d31(lambda t: "# d31\n\n" + t + "  # end\n"), [], 0, "",
+                 id="profile-comment-and-blank-lines"),
+    pytest.param("simulate", saved_d31(lambda t: t + "v_hi = 2.9\n"), [], 2,
+                 "line 13: repeated key 'v_hi'", id="profile-repeated-key"),
+    pytest.param("simulate", saved_d31(lambda t: t + "typo_key = 1\n"), [], 2,
+                 "line 13: unknown key 'typo_key'", id="profile-unknown-key"),
+    pytest.param("simulate", saved_d31(lambda t: t.replace("= d31", "= d99")), [], 2,
+                 "pair_id must be one of", id="profile-unknown-pair"),
+    pytest.param("simulate", saved_d31(lambda t: t.replace("v_lo = ", "v_lo = 3.0 #")), [], 2,
+                 "need v_lo < v_hi", id="profile-empty-interval"),
+    pytest.param("simulate", saved_d31(lambda t: t.replace("v_ref = ", "v_ref = 2.5 #")), [], 3,
+                 "d31: phase at v_ref is", id="profile-reference-off-zero"),
+    pytest.param("fit", "theta,volts,power\n0,1.5,-20\n", [], 2,
+                 "line 1: expected header", id="csv-wrong-header"),
+    pytest.param("fit", MEASURED + "10,1.7\n", [], 2,
+                 "line 8: expected 3 fields, got 2", id="csv-two-fields"),
+    pytest.param("fit", HEADER, [], 2,
+                 "no measurement rows found", id="csv-header-only"),
+    pytest.param("fit", MEASURED.replace("\n0,", "\n\n  \n0,", 1), [], 0, "",
+                 id="csv-blank-rows"),
+    pytest.param("fit", MEASURED, ["--degree", "6"], 1,
+                 "degree must be an integer in [1, 5]", id="fit-degree-6"),
+    pytest.param("fit", HEADER + "".join(f"{t},0,-20\n" for t in range(-50, 60, 10)), [], 3,
+                 "degenerate design matrix", id="fit-all-zero-volts"),
+    pytest.param("fit", HEADER + "".join(f"{t},{1 + t / 100},-20\n" for t in range(10, 80, 10)),
+                 [], 3, "no zero crossing", id="fit-no-zero-crossing"),
+    # reads no file: at 0.5 GHz and z = 1 cm, max|phase| falls along the phi = 0 ray
+    pytest.param("cone", "", ["--z-cm", "1", "--theta-limit", "40", "--freq-ghz", "0.5",
+                              "--n-azimuths", "2"], 3,
+                 "error: max|phase| not monotone along the ray at r=6.3 cm; cannot bracket",
+                 id="cone-non-monotone-ray"),
+]
+
+
+@pytest.mark.parametrize("command,text,options,code,message", INPUT_BRANCHES)
+def test_input_branch_exit_code(tmp_path, capsys, command, text, options, code, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {"fit": ["fit", str(path)], "cone": ["cone"],
+            "simulate": ["simulate", "--profile", f"table2-d12,table2-d23,{path}",
+                         "--max-iterations", "3"]}[command]
+    assert main([*argv, *options, "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+
+
 class TestOutputDigests:
     """Default CLI outputs are pinned byte for byte."""
 

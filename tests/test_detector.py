@@ -98,6 +98,11 @@ class TestPhaseFromVoltage:
         assert TABLE2_D31.evaluate(v_over) > 80.0
         assert phase_from_voltage(TABLE2_D31, v_over) == 80.0
 
+    def test_clamps_inside_lower_guard_band(self):
+        v_under = TABLE2_D12.v_lo - 0.005
+        assert TABLE2_D12.evaluate(v_under) < -80.0
+        assert phase_from_voltage(TABLE2_D12, v_under) == -80.0
+
     def test_out_of_range_raises(self):
         with pytest.raises(VoltageOutOfRangeError):
             phase_from_voltage(TABLE2_D12, TABLE2_D12.v_lo - 0.02)

@@ -12,16 +12,18 @@ from triphase.detector import (
     TABLE2_D12,
     builtin_profile_set,
     fit_calibration,
+    ideal_sine_voltage,
     phase_from_voltage,
+    triangular_voltage,
     voltage_from_phase,
 )
 from triphase.errors import InvalidParameterError, _check_finite, _check_positive
 from triphase.geometry import (
-    LandingScenario,
     RFConfig,
     Vector3,
     azimuth_sweep,
     cone_profile,
+    landing_point,
     receiver_points,
 )
 from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple
@@ -42,9 +44,11 @@ ENTRY_POINTS = [
       "max_err_deg", "frequency_hz")),
     (voltage_from_phase, {"poly": TABLE2_D12, "theta_deg": 10.0}, ("theta_deg",)),
     (phase_from_voltage, {"poly": TABLE2_D12, "v": 1.5}, ("v",)),
+    (ideal_sine_voltage, {"theta_deg": 10.0}, ("theta_deg",)),
+    (triangular_voltage, {"theta_deg": 10.0}, ("theta_deg",)),
     (Vector3, {"x": 1.0, "y": 2.0, "z": 3.0}, ("x", "y", "z")),
     (RFConfig, {"frequency_hz": 2.46e9}, ("frequency_hz", "wave_speed_mps")),
-    (LandingScenario, {"r_cm": 10.0, "phi_deg": 30.0, "height_cm": 100.0},
+    (landing_point, {"r_cm": 10.0, "phi_deg": 30.0, "height_cm": 100.0},
      ("r_cm", "phi_deg", "height_cm")),
     (DroneState, {"position": Vector3(0.0, 0.0, 300.0), "heading_deg": 10.0}, ("heading_deg",)),
 ]

@@ -15,14 +15,13 @@ from triphase.errors import (
     TriphaseError,
 )
 from triphase.geometry import (
-    LandingScenario,
     PhaseSolution,
     RFConfig,
     Vector3,
     azimuth_sweep,
     cone_profile,
     correction_sensitivity,
-    landing_point_world,
+    landing_point,
     nonambiguous_range,
     phase_solution,
     receiver_points,
@@ -51,8 +50,14 @@ def reference_phase_solution(geom, landing, rf):
     )
 
 
+def reference_landing_point(r, phi_deg, z):
+    """The beacon below the drone at radius r, azimuth phi_deg and height z, written out."""
+    phi = math.radians(wrap_angle_deg(phi_deg))
+    return Vector3(r * math.sin(phi), r * math.cos(phi), -z)
+
+
 def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf):
-    """The ray search with a LandingScenario, a landing point and a PhaseSolution per radius.
+    """The ray search with a landing point and a PhaseSolution per radius.
 
     The arguments are taken to be valid; only the search and its errors are reproduced.
     """
@@ -60,7 +65,7 @@ def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf):
     ceiling = 100.0 * z
 
     def max_abs_phase(r):
-        landing = landing_point_world(LandingScenario(r, phi_deg, z))
+        landing = reference_landing_point(r, phi_deg, z)
         return reference_phase_solution(geom, landing, rf).max_abs_phase
 
     step = z / 100.0
@@ -88,12 +93,12 @@ def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf):
 
 
 def reference_azimuth_sweep(r_cm, z_cm, geom, rf, n_samples):
-    """The sweep with a LandingScenario, a landing point and a PhaseSolution per sample."""
+    """The sweep with a landing point and a PhaseSolution per sample."""
     step = 360.0 / (n_samples - 1)
     rows = []
     for k in range(n_samples):
         phi = -180.0 + k * step
-        landing = landing_point_world(LandingScenario(r_cm, phi, z_cm))
+        landing = reference_landing_point(float(r_cm), phi, float(z_cm))
         sol = reference_phase_solution(geom, landing, rf)
         rows.append((phi, sol.th12, sol.th23, sol.th31))
     return rows
@@ -164,26 +169,26 @@ class TestReceiverPoints:
 
 class TestLandingPointWorld:
     def test_zenith(self):
-        p = landing_point_world(LandingScenario(0.0, 123.0, 100.0))
+        p = landing_point(0.0, 123.0, 100.0)
         assert (p.x, p.y, p.z) == (0.0, 0.0, -100.0)
 
     def test_forward(self):
-        p = landing_point_world(LandingScenario(100.0, 0.0, 300.0))
+        p = landing_point(100.0, 0.0, 300.0)
         assert p.x == 0.0
         assert p.y == pytest.approx(100.0, abs=1e-12)
         assert p.z == -300.0
 
     def test_oblique(self):
-        p = landing_point_world(LandingScenario(100.0, -35.0, 300.0))
+        p = landing_point(100.0, -35.0, 300.0)
         assert p.x == pytest.approx(-57.358, abs=1e-3)
         assert p.y == pytest.approx(81.915, abs=1e-3)
         assert p.z == -300.0
 
     def test_scenario_validation(self):
         with pytest.raises(InvalidParameterError):
-            LandingScenario(-1.0, 0.0, 100.0)
+            landing_point(-1.0, 0.0, 100.0)
         with pytest.raises(InvalidParameterError):
-            LandingScenario(1.0, 0.0, 0.0)
+            landing_point(1.0, 0.0, 0.0)
         with pytest.raises(InvalidParameterError):
             Vector3(math.nan, 0.0, 0.0)
 
@@ -202,8 +207,8 @@ class TestPhaseSolution:
         for _ in range(1000):
             geom = receiver_points(rng.uniform(1.0, 20.0))
             rf = RFConfig(rng.uniform(0.4e9, 6.0e9))
-            landing = landing_point_world(LandingScenario(
-                rng.uniform(0.0, 2000.0), rng.uniform(-180.0, 180.0), rng.uniform(10.0, 3000.0)))
+            landing = landing_point(
+                rng.uniform(0.0, 2000.0), rng.uniform(-180.0, 180.0), rng.uniform(10.0, 3000.0))
             sol = phase_solution(geom, landing, rf)
             assert abs(sol.dd12 + sol.dd23 + sol.dd31) <= 1e-9
             assert abs(sol.th12 + sol.th23 + sol.th31) <= 1e-9
@@ -213,8 +218,8 @@ class TestPhaseSolution:
         rng = random.Random(99)
         for _ in range(200):
             r, phi, z = rng.uniform(1, 500), rng.uniform(-180, 180), rng.uniform(20, 1000)
-            a = phase_solution(GEOM7, landing_point_world(LandingScenario(r, phi, z)), RF245)
-            b = phase_solution(GEOM7, landing_point_world(LandingScenario(r, -phi, z)), RF245)
+            a = phase_solution(GEOM7, landing_point(r, phi, z), RF245)
+            b = phase_solution(GEOM7, landing_point(r, -phi, z), RF245)
             assert b.th12 == pytest.approx(-a.th12, abs=1e-9)
             assert b.th23 == pytest.approx(-a.th31, abs=1e-9)
             assert b.th31 == pytest.approx(-a.th23, abs=1e-9)
@@ -223,10 +228,10 @@ class TestPhaseSolution:
         rng = random.Random(1234)
         for _ in range(200):
             r, phi, z = rng.uniform(1, 500), rng.uniform(-180, 180), rng.uniform(20, 1000)
-            a = phase_solution(GEOM7, landing_point_world(LandingScenario(r, phi, z)), RF245)
+            a = phase_solution(GEOM7, landing_point(r, phi, z), RF245)
             b = phase_solution(
                 GEOM7,
-                landing_point_world(LandingScenario(r, wrap_angle_deg(phi + 120.0), z)), RF245)
+                landing_point(r, wrap_angle_deg(phi + 120.0), z), RF245)
             assert b.th12 == pytest.approx(a.th31, abs=1e-9)
             assert b.th23 == pytest.approx(a.th12, abs=1e-9)
             assert b.th31 == pytest.approx(a.th23, abs=1e-9)
@@ -379,6 +384,20 @@ class TestEveryRangeTerminates:
                                           match="^z_cm too small for a scan step of z/100"):
             search(1e-323)
 
+    # log10 of the smallest and largest heights drawn: from deep in the subnormals, where the
+    # scan step underflows, to where 100 * z overflows
+    @settings(max_examples=100, deadline=None)
+    @given(log_z=st.floats(math.log10(1e-323), 306.0), phi=st.floats(-360.0, 360.0),
+           limit=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+           f=FREQ_HZ, d=SPACING_CM)
+    def test_every_height_returns_or_raises_a_documented_error(self, log_z, phi, limit, f, d):
+        z = min(max(10.0 ** log_z, 1e-323), 1e306)
+        geom, rf = receiver_points(d), RFConfig(f)
+        for search in (lambda: nonambiguous_range(z, phi, limit, geom, rf),
+                       lambda: cone_profile([z], limit, geom, rf)):
+            with deadline(1.0), contextlib.suppress(TriphaseError):
+                search()
+
 
 class TestConeProfile:
     def test_rows_sorted_and_growing_with_height(self):
@@ -429,7 +448,7 @@ def scan_point_limit(z, phi, n, geom, rf):
     r = step
     for _ in range(n - 1):
         r += step
-    return phase_solution(geom, landing_point_world(LandingScenario(r, phi, z)), rf).max_abs_phase
+    return phase_solution(geom, landing_point(r, phi, z), rf).max_abs_phase
 
 
 GEOM5 = receiver_points(5.0)  # k*D = 147 deg at 2.45 GHz

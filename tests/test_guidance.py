@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from triphase.detector import ideal_sine_voltage
 from triphase.errors import InvalidParameterError
 from triphase.geometry import (
-    LandingScenario,
     RFConfig,
-    landing_point_world,
+    landing_point,
     phase_solution,
     receiver_points,
 )
@@ -129,7 +128,7 @@ class TestOracleAgreement:
             phi = tenth / 10.0
             if any(abs(phi - b) <= 1.0 for b in boundaries):
                 continue
-            sol = phase_solution(geom, landing_point_world(LandingScenario(10.0, phi, 100.0)), rf)
+            sol = phase_solution(geom, landing_point(10.0, phi, 100.0), rf)
             v = VoltageTriple(*(ideal_sine_voltage(t) for t in sol.phases))
             assert classify_sector(v) == expected_sector_from_azimuth(phi), f"phi={phi}"
 

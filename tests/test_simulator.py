@@ -18,10 +18,9 @@ from triphase.detector import (
 )
 from triphase.errors import InvalidParameterError, PhaseAmbiguityError, TriphaseError
 from triphase.geometry import (
-    LandingScenario,
     RFConfig,
     Vector3,
-    landing_point_world,
+    landing_point,
     nonambiguous_range,
     phase_solution,
     receiver_points,
@@ -58,7 +57,7 @@ SCFG = SimConfig()
 
 
 def ground_point(r_cm, phi_deg):
-    p = landing_point_world(LandingScenario(r_cm, phi_deg, 1.0))
+    p = landing_point(r_cm, phi_deg, 1.0)
     return Vector3(p.x, p.y, 0.0)
 
 

@@ -47,9 +47,10 @@ def _add_common(parser, with_freq=True):
 
 
 def _add_guidance(parser):
-    parser.add_argument("--hold-threshold", type=float, default=0.02)
-    parser.add_argument("--rotate-step", type=float, default=1.0)
-    parser.add_argument("--move-step", type=float, default=1.0)
+    defaults = guidance.GuidanceConfig  # a dataclass keeps each field default as a class attribute
+    parser.add_argument("--hold-threshold", type=float, default=defaults.hold_threshold_v)
+    parser.add_argument("--rotate-step", type=float, default=defaults.rotate_step_deg)
+    parser.add_argument("--move-step", type=float, default=defaults.move_step_cm)
 
 
 def _resolve_profiles(selector):
@@ -208,10 +209,11 @@ def build_parser():
     p.add_argument("--landing-phi", type=float, default=-35.0,
                    help="beacon azimuth from the start pose, deg")
     _add_guidance(p)
-    p.add_argument("--descent-step", type=float, default=1.0)
-    p.add_argument("--min-height", type=float, default=1.0)
-    p.add_argument("--max-iterations", type=int, default=100_000)
-    p.add_argument("--mode", choices=simulator.DETECTOR_MODES, default="calibrated")
+    defaults = simulator.SimConfig
+    p.add_argument("--descent-step", type=float, default=defaults.descent_step_cm)
+    p.add_argument("--min-height", type=float, default=defaults.min_height_cm)
+    p.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
+    p.add_argument("--mode", choices=simulator.DETECTOR_MODES, default=defaults.detector_mode)
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -120,10 +120,11 @@ class MeasurementSample:
     power_dbm: float | None = None  # input amplitude, metadata only
 
     def __post_init__(self):
-        _check_finite("theta_deg", self.theta_deg)
-        _check_positive("voltage_v", self.voltage_v, zero_ok=True)
+        object.__setattr__(self, "theta_deg", _check_finite("theta_deg", self.theta_deg))
+        object.__setattr__(self, "voltage_v",
+                           _check_positive("voltage_v", self.voltage_v, zero_ok=True))
         if self.power_dbm is not None:
-            _check_finite("power_dbm", self.power_dbm)
+            object.__setattr__(self, "power_dbm", _check_finite("power_dbm", self.power_dbm))
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,10 @@ class CalibrationPolynomial:
         if self.pair_id not in PAIR_IDS:
             raise InvalidParameterError(f"pair_id must be one of {PAIR_IDS}, got {self.pair_id!r}")
         for name in _PROFILE_FIELDS[1:-2]:  # a0..a5, v_ref, v_lo, v_hi
-            _check_finite(name, getattr(self, name))
-        _check_positive("max_err_deg", self.max_err_deg, zero_ok=True)
-        _check_positive("frequency_hz", self.frequency_hz)
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
+        object.__setattr__(self, "max_err_deg",
+                           _check_positive("max_err_deg", self.max_err_deg, zero_ok=True))
+        object.__setattr__(self, "frequency_hz", _check_positive("frequency_hz", self.frequency_hz))
         if not self.v_lo < self.v_hi:
             raise InvalidParameterError(f"need v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
         if not _increasing(self.coeffs, self.v_lo, self.v_hi):
@@ -309,7 +311,7 @@ def save_profile(poly: CalibrationPolynomial, path_or_file):
     with text_stream(path_or_file, "w") as fh:
         fh.write(f"pair_id = {poly.pair_id}\n")
         for name in _PROFILE_FIELDS[1:]:
-            fh.write(f"{name} = {float(getattr(poly, name))!r}\n")
+            fh.write(f"{name} = {getattr(poly, name)!r}\n")
 
 
 def load_profile(path_or_file) -> CalibrationPolynomial:

@@ -18,7 +18,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,12 +62,22 @@ class Vector3:
 
 @dataclass(frozen=True)
 class ReceiverGeometry:
-    """The three receiver input points, body frame (z = 0), incenter at the origin."""
+    """The equilateral receiver triangle of side spacing_cm, body frame (z = 0): input 3 on
+    +Y at the circumradius, inputs 1 and 2 at x = +-D/2 below it, the incenter at the origin."""
 
     spacing_cm: float
-    p1: Vector3
-    p2: Vector3
-    p3: Vector3
+    p1: Vector3 = field(init=False)
+    p2: Vector3 = field(init=False)
+    p3: Vector3 = field(init=False)
+
+    def __post_init__(self):
+        d = _check_positive("spacing_cm", self.spacing_cm)
+        half = d / 2.0
+        apothem = d / (2.0 * math.sqrt(3.0))  # incircle radius; circumradius is twice this
+        object.__setattr__(self, "spacing_cm", d)
+        object.__setattr__(self, "p1", Vector3(half, -apothem, 0.0))
+        object.__setattr__(self, "p2", Vector3(-half, -apothem, 0.0))
+        object.__setattr__(self, "p3", Vector3(0.0, 2.0 * apothem, 0.0))
 
     @cached_property
     def coords(self):
@@ -117,20 +127,8 @@ class PhaseSolution:
 
 
 def receiver_points(spacing_cm) -> ReceiverGeometry:
-    """Build the equilateral receiver triangle for a given input spacing.
-
-    Input 3 sits on the +Y (forward) axis at the circumradius, inputs 1 and 2
-    sit at x = +-D/2 below it; the incenter coincides with the body origin.
-    """
-    d = _check_positive("spacing_cm", spacing_cm)
-    half = d / 2.0
-    apothem = d / (2.0 * math.sqrt(3.0))  # incircle radius; circumradius is twice this
-    return ReceiverGeometry(
-        spacing_cm=d,
-        p1=Vector3(half, -apothem, 0.0),
-        p2=Vector3(-half, -apothem, 0.0),
-        p3=Vector3(0.0, 2.0 * apothem, 0.0),
-    )
+    """The equilateral receiver triangle for a given input spacing D [cm]."""
+    return ReceiverGeometry(spacing_cm)
 
 
 def _direction(phi_deg):

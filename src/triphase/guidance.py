@@ -19,6 +19,8 @@ from functools import cached_property
 from .errors import InvalidParameterError, _check_finite, _check_positive
 
 _VALID_SECTORS = {(1, "a"), (1, "b"), (2, "a"), (2, "b"), (3, "a"), (3, "b")}
+#: the escape yaw from sectors 2/3 [deg]: one sector width turns the beacon into sector 1
+ESCAPE_YAW_DEG = 60.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class VoltageTriple:
 
     def __post_init__(self):
         for name in ("v12", "v23", "v31"):
-            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
 
     @property
     def as_tuple(self):
@@ -98,16 +100,15 @@ class GuidanceConfig:
     hold_threshold_v: float = 0.02
     rotate_step_deg: float = 1.0
     move_step_cm: float = 1.0
-    escape_yaw_deg: float = 60.0
 
     def __post_init__(self):
-        for name in ("hold_threshold_v", "rotate_step_deg", "move_step_cm", "escape_yaw_deg"):
-            _check_positive(name, getattr(self, name))
+        for name in ("hold_threshold_v", "rotate_step_deg", "move_step_cm"):
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
 
     @cached_property
     def _maneuvers(self):
         """Every move this config commands, built once and shared: kind -> Maneuver."""
-        sizes = ((ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT, self.escape_yaw_deg),
+        sizes = ((ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT, ESCAPE_YAW_DEG),
                  (ManeuverKind.ROTATE_LEFT, ManeuverKind.ROTATE_RIGHT, self.rotate_step_deg),
                  (ManeuverKind.FORWARD, ManeuverKind.BACKWARD, self.move_step_cm))
         return {kind: Maneuver(kind, step) for *kinds, step in sizes for kind in kinds}

@@ -113,7 +113,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("descent_step_cm", "min_height_cm"):
-            _check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         _check_count("max_iterations", self.max_iterations, 1)
         if self.detector_mode not in DETECTOR_MODES:
             raise InvalidParameterError(
@@ -176,11 +176,11 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
     return Vector3(*_body_point(p.x, p.y, p.z, state.heading_deg, landing))
 
 
-def _sense(x, y, z, heading, landing, geom, k, limit, voltage, profiles):
-    """sense on a float pose, k = rf.deg_per_cm and a DETECTOR_MODES entry its caller checked."""
+def _sense(q, geom, k, limit, voltage, profiles):
+    """sense on the body-frame beacon point q, k = rf.deg_per_cm and a checked mode entry."""
     # the float operations of phase_solution(geom, landing_body_frame(state, landing), rf)
     out = []
-    for pair, dd in zip(PAIR_IDS, _path_differences(_body_point(x, y, z, heading, landing), geom)):
+    for pair, dd in zip(PAIR_IDS, _path_differences(q, geom)):
         theta = _wrap(k * dd)
         if not abs(theta) <= limit:  # also nan, when the beacon offset overflowed
             _check_finite("angle", k * dd)
@@ -206,12 +206,11 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     if mode not in DETECTOR_MODES:
         raise InvalidParameterError(f"unknown detector mode {mode!r}")
     p = state.position
-    _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
+    q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
     if mode == "calibrated":
         _check_profiles(profiles, rf)
     limit, voltage = DETECTOR_MODES[mode]
-    return _sense(p.x, p.y, p.z, state.heading_deg, landing, geom, rf.deg_per_cm,
-                  limit, voltage, profiles)
+    return _sense(q, geom, rf.deg_per_cm, limit, voltage, profiles)
 
 
 def _moved(x, y, heading, m: Maneuver):
@@ -256,8 +255,6 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         _check_profiles(profiles, rf)
     limit, voltage = DETECTOR_MODES[scfg.detector_mode]
     k = rf.deg_per_cm
-    step = float(scfg.descent_step_cm)
-    floor = float(scfg.min_height_cm)
     # from here on the pose is floats, finite by construction; the one DroneState per
     # cycle is the record's
     state = start
@@ -268,10 +265,11 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     diagnostic = None
 
     for iteration in range(scfg.max_iterations):
-        if z <= floor:
+        if z <= scfg.min_height_cm:
             break
         try:
-            volts = _sense(x, y, z, heading, landing, geom, k, limit, voltage, profiles)
+            volts = _sense(_body_point(x, y, z, heading, landing), geom, k, limit, voltage,
+                           profiles)
         except PhaseAmbiguityError as exc:
             diagnostic = f"iteration {iteration}: {exc}"
             break
@@ -294,12 +292,12 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
                 first_hold = iteration
             # descend one step, never past the touchdown height
-            z = max(z - step, min(z, floor))
+            z = max(z - scfg.descent_step_cm, min(z, scfg.min_height_cm))
         if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
             Vector3(x, y, z)
         state = _trusted(DroneState, position=_trusted(Vector3, x=x, y=y, z=z), heading_deg=heading)
 
-    return SimulationResult(records=records, touchdown=z <= floor,
+    return SimulationResult(records=records, touchdown=z <= scfg.min_height_cm,
                             aborted=diagnostic is not None, diagnostic=diagnostic,
                             first_hold_iteration=first_hold, final_state=state)
 

@@ -19,6 +19,7 @@ from triphase.detector import (
 )
 from triphase.errors import InvalidParameterError, _check_finite, _check_positive
 from triphase.geometry import (
+    ReceiverGeometry,
     RFConfig,
     Vector3,
     azimuth_sweep,
@@ -26,7 +27,7 @@ from triphase.geometry import (
     landing_point,
     receiver_points,
 )
-from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple
+from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple, decide
 from triphase.simulator import DroneState, SimConfig, worst_case_transect
 
 PROFILE_FIELDS = {f.name: getattr(TABLE2_D12, f.name) for f in dataclasses.fields(TABLE2_D12)}
@@ -34,8 +35,7 @@ PROFILE_FIELDS = {f.name: getattr(TABLE2_D12, f.name) for f in dataclasses.field
 # entry point, valid keyword arguments, the numeric parameters to spoil one at a time
 ENTRY_POINTS = [
     (SimConfig, {}, ("descent_step_cm", "min_height_cm")),
-    (GuidanceConfig, {},
-     ("hold_threshold_v", "rotate_step_deg", "move_step_cm", "escape_yaw_deg")),
+    (GuidanceConfig, {}, ("hold_threshold_v", "rotate_step_deg", "move_step_cm")),
     (VoltageTriple, {"v12": 0.1, "v23": -0.2, "v31": 0.3}, ("v12", "v23", "v31")),
     (Maneuver, {"kind": ManeuverKind.FORWARD, "magnitude": 1.0}, ("magnitude",)),
     (MeasurementSample, {"theta_deg": 10.0, "voltage_v": 1.5}, ("theta_deg", "voltage_v")),
@@ -48,6 +48,7 @@ ENTRY_POINTS = [
     (triangular_voltage, {"theta_deg": 10.0}, ("theta_deg",)),
     (Vector3, {"x": 1.0, "y": 2.0, "z": 3.0}, ("x", "y", "z")),
     (RFConfig, {"frequency_hz": 2.46e9}, ("frequency_hz", "wave_speed_mps")),
+    (ReceiverGeometry, {"spacing_cm": 7.0}, ("spacing_cm",)),
     (landing_point, {"r_cm": 10.0, "phi_deg": 30.0, "height_cm": 100.0},
      ("r_cm", "phi_deg", "height_cm")),
     (DroneState, {"position": Vector3(0.0, 0.0, 300.0), "heading_deg": 10.0}, ("heading_deg",)),
@@ -115,8 +116,47 @@ def test_check_positive_domain():
 
 
 def test_classes_store_what_they_are_given():
-    # only Vector3 and RFConfig coerce to float; the others keep the caller's value
+    # every value type stores the float its check returns, never the caller's number type
     assert type(Vector3(np.float32(1.0), 2, 3).y) is float
     assert type(RFConfig(np.int64(2_000_000_000)).frequency_hz) is float
-    assert type(VoltageTriple(np.float32(0.5), 0, 1).v12) is np.float32
-    assert type(GuidanceConfig(move_step_cm=2).move_step_cm) is int
+    assert type(VoltageTriple(np.float32(0.5), 0, 1).v12) is float
+    assert type(GuidanceConfig(move_step_cm=2).move_step_cm) is float
+
+
+def _valid(entry, kwargs, name):
+    return kwargs[name] if name in kwargs else getattr(entry, name)  # else the field default
+
+
+# each numeric field of a value type in ENTRY_POINTS, given as a numpy scalar of a valid
+# value: np.float32 always, np.int64 where the valid value is a whole number
+NUMPY_CASES = [pytest.param(entry, kwargs, name, number,
+                            id=f"{entry.__name__}-{name}-{number.__name__}")
+               for entry, kwargs, names in ENTRY_POINTS if isinstance(entry, type)
+               for name in names for number in (np.float32, np.int64)
+               if number is np.float32 or float(_valid(entry, kwargs, name)).is_integer()]
+
+
+@pytest.mark.parametrize("entry,kwargs,name,number", NUMPY_CASES)
+def test_value_types_store_numpy_scalars_as_float(entry, kwargs, name, number):
+    given = number(_valid(entry, kwargs, name))
+    stored = getattr(entry(**{**kwargs, name: given}), name)
+    assert type(stored) is float and stored == float(given)
+
+
+def test_numpy_threshold_decides_as_its_float():
+    # numpy 2 compares a Python float with a float32 in float32, where 0.0200000001 == 0.02
+    v = VoltageTriple(0.0200000001, 0, 0)
+    assert decide(v, GuidanceConfig(0.02))[0].token == "YAWR60"
+    assert decide(v, GuidanceConfig(np.float32(0.02)))[0].token == "YAWR60"
+
+
+def test_float32_profile_round_trips_as_its_floats():
+    numbers = {name: value for name, value in PROFILE_FIELDS.items() if name != "pair_id"}
+    poly32 = CalibrationPolynomial(pair_id="d12", **{name: np.float32(value)
+                                                     for name, value in numbers.items()})
+    poly = CalibrationPolynomial(pair_id="d12", **{name: float(np.float32(value))
+                                                   for name, value in numbers.items()})
+    assert poly32 == poly
+    v = voltage_from_phase(poly32, 45.0)
+    assert type(v) is float and v == voltage_from_phase(poly, 45.0)
+    assert phase_from_voltage(poly32, v) == pytest.approx(45.0, abs=1e-9)

@@ -16,6 +16,7 @@ from triphase.errors import (
 )
 from triphase.geometry import (
     PhaseSolution,
+    ReceiverGeometry,
     RFConfig,
     Vector3,
     azimuth_sweep,
@@ -165,6 +166,27 @@ class TestReceiverPoints:
     def test_rejects_bad_spacing(self, bad):
         with pytest.raises(InvalidParameterError):
             receiver_points(bad)
+
+    @pytest.mark.parametrize("d", [0.5, 7.0, 12.3, 1e-3])
+    def test_points_are_the_written_out_expressions(self, d):
+        half, apothem = d / 2.0, d / (2.0 * math.sqrt(3.0))
+        want = [(half, -apothem, 0.0), (-half, -apothem, 0.0), (0.0, 2.0 * apothem, 0.0)]
+        geom = ReceiverGeometry(d)
+        assert geom == receiver_points(d)
+        assert [[v.hex() for v in p] for p in geom.coords] == [[v.hex() for v in p] for p in want]
+
+    def test_points_are_not_parameters(self):
+        # the triangle is a function of its side: the k*D range bound relies on it
+        geom = receiver_points(7.0)
+        with pytest.raises(TypeError):
+            ReceiverGeometry(1.0, geom.p1, geom.p2, geom.p3)
+        with pytest.raises(TypeError):
+            ReceiverGeometry(spacing_cm=1.0, p1=geom.p1)
+
+    @pytest.mark.parametrize("bad", [0, -1.0])
+    def test_rejects_spacing_out_of_domain(self, bad):
+        with pytest.raises(InvalidParameterError, match="^spacing_cm must be > 0"):
+            ReceiverGeometry(bad)
 
 
 class TestLandingPointWorld:

@@ -81,7 +81,7 @@ class TestDecide:
             assert len(decide(v, CFG)) >= 1
 
     @given(v=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
-           steps=st.tuples(*[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 4))
+           steps=st.tuples(*[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 3))
     def test_total_over_finite_voltages(self, v, steps):
         maneuvers = decide(VoltageTriple(*v), GuidanceConfig(*steps))
         assert len(maneuvers) >= 1

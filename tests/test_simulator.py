@@ -378,7 +378,7 @@ class TestSimulateLanding:
            heading=st.floats(-720.0, 720.0), slope=st.floats(0.0, 1.0),
            phi=st.floats(-180.0, 180.0), bz=st.floats(-5.0, 0.0),
            gcfg=st.builds(GuidanceConfig, st.floats(0.005, 0.2), st.floats(0.25, 20.0),
-                          st.floats(0.25, 20.0), st.floats(1.0, 179.0)),
+                          st.floats(0.25, 20.0)),
            scfg=st.builds(SimConfig, st.floats(0.25, 25.0), st.floats(0.5, 5.0),
                           st.integers(1, 600), st.sampled_from(tuple(DETECTOR_MODES))))
     def test_matches_object_based_loop_bit_for_bit(self, x, y, z, heading, slope, phi, bz,
@@ -424,7 +424,7 @@ class TestSimulateLanding:
     def test_records_hold_floats_whatever_number_types_configure_the_run(self):
         # the records' poses skip the Vector3 and DroneState checks that coerce to float
         result = simulate_landing(fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES,
-                                  GuidanceConfig(0.02, np.float32(1.0), np.float32(1.0), 60),
+                                  GuidanceConfig(0.02, np.float32(1.0), np.float32(1.0)),
                                   SimConfig(descent_step_cm=1, min_height_cm=np.float32(1.0)))
         assert result.converged
         for state in [r.state for r in result.records] + [result.final_state]:
@@ -479,7 +479,7 @@ POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 class TestSimulateLandingErrors:
     @settings(deadline=None)
     @given(x=FINITE, y=FINITE, z=POSITIVE, heading=FINITE, bx=FINITE, by=FINITE, bz=FINITE,
-           gcfg=st.builds(GuidanceConfig, POSITIVE, POSITIVE, POSITIVE, POSITIVE),
+           gcfg=st.builds(GuidanceConfig, POSITIVE, POSITIVE, POSITIVE),
            scfg=st.builds(SimConfig, POSITIVE, POSITIVE, st.integers(1, 200),
                           st.sampled_from(tuple(DETECTOR_MODES))))
     def test_raises_only_documented_errors(self, x, y, z, heading, bx, by, bz, gcfg, scfg):

@@ -238,7 +238,7 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
 
 def centered_voltage(v_raw, poly: CalibrationPolynomial) -> float:
     """Signed voltage relative to the zero-phase reference: v_raw - v_ref."""
-    return v_raw - poly.v_ref
+    return _check_finite("v_raw", v_raw) - poly.v_ref
 
 
 def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> CalibrationPolynomial:

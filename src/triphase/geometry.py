@@ -33,13 +33,8 @@ SPEED_OF_LIGHT_MPS = 299_792_458.0
 _SCREEN_RAYS, _SCREEN_STEPS, _ROUNDING = 256, 128, 32.0 * 2.0 ** -52  # see _screened_ranges
 
 
-def wrap_angle_deg(angle):
-    """Wrap an angle in degrees to (-180, +180]."""
-    return _wrap(_check_finite("angle", angle))
-
-
 def _wrap(angle):
-    """wrap_angle_deg of a float known to be finite (nan for inf or nan)."""
+    """A float angle [deg] its caller checked or computed, wrapped to (-180, +180]; nan for inf, nan."""
     a = angle % 360.0
     return a - 360.0 if a > 180.0 else a
 
@@ -132,8 +127,9 @@ def receiver_points(spacing_cm) -> ReceiverGeometry:
 
 
 def _direction(phi_deg):
-    """(sin, cos) of a landing azimuth wrapped to (-180, 180], rounded once for every caller."""
-    phi = math.radians(wrap_angle_deg(phi_deg))
+    """(sin, cos) of a landing azimuth wrapped to (-180, 180], rounded once for every caller;
+    phi_deg is a float the caller has checked or computed."""
+    phi = math.radians(_wrap(phi_deg))
     return math.sin(phi), math.cos(phi)
 
 
@@ -241,7 +237,7 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
     z = _check_positive("z_cm", z_cm)
     limit = _check_limit(theta_limit_deg)
     ceiling, step, k = 100.0 * z, z / 100.0, rf.deg_per_cm
-    max_abs_phase = _ray_kernel(z, *_direction(phi_deg), geom, k)
+    max_abs_phase = _ray_kernel(z, *_direction(_check_finite("phi_deg", phi_deg)), geom, k)
     unbounded = f"no {limit:g} deg crossing below r = {ceiling:g} cm at phi = {phi_deg:g} deg"
     d_far = math.hypot(ceiling + step, z) + geom.spacing_cm  # inf if the scan would overflow
     if limit > k * (geom.spacing_cm + 3.0 * _ROUNDING * d_far):

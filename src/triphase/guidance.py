@@ -79,6 +79,8 @@ class Maneuver:
     magnitude: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, ManeuverKind):
+            raise InvalidParameterError(f"kind must be a ManeuverKind, got {self.kind!r}")
         if self.kind is ManeuverKind.HOLD:
             if self.magnitude is not None:
                 raise InvalidParameterError("Hold carries no magnitude")

@@ -33,7 +33,6 @@ from ._textio import write_csv
 from .detector import (
     CALIBRATED_RANGE_DEG,
     PAIR_IDS,
-    centered_voltage,
     ideal_sine_voltage,
     triangular_voltage,
     voltage_from_phase,
@@ -47,7 +46,6 @@ from .geometry import (
     _path_differences,
     _wrap,
     phase_solution,
-    wrap_angle_deg,
 )
 from .guidance import (
     GuidanceConfig,
@@ -76,7 +74,8 @@ def _check_profiles(profiles, rf: RFConfig):
 
 def _calibrated_voltage(theta, pair, profiles):
     # looks voltage_from_phase up in this module, where the benchmark tracer wraps it
-    return centered_voltage(voltage_from_phase(profiles[pair], theta), profiles[pair])
+    poly = profiles[pair]
+    return voltage_from_phase(poly, theta) - poly.v_ref
 
 
 #: detector mode -> (non-ambiguous range [deg], f(theta, pair, profiles) giving the
@@ -97,9 +96,10 @@ class DroneState:
     heading_deg: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.position, Vector3):
+            raise InvalidParameterError(f"position must be a Vector3, got {self.position!r}")
         _check_positive("position.z", self.position.z)
-        object.__setattr__(self, "heading_deg",
-                           wrap_angle_deg(_check_finite("heading_deg", self.heading_deg)))
+        object.__setattr__(self, "heading_deg", _wrap(_check_finite("heading_deg", self.heading_deg)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class SimConfig:
         for name in ("descent_step_cm", "min_height_cm"):
             object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         _check_count("max_iterations", self.max_iterations, 1)
-        if self.detector_mode not in DETECTOR_MODES:
+        if not isinstance(self.detector_mode, str) or self.detector_mode not in DETECTOR_MODES:
             raise InvalidParameterError(
                 f"detector_mode must be one of {tuple(DETECTOR_MODES)}, got {self.detector_mode!r}")
 
@@ -203,7 +203,7 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     order; simulate_landing checks them once per run and calls the unchecked
     core _sense every cycle.
     """
-    if mode not in DETECTOR_MODES:
+    if not isinstance(mode, str) or mode not in DETECTOR_MODES:
         raise InvalidParameterError(f"unknown detector mode {mode!r}")
     p = state.position
     q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
@@ -330,7 +330,7 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)
         sol = phase_solution(geom, Vector3(0.0, -y, -z), rf)
-        th23, th31 = wrap_angle_deg(sol.th23), wrap_angle_deg(sol.th31)
+        th23, th31 = _wrap(sol.th23), _wrap(sol.th31)
         ambiguous = max(abs(th23), abs(th31)) > CALIBRATED_RANGE_DEG
         if ambiguous:
             v23 = v31 = math.nan

@@ -2,8 +2,17 @@
 
 import math
 
-from triphase.geometry import wrap_angle_deg
+from triphase.errors import InvalidParameterError
 from triphase.guidance import SectorId
+
+
+def wrap_angle_deg(angle):
+    """An angle in degrees wrapped to (-180, +180], written out apart from the library;
+    InvalidParameterError for a non-finite angle."""
+    if not math.isfinite(angle):
+        raise InvalidParameterError(f"angle must be a finite number, got {angle!r}")
+    a = float(angle) % 360.0
+    return a - 360.0 if a > 180.0 else a
 
 
 def expected_sector_from_azimuth(phi_deg) -> SectorId:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from triphase.detector import (
     MeasurementSample,
     TABLE2_D12,
     builtin_profile_set,
+    centered_voltage,
     fit_calibration,
     ideal_sine_voltage,
     phase_from_voltage,
@@ -24,12 +26,18 @@ from triphase.geometry import (
     Vector3,
     azimuth_sweep,
     cone_profile,
+    correction_sensitivity,
     landing_point,
+    nonambiguous_range,
     receiver_points,
 )
 from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple, decide
-from triphase.simulator import DroneState, SimConfig, worst_case_transect
+from triphase.simulator import DroneState, SimConfig, sense, worst_case_transect
 
+GEOM = receiver_points(7.0)
+RF = RFConfig(2.46e9)
+SAMPLES = [MeasurementSample(TABLE2_D12.evaluate(v), v)
+           for v in np.linspace(TABLE2_D12.v_lo, TABLE2_D12.v_hi, 12)]
 PROFILE_FIELDS = {f.name: getattr(TABLE2_D12, f.name) for f in dataclasses.fields(TABLE2_D12)}
 
 # entry point, valid keyword arguments, the numeric parameters to spoil one at a time
@@ -52,6 +60,19 @@ ENTRY_POINTS = [
     (landing_point, {"r_cm": 10.0, "phi_deg": 30.0, "height_cm": 100.0},
      ("r_cm", "phi_deg", "height_cm")),
     (DroneState, {"position": Vector3(0.0, 0.0, 300.0), "heading_deg": 10.0}, ("heading_deg",)),
+    (nonambiguous_range, {"z_cm": 100.0, "phi_deg": 30.0, "theta_limit_deg": 80.0, "geom": GEOM,
+                          "rf": RF}, ("z_cm", "phi_deg", "theta_limit_deg")),
+    (cone_profile, {"z_list": [100.0], "theta_limit_deg": 80.0, "geom": GEOM, "rf": RF,
+                    "n_azimuths": 2}, ("theta_limit_deg",)),
+    (azimuth_sweep, {"r_cm": 10.0, "z_cm": 100.0, "geom": GEOM, "rf": RF, "n_samples": 3},
+     ("r_cm", "z_cm")),
+    (worst_case_transect, {"z_cm": 1000.0, "y_range_cm": 700.0, "geom": GEOM, "rf": RF,
+                           "profiles": builtin_profile_set(), "n_samples": 3},
+     ("z_cm", "y_range_cm")),
+    (correction_sensitivity, {"v_max": 1.8, "v_min": 1.2, "r_best_case_cm": 10.0},
+     ("v_max", "v_min", "r_best_case_cm")),
+    (centered_voltage, {"v_raw": 1.5, "poly": TABLE2_D12}, ("v_raw",)),
+    (fit_calibration, {"samples": SAMPLES, "frequency_hz": 2.46e9}, ("frequency_hz",)),
 ]
 
 CASES = [pytest.param(entry, kwargs, name, id=f"{entry.__name__}-{name}")
@@ -66,10 +87,25 @@ def test_entry_point_rejects_bad_number(entry, kwargs, name, bad):
         entry(**{**kwargs, name: bad})
 
 
-GEOM = receiver_points(7.0)
-RF = RFConfig(2.46e9)
-SAMPLES = [MeasurementSample(TABLE2_D12.evaluate(v), v)
-           for v in np.linspace(TABLE2_D12.v_lo, TABLE2_D12.v_hi, 12)]
+# a call passing an argument of the wrong type, and the start of the error naming it
+WRONG_TYPES = [
+    pytest.param(lambda: Maneuver("FWD", 1.0), "kind must be a ManeuverKind, got 'FWD'",
+                 id="Maneuver-kind"),
+    pytest.param(lambda: SimConfig(detector_mode=["calibrated"]), "detector_mode must be one of (",
+                 id="SimConfig-detector_mode"),
+    pytest.param(lambda: sense(DroneState(Vector3(0.0, 0.0, 300.0)), Vector3(10.0, 0.0, 0.0), GEOM,
+                               RF, builtin_profile_set(), mode=["calibrated"]),
+                 "unknown detector mode ['calibrated']", id="sense-mode"),
+    pytest.param(lambda: DroneState(position=(0, 0, 300)),
+                 "position must be a Vector3, got (0, 0, 300)", id="DroneState-position"),
+]
+
+
+@pytest.mark.parametrize("call,message", WRONG_TYPES)
+def test_entry_point_rejects_wrong_type(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}"):
+        call()
+
 
 # entry point, valid keyword arguments, the count parameter to spoil
 COUNT_ENTRY_POINTS = [

@@ -26,8 +26,9 @@ from triphase.geometry import (
     nonambiguous_range,
     phase_solution,
     receiver_points,
-    wrap_angle_deg,
 )
+
+from sector_oracle import wrap_angle_deg
 
 RF245 = RFConfig(2.45e9, 3e8)
 RF246 = RFConfig(2.46e9, 3e8)

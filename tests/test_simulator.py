@@ -24,7 +24,6 @@ from triphase.geometry import (
     nonambiguous_range,
     phase_solution,
     receiver_points,
-    wrap_angle_deg,
 )
 from triphase.guidance import (
     GuidanceConfig,
@@ -48,6 +47,8 @@ from triphase.simulator import (
     worst_case_transect,
     write_trajectory_csv,
 )
+
+from sector_oracle import wrap_angle_deg
 
 GEOM = receiver_points(7.0)
 RF = RFConfig(2.46e9, 3e8)

@@ -41,8 +41,6 @@ def _add_common(parser, with_freq=True):
                             help=f"beacon frequency in GHz (default {DEFAULT_SWEEP_FREQ_GHZ})")
     parser.add_argument("--spacing-cm", type=float, default=7.0,
                         help="receiver input spacing D in cm (default 7)")
-    parser.add_argument("--wave-speed", type=float, default=geometry.SPEED_OF_LIGHT_MPS,
-                        help="propagation speed in m/s (default vacuum light speed)")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
@@ -78,9 +76,8 @@ def _summary(args, line):
 
 
 def _geometry(args, frequency_hz):
-    """Receiver triangle and RF settings from the common options."""
-    return (geometry.receiver_points(args.spacing_cm),
-            geometry.RFConfig(frequency_hz, args.wave_speed))
+    """Receiver triangle from the common options, and the RF settings at frequency_hz."""
+    return geometry.receiver_points(args.spacing_cm), geometry.RFConfig(frequency_hz)
 
 
 def cmd_sweep(args):
@@ -132,7 +129,7 @@ def cmd_simulate(args):
     start = simulator.DroneState(
         geometry.Vector3(args.start_x, args.start_y, args.start_z), args.heading)
     offset = geometry.landing_point(args.landing_r, args.landing_phi, args.start_z)
-    # the offset is drone-relative; place the beacon on the ground plane in world frame
+    # a world-frame offset from the start position, whatever the heading, on the ground
     landing = geometry.Vector3(args.start_x + offset.x, args.start_y + offset.y, 0.0)
 
     result = simulator.simulate_landing(start, landing, geom, rf, profiles, _guidance(args), scfg)
@@ -205,9 +202,9 @@ def build_parser():
     p.add_argument("--start-z", type=float, default=300.0)
     p.add_argument("--heading", type=float, default=0.0)
     p.add_argument("--landing-r", type=float, default=100.0,
-                   help="beacon radius from the start pose, cm")
+                   help="beacon radius from the start position, cm")
     p.add_argument("--landing-phi", type=float, default=-35.0,
-                   help="beacon azimuth from the start pose, deg")
+                   help="world-frame beacon azimuth from +Y toward +X, whatever --heading, deg")
     _add_guidance(p)
     defaults = simulator.SimConfig
     p.add_argument("--descent-step", type=float, default=defaults.descent_step_cm)

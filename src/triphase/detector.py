@@ -194,7 +194,7 @@ def phase_from_voltage(poly: CalibrationPolynomial, v) -> float:
     within the guard band the result is clamped to the +-80 deg range.
     Outside, the detector state is ambiguous and an error is raised.
     """
-    _check_finite("v", v)
+    v = _check_finite("v", v)
     if v < poly.v_lo - GUARD_BAND_V or v > poly.v_hi + GUARD_BAND_V:
         raise VoltageOutOfRangeError(
             f"{poly.pair_id}: {v:.4f} V outside [{poly.v_lo:.4f}, {poly.v_hi:.4f}] V "
@@ -215,7 +215,7 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     bracket extends at most 100 mV past that end, over which the polynomial
     must reach theta while strictly increasing.
     """
-    _check_finite("theta_deg", theta_deg)
+    theta_deg = _check_finite("theta_deg", theta_deg)
     if abs(theta_deg) > CALIBRATED_RANGE_DEG:
         raise PhaseAmbiguityError(poly.pair_id, theta_deg)
 

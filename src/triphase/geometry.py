@@ -82,20 +82,18 @@ class ReceiverGeometry:
 
 @dataclass(frozen=True)
 class RFConfig:
-    """Beacon frequency and propagation speed."""
+    """Beacon frequency; the wave travels at SPEED_OF_LIGHT_MPS."""
 
     frequency_hz: float
-    wave_speed_mps: float = SPEED_OF_LIGHT_MPS
 
     def __post_init__(self):
         object.__setattr__(self, "frequency_hz", _check_positive("frequency_hz", self.frequency_hz))
-        object.__setattr__(self, "wave_speed_mps", _check_positive("wave_speed_mps", self.wave_speed_mps))
 
     @cached_property
     def deg_per_cm(self) -> float:
         """Unwrapped phase shift per cm of path difference."""
-        # path difference is in cm, wave speed in m/s
-        return 2.0 * self.frequency_hz * 180.0 / (self.wave_speed_mps * 100.0)
+        # path difference is in cm, the speed of light in m/s
+        return 2.0 * self.frequency_hz * 180.0 / (SPEED_OF_LIGHT_MPS * 100.0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> Ph
     model needs it.
     """
     dd12, dd23, dd31 = _path_differences((landing.x, landing.y, landing.z), geom)
-    c_cm = rf.wave_speed_mps * 100.0
+    c_cm = SPEED_OF_LIGHT_MPS * 100.0
     k = rf.deg_per_cm
     return PhaseSolution(
         dd12=dd12, dd23=dd23, dd31=dd31,

@@ -285,10 +285,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         for m in maneuvers:
             x, y, heading = _moved(x, y, heading, m)
 
-        if escape != 0:
-            last_escape = escape  # reorientation only: no descent
-        else:
-            last_escape = 0
+        last_escape = escape
+        if escape == 0:  # an escape yaw only reorients: no descent
             if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
                 first_hold = iteration
             # descend one step, never past the touchdown height
@@ -325,12 +323,17 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     _check_count("n_samples", n_samples, 2)
     z = _check_positive("z_cm", z_cm)
     span = _check_positive("y_range_cm", y_range_cm)
+    if not math.isfinite(2.0 * span * (n_samples - 1)):  # the last row's step overflows
+        raise InvalidParameterError(f"y_range_cm must keep the sample positions finite, got {span}")
     _check_profiles(profiles, rf)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)
         sol = phase_solution(geom, Vector3(0.0, -y, -z), rf)
         th23, th31 = _wrap(sol.th23), _wrap(sol.th31)
+        if math.isnan(sol.th12 + th23 + th31):  # a distance to an input overflowed
+            raise InvalidParameterError(
+                f"z_cm and y_range_cm must keep the phases finite, got {z} and {span}")
         ambiguous = max(abs(th23), abs(th31)) > CALIBRATED_RANGE_DEG
         if ambiguous:
             v23 = v31 = math.nan

@@ -29,6 +29,7 @@ from triphase.detector import (
     voltage_from_phase,
 )
 from triphase.geometry import (
+    SPEED_OF_LIGHT_MPS,
     RFConfig,
     Vector3,
     cone_profile,
@@ -42,8 +43,8 @@ from triphase.simulator import DroneState, SimConfig, sense, simulate_landing, w
 from sector_oracle import expected_sector_from_azimuth
 
 GEOM = receiver_points(7.0)
-RF245 = RFConfig(2.45e9, 3e8)
-RF246 = RFConfig(2.46e9, 3e8)
+RF245 = RFConfig(2.45e9)
+RF246 = RFConfig(2.46e9)
 PROFILES = builtin_profile_set()
 
 TABLE1_IN_RANGE = {
@@ -213,7 +214,7 @@ def test_criterion_09_worst_case_transect():
         # dd23 = (sqrt(3)/2) * D * sin(alpha); computed here from D, f, c and z
         # alone.  The tolerance is the first neglected term of the distance
         # expansion, R^2 / (2r) with circumradius R = D / sqrt(3).
-        d_cm, f_hz, c_mps, z_cm = 7.0, 2.46e9, 3e8, 1000.0
+        d_cm, f_hz, c_mps, z_cm = 7.0, 2.46e9, SPEED_OF_LIGHT_MPS, 1000.0
         deg_per_cm = 360.0 * f_hz / (c_mps * 100.0)
         tol = deg_per_cm * d_cm ** 2 / (6.0 * z_cm)
 

@@ -63,8 +63,7 @@ class TestCone:
     def test_published_extrema_at_ten_meters(self, tmp_path):
         out = tmp_path / "cone.csv"
         assert main(["cone", "--theta-limit", "90", "--z-cm", "1000",
-                     "--freq-ghz", "2.45", "--wave-speed", "3e8",
-                     "--out", str(out)]) == 0
+                     "--freq-ghz", "2.45", "--out", str(out)]) == 0
         radii = [float(r["rmax_cm"]) for r in read_csv(out)]
         assert min(radii) == pytest.approx(486.0, rel=0.02)
         assert max(radii) == pytest.approx(585.0, rel=0.02)
@@ -365,8 +364,7 @@ class TestOutputDigests:
 # -1, 0 and 2.5, "positive" only 2.5, ">= 0" also 0, and "count" none of the bad values
 NUMERIC_OPTIONS = [
     *((cmd, opt, name, "positive") for cmd in ("sweep", "cone")
-      for opt, name in (("--freq-ghz", "frequency_hz"), ("--spacing-cm", "spacing_cm"),
-                        ("--wave-speed", "wave_speed_mps"))),
+      for opt, name in (("--freq-ghz", "frequency_hz"), ("--spacing-cm", "spacing_cm"))),
     ("sweep", "--r-cm", "r_cm", ">= 0"),
     ("sweep", "--z-cm", "z_cm", "positive"),
     ("sweep", "--n", "n_samples", "count"),
@@ -380,7 +378,6 @@ NUMERIC_OPTIONS = [
       for opt, name in (("--hold-threshold", "hold_threshold_v"),
                         ("--rotate-step", "rotate_step_deg"), ("--move-step", "move_step_cm"))),
     ("simulate", "--spacing-cm", "spacing_cm", "positive"),
-    ("simulate", "--wave-speed", "wave_speed_mps", "positive"),
     ("simulate", "--start-x", "x", "finite"),
     ("simulate", "--start-y", "y", "finite"),
     ("simulate", "--start-z", "z", "positive"),
@@ -434,6 +431,12 @@ def test_bad_number_exit_code_names_the_parameter(tmp_path, capsys, command, opt
 class TestParsing:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "cone", "simulate"])
+    def test_wave_speed_is_not_an_option(self, tmp_path, capsys, command):
+        # the propagation speed is the speed of light, not a setting
+        assert main([command, "--wave-speed", "3e8", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_negative_spacing_rejected(self, tmp_path):
         assert main(["sweep", "--spacing-cm", "-7", "--out", str(tmp_path / "x.csv")]) == 1

@@ -40,6 +40,8 @@ SAMPLES = [MeasurementSample(TABLE2_D12.evaluate(v), v)
            for v in np.linspace(TABLE2_D12.v_lo, TABLE2_D12.v_hi, 12)]
 PROFILE_FIELDS = {f.name: getattr(TABLE2_D12, f.name) for f in dataclasses.fields(TABLE2_D12)}
 
+CONE_KWARGS = {"z_list": [100.0], "theta_limit_deg": 80.0, "geom": GEOM, "rf": RF, "n_azimuths": 2}
+
 # entry point, valid keyword arguments, the numeric parameters to spoil one at a time
 ENTRY_POINTS = [
     (SimConfig, {}, ("descent_step_cm", "min_height_cm")),
@@ -55,15 +57,14 @@ ENTRY_POINTS = [
     (ideal_sine_voltage, {"theta_deg": 10.0}, ("theta_deg",)),
     (triangular_voltage, {"theta_deg": 10.0}, ("theta_deg",)),
     (Vector3, {"x": 1.0, "y": 2.0, "z": 3.0}, ("x", "y", "z")),
-    (RFConfig, {"frequency_hz": 2.46e9}, ("frequency_hz", "wave_speed_mps")),
+    (RFConfig, {"frequency_hz": 2.46e9}, ("frequency_hz",)),
     (ReceiverGeometry, {"spacing_cm": 7.0}, ("spacing_cm",)),
     (landing_point, {"r_cm": 10.0, "phi_deg": 30.0, "height_cm": 100.0},
      ("r_cm", "phi_deg", "height_cm")),
     (DroneState, {"position": Vector3(0.0, 0.0, 300.0), "heading_deg": 10.0}, ("heading_deg",)),
     (nonambiguous_range, {"z_cm": 100.0, "phi_deg": 30.0, "theta_limit_deg": 80.0, "geom": GEOM,
                           "rf": RF}, ("z_cm", "phi_deg", "theta_limit_deg")),
-    (cone_profile, {"z_list": [100.0], "theta_limit_deg": 80.0, "geom": GEOM, "rf": RF,
-                    "n_azimuths": 2}, ("theta_limit_deg",)),
+    (cone_profile, CONE_KWARGS, ("theta_limit_deg",)),
     (azimuth_sweep, {"r_cm": 10.0, "z_cm": 100.0, "geom": GEOM, "rf": RF, "n_samples": 3},
      ("r_cm", "z_cm")),
     (worst_case_transect, {"z_cm": 1000.0, "y_range_cm": 700.0, "geom": GEOM, "rf": RF,
@@ -177,6 +178,33 @@ def test_value_types_store_numpy_scalars_as_float(entry, kwargs, name, number):
     given = number(_valid(entry, kwargs, name))
     stored = getattr(entry(**{**kwargs, name: given}), name)
     assert type(stored) is float and stored == float(given)
+
+
+# each numeric parameter of a function in ENTRY_POINTS, and each height of cone_profile's
+# z_list, given as np.float32 of its valid value and as np.int64 of that value rounded
+NUMPY_NUMBERS = {"float32": np.float32, "int64": lambda x: np.int64(round(x))}
+FUNCTION_NUMPY_CASES = [
+    pytest.param(entry, kwargs, name, number, id=f"{entry.__name__}-{name}-{number_id}")
+    for entry, kwargs, names in [*ENTRY_POINTS, (cone_profile, CONE_KWARGS, ("z_list",))]
+    if not isinstance(entry, type) for name in names
+    for number_id, number in NUMPY_NUMBERS.items()]
+
+
+def _leaves(result):
+    """(type, value) of every number in a result: a scalar, a dataclass or a list of rows."""
+    if dataclasses.is_dataclass(result):
+        return _leaves([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if isinstance(result, (list, tuple)):
+        return [leaf for item in result for leaf in _leaves(item)]
+    return [(type(result), result.hex() if isinstance(result, float) else result)]
+
+
+@pytest.mark.parametrize("entry,kwargs,name,number", FUNCTION_NUMPY_CASES)
+def test_functions_compute_on_numpy_scalars_as_on_their_floats(entry, kwargs, name, number):
+    value = kwargs[name]
+    given = [number(x) for x in value] if isinstance(value, list) else number(value)
+    as_float = [float(x) for x in given] if isinstance(value, list) else float(given)
+    assert _leaves(entry(**{**kwargs, name: given})) == _leaves(entry(**{**kwargs, name: as_float}))
 
 
 def test_numpy_threshold_decides_as_its_float():

@@ -15,6 +15,7 @@ from triphase.errors import (
     TriphaseError,
 )
 from triphase.geometry import (
+    SPEED_OF_LIGHT_MPS,
     PhaseSolution,
     ReceiverGeometry,
     RFConfig,
@@ -30,8 +31,8 @@ from triphase.geometry import (
 
 from sector_oracle import wrap_angle_deg
 
-RF245 = RFConfig(2.45e9, 3e8)
-RF246 = RFConfig(2.46e9, 3e8)
+RF245 = RFConfig(2.45e9)
+RF246 = RFConfig(2.46e9)
 GEOM7 = receiver_points(7.0)
 
 
@@ -43,7 +44,7 @@ def reference_phase_solution(geom, landing, rf):
     if min(d1, d2, d3) <= 0.0:
         raise DegenerateGeometryError("landing point coincides with a receiver input")
     dd12, dd23, dd31 = d1 - d2, d2 - d3, d3 - d1
-    c_cm = rf.wave_speed_mps * 100.0
+    c_cm = SPEED_OF_LIGHT_MPS * 100.0
     k = rf.deg_per_cm
     return PhaseSolution(
         dd12=dd12, dd23=dd23, dd31=dd31,
@@ -222,8 +223,16 @@ class TestPhaseSolution:
         assert sol.max_abs_phase <= 1e-9
 
     def test_degrees_per_cm_of_path_difference(self):
-        # 1 cm path difference at 2.46 GHz, c = 3e8 m/s
-        assert RF246.deg_per_cm == pytest.approx(29.52, rel=1e-12)
+        # 1 cm path difference at 2.46 GHz: 2 * 2.46e9 * 180 / (299,792,458 * 100)
+        assert RF246.deg_per_cm == pytest.approx(29.540436270748344, rel=1e-12)
+
+    @pytest.mark.parametrize("call", [lambda: RFConfig(2.46e9, 3e8),
+                                      lambda: RFConfig(2.46e9, wave_speed_mps=3e8)],
+                             ids=["positional", "keyword"])
+    def test_wave_speed_is_not_a_setting(self, call):
+        # the beacon's wave travels at SPEED_OF_LIGHT_MPS; RFConfig holds only the frequency
+        with pytest.raises(TypeError):
+            call()
 
     def test_zero_sum_randomized(self):
         rng = random.Random(20260810)
@@ -338,7 +347,7 @@ class TestNonambiguousRange:
     def test_unbounded_when_limit_unreachable(self):
         # at 0.4 GHz the phase tops out near 34 deg; a 90 deg crossing never happens
         with pytest.raises(RangeUnboundedError):
-            nonambiguous_range(100.0, 0.0, 90.0, GEOM7, RFConfig(0.4e9, 3e8))
+            nonambiguous_range(100.0, 0.0, 90.0, GEOM7, RFConfig(0.4e9))
 
     def test_rejects_bad_limit(self):
         with pytest.raises(InvalidParameterError):
@@ -354,7 +363,7 @@ class TestNonambiguousRange:
     def test_unbounded_message_stays_short_at_extreme_heights(self):
         # the ceiling 100 * z = 5e307 cm printed in full would take 308 digits
         with pytest.raises(RangeUnboundedError) as info:
-            nonambiguous_range(5e305, 10.0, 90.0, GEOM7, RFConfig(0.4e9, 3e8))
+            nonambiguous_range(5e305, 10.0, 90.0, GEOM7, RFConfig(0.4e9))
         assert len(str(info.value)) < 200
 
     @settings(deadline=None)

@@ -122,7 +122,7 @@ class TestOracleAgreement:
     def test_classifier_matches_azimuth_sectors(self):
         # sign-faithful sine detector over the reference sweep geometry
         geom = receiver_points(7.0)
-        rf = RFConfig(2.45e9, 3e8)
+        rf = RFConfig(2.45e9)
         boundaries = (-150.0, -90.0, -30.0, 30.0, 90.0, 150.0)
         for tenth in range(-1800, 1801):
             phi = tenth / 10.0

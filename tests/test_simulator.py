@@ -51,7 +51,7 @@ from triphase.simulator import (
 from sector_oracle import wrap_angle_deg
 
 GEOM = receiver_points(7.0)
-RF = RFConfig(2.46e9, 3e8)
+RF = RFConfig(2.46e9)
 PROFILES = builtin_profile_set()
 GCFG = GuidanceConfig()
 SCFG = SimConfig()
@@ -518,7 +518,7 @@ class TestProfileSet:
             run(profiles, RF)
 
     @pytest.mark.parametrize("profiles,rf,pair", [
-        (PROFILES, RFConfig(5.8e9, 3e8), "d12"),
+        (PROFILES, RFConfig(5.8e9), "d12"),
         (at_frequency(PROFILES, 5.8e9), RF, "d12"),
         ({**PROFILES, "d31": dataclasses.replace(PROFILES["d31"], frequency_hz=2.45e9)}, RF,
          "d31"),
@@ -533,7 +533,7 @@ class TestProfileSet:
     def test_the_same_set_passes_at_its_own_frequency(self):
         moved = at_frequency(PROFILES, 5.8e9)
         for run in CALIBRATED_RUNS.values():
-            run(moved, RFConfig(5.8e9, 3e8))
+            run(moved, RFConfig(5.8e9))
 
     @pytest.mark.parametrize("profiles", [None, {"d12": "x"}, at_frequency(PROFILES, 5.8e9)],
                              ids=["none", "not-a-set", "other-frequency"])
@@ -584,6 +584,24 @@ class TestWorstCaseTransect:
     def test_rejects_bad_extent(self, z_cm, y_range_cm, name):
         with pytest.raises(InvalidParameterError, match=name):
             worst_case_transect(z_cm, y_range_cm, GEOM, RF, PROFILES)
+
+    @pytest.mark.parametrize("z_cm,y_range_cm,message", [
+        (1000.0, 9e307, "y_range_cm must keep the sample positions finite"),  # 2 * span is inf
+        (1e308, 1e308, "y_range_cm must keep the sample positions finite"),
+        (1.79e308, 8e307, "z_cm and y_range_cm must keep the phases finite"),  # distances are inf
+    ])
+    def test_rejects_extent_that_overflows(self, z_cm, y_range_cm, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            worst_case_transect(z_cm, y_range_cm, GEOM, RF, PROFILES, n_samples=2)
+
+    def test_height_at_the_float_limit_keeps_its_rows(self):
+        # far field: every distance is finite and every phase rounds to zero
+        rows = worst_case_transect(1.79e308, 1.0, GEOM, RF, PROFILES, n_samples=3)
+        assert [r.y_cm for r in rows] == [-1.0, 0.0, 1.0]
+        null = sense(DroneState(Vector3(0.0, 0.0, 1000.0)), Vector3(0.0, 0.0, 0.0), GEOM, RF,
+                     PROFILES)
+        assert all((r.th12, r.th23, r.th31, r.v23, r.v31, r.ambiguous)
+                   == (0.0, 0.0, 0.0, null.v23, null.v31, False) for r in rows)
 
     def test_phases_nearly_antisymmetric_in_y(self):
         # the triangle's fore/aft offset breaks exact oddness by a fraction

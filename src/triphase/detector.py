@@ -12,6 +12,7 @@ Three models map a pair phase shift to a DC voltage:
 The calibrated polynomials are the simulator's default model.  Their strict
 monotonicity is proven exactly, so forward voltage synthesis has one root to
 find, by a safeguarded Newton-bisection seeded from a per-profile table.
+Only fit_calibration imports numpy, so the landing path starts without it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from ._textio import text_stream
 from .errors import (
@@ -111,7 +110,7 @@ def _increasing(coeffs, a, b):
     return _horner(slope, a) > 0.0 and not _roots(slope, a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementSample:
     """One calibration measurement: nominal phase [deg], detector voltage [V]."""
 
@@ -119,12 +118,12 @@ class MeasurementSample:
     voltage_v: float
     power_dbm: float | None = None  # input amplitude, metadata only
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_deg", _check_finite("theta_deg", self.theta_deg))
-        object.__setattr__(self, "voltage_v",
-                           _check_positive("voltage_v", self.voltage_v, zero_ok=True))
-        if self.power_dbm is not None:
-            object.__setattr__(self, "power_dbm", _check_finite("power_dbm", self.power_dbm))
+    def __init__(self, theta_deg, voltage_v, power_dbm=None):
+        # each field is stored once, as the float its check returns
+        object.__setattr__(self, "theta_deg", _check_finite("theta_deg", theta_deg))
+        object.__setattr__(self, "voltage_v", _check_positive("voltage_v", voltage_v, zero_ok=True))
+        object.__setattr__(self, "power_dbm",
+                           None if power_dbm is None else _check_finite("power_dbm", power_dbm))
 
 
 @dataclass(frozen=True)
@@ -249,6 +248,8 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
     largest absolute residual; v_lo/v_hi come from the sample extrema; v_ref
     is the fitted zero crossing.  Non-monotone fits are rejected.
     """
+    import numpy as np
+
     if _check_count("degree", degree, 1) > 5:
         raise InvalidParameterError(f"degree must be an integer in [1, 5], got {degree!r}")
     samples = list(samples)
@@ -314,10 +315,17 @@ def save_profile(poly: CalibrationPolynomial, path_or_file):
             fh.write(f"{name} = {getattr(poly, name)!r}\n")
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> FileFormatError:
+    return FileFormatError(f"not UTF-8 text at byte 0x{exc.object[exc.start]:02x} ({exc.reason})")
+
+
 def load_profile(path_or_file) -> CalibrationPolynomial:
-    """Read a key = value calibration profile, each key once; '#' starts a comment."""
+    """Read a UTF-8 key = value calibration profile, each key once; '#' starts a comment."""
     with text_stream(path_or_file, "r") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
     values = dict.fromkeys(_PROFILE_FIELDS)  # each key's text, None until its line is read
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -342,9 +350,15 @@ def load_profile(path_or_file) -> CalibrationPolynomial:
 
 
 def read_measurement_csv(path_or_file):
-    """Read measurement samples from CSV with header theta_deg,voltage_v,power_dbm."""
+    """Read measurement samples from UTF-8 CSV with header theta_deg,voltage_v,power_dbm."""
     with text_stream(path_or_file, "r") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise FileFormatError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
     if not rows:
         raise FileFormatError("empty measurement file")
     expected = ["theta_deg", "voltage_v", "power_dbm"]

@@ -13,6 +13,7 @@ computed with exact near-field distances (no plane-wave approximation).
 Azimuths are measured from body +Y toward body +X, i.e. clockwise when seen
 from above.  All values are plain floats; every public object is immutable
 and safe to share between threads.
+Only the cone screen imports numpy, so the landing path starts without it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from ._textio import write_csv
 from .errors import DegenerateGeometryError, InvalidParameterError, RangeUnboundedError
@@ -270,6 +269,8 @@ def _screened_ranges(z, limit, directions, geom: ReceiverGeometry, k):
     every test of its scan up to the first max|th| >= limit clears tol, so
     the scalar scan takes the same branches; the scalar kernel then bisects.
     """
+    import numpy as np
+
     r = np.add.accumulate(np.full(_SCREEN_STEPS, z / 100.0))
     x, y = np.array(directions).T[:, :, None] * r
     with np.errstate(all="ignore"):  # an overflow leaves tol non-finite, which settles nothing

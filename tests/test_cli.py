@@ -2,9 +2,14 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import triphase
 from triphase.cli import main
 from triphase.detector import TABLE2_D12, TABLE2_D31, load_profile, save_profile
 
@@ -283,6 +288,8 @@ INPUT_BRANCHES = [
                  "line 13: repeated key 'v_hi'", id="profile-repeated-key"),
     pytest.param("simulate", saved_d31(lambda t: t + "typo_key = 1\n"), [], 2,
                  "line 13: unknown key 'typo_key'", id="profile-unknown-key"),
+    pytest.param("simulate", saved_d31(lambda t: "# d31, mesur\xe9\n" + t).encode("latin-1"),
+                 [], 2, "not UTF-8 text at byte 0xe9", id="profile-latin-1-comment"),
     pytest.param("simulate", saved_d31(lambda t: t.replace("= d31", "= d99")), [], 2,
                  "pair_id must be one of", id="profile-unknown-pair"),
     pytest.param("simulate", saved_d31(lambda t: t.replace("v_lo = ", "v_lo = 3.0 #")), [], 2,
@@ -293,6 +300,10 @@ INPUT_BRANCHES = [
                  "line 1: expected header", id="csv-wrong-header"),
     pytest.param("fit", MEASURED + "10,1.7\n", [], 2,
                  "line 8: expected 3 fields, got 2", id="csv-two-fields"),
+    pytest.param("fit", MEASURED.encode() + b"10,1.7\xff,-20\n", [], 2,
+                 "not UTF-8 text at byte 0xff", id="csv-byte-0xff"),
+    pytest.param("fit", HEADER + f'"{"1" * 140_000}",1.5,-20\n', [], 2,
+                 "line 2: field larger than field limit", id="csv-field-over-limit"),
     pytest.param("fit", HEADER, [], 2,
                  "no measurement rows found", id="csv-header-only"),
     pytest.param("fit", MEASURED.replace("\n0,", "\n\n  \n0,", 1), [], 0, "",
@@ -314,7 +325,7 @@ INPUT_BRANCHES = [
 @pytest.mark.parametrize("command,text,options,code,message", INPUT_BRANCHES)
 def test_input_branch_exit_code(tmp_path, capsys, command, text, options, code, message):
     path = tmp_path / "input"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = {"fit": ["fit", str(path)], "cone": ["cone"],
             "simulate": ["simulate", "--profile", f"table2-d12,table2-d23,{path}",
                          "--max-iterations", "3"]}[command]
@@ -443,3 +454,39 @@ class TestParsing:
 
     def test_infinite_voltage_rejected(self):
         assert main(["decide", "inf", "0", "0"]) == 1
+
+
+# Run in a fresh interpreter, since this test process has numpy loaded.  argv: the source
+# directory, then the command that should load numpy.  Prints whether numpy was loaded
+# after the guidance path and after that command.
+NUMPY_PROBE = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import triphase
+from triphase import cli, detector, geometry, simulator
+geom, rf = geometry.receiver_points(7.0), geometry.RFConfig(2.46e9)
+profiles = detector.builtin_profile_set()
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    codes = [cli.main(["simulate"]), cli.main(["decide", "0.72", "0.53", "-1.08"]),
+             cli.main(["sweep"])]
+    simulator.sense(simulator.DroneState(geometry.Vector3(0.0, 0.0, 300.0)),
+                    geometry.Vector3(50.0, 20.0, 0.0), geom, rf, profiles)
+    simulator.worst_case_transect(300.0, 100.0, geom, rf, profiles, n_samples=11)
+    geometry.nonambiguous_range(300.0, 0.0, 80.0, geom, rf)
+    buf = io.StringIO()
+    detector.save_profile(detector.TABLE2_D12, buf)
+    detector.load_profile(io.StringIO(buf.getvalue()))
+    guidance_path = "numpy" in sys.modules
+    codes.append(cli.main(sys.argv[2:]))
+print(json.dumps([codes, guidance_path, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command", [["cone", "--z-cm", "100"], ["fit", "samples.csv"]],
+                         ids=["cone", "fit"])
+def test_only_cone_and_fit_load_numpy(tmp_path, command):
+    (tmp_path / "samples.csv").write_text(MEASURED)
+    src = str(Path(triphase.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, src, *command], cwd=tmp_path,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert json.loads(out) == [[0, 0, 0, 0], False, True]

@@ -30,6 +30,7 @@ from triphase.errors import (
     FileFormatError,
     InvalidParameterError,
     PhaseAmbiguityError,
+    TriphaseError,
     VoltageOutOfRangeError,
 )
 
@@ -286,6 +287,19 @@ class TestMeasurementCsv:
     def test_blank_power_reads_as_none(self):
         samples = read_measurement_csv(io.StringIO("theta_deg,voltage_v,power_dbm\n0,1.533,\n"))
         assert samples[0].power_dbm is None
+
+
+@settings(deadline=None)
+@given(head=st.sampled_from([b"", b"theta_deg,voltage_v,power_dbm\n", b"pair_id = d12\n"]),
+       body=st.binary())
+def test_readers_return_or_raise_a_package_error_on_any_bytes(tmp_path_factory, head, body):
+    path = tmp_path_factory.getbasetemp() / "any-bytes"
+    path.write_bytes(head + body)
+    for reader in (read_measurement_csv, load_profile):
+        try:
+            reader(path)
+        except TriphaseError:
+            pass
 
 
 class TestMeasurementSample:

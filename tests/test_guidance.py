@@ -42,6 +42,12 @@ class TestClassifySector:
     def test_zenith_tie_goes_forward(self):
         assert str(classify_sector(VoltageTriple(0.0, 0.0, 0.0))) == "1a"
 
+    @pytest.mark.parametrize("v,want", [((0.5, 0.0, 0.0), "3b"), ((0.5, 0.3, -0.3), "3b"),
+                                        ((0.5, -0.3, 0.3), "3a")])
+    def test_ties_go_to_sector_3_and_zero_counts_as_positive(self, v, want):
+        # |v23| == |v31| is major 3, not 2; v23 == 0 reads as positive, so 3b
+        assert str(classify_sector(VoltageTriple(*v))) == want
+
     def test_valid_sector_ids_only(self):
         with pytest.raises(InvalidParameterError):
             SectorId(4, "a")

@@ -344,6 +344,14 @@ class TestSimulateLanding:
         assert (final.x, final.y) == (0.0, 0.0)
         assert final.z <= SCFG.min_height_cm
 
+    def test_touchdown_without_hold_is_not_converged(self):
+        # no reading gets inside a 1 nV threshold: the run descends to touchdown, never held
+        result = simulate_landing(fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES,
+                                  GuidanceConfig(hold_threshold_v=1e-9), SCFG)
+        assert result.touchdown and not result.aborted
+        assert result.first_hold_iteration is None
+        assert not result.converged
+
     def test_beacon_above_touchdown_height_rejected_before_first_cycle(self):
         # z is the height above the beacon plane; the run would descend past the beacon
         with pytest.raises(InvalidParameterError, match="^landing z must be <= min_height_cm"):

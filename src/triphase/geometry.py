@@ -50,9 +50,6 @@ class Vector3:
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
 
-    def distance_to(self, other: "Vector3") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
 
 @dataclass(frozen=True)
 class ReceiverGeometry:
@@ -109,14 +106,6 @@ class PhaseSolution:
     th23: float
     th31: float
 
-    @property
-    def phases(self):
-        return (self.th12, self.th23, self.th31)
-
-    @property
-    def max_abs_phase(self) -> float:
-        return max(abs(self.th12), abs(self.th23), abs(self.th31))
-
 
 def receiver_points(spacing_cm) -> ReceiverGeometry:
     """The equilateral receiver triangle for a given input spacing D [cm]."""
@@ -139,10 +128,10 @@ def landing_point(r_cm, phi_deg, height_cm) -> Vector3:
     return Vector3(r * sin_phi, r * cos_phi, -height)
 
 
-def _path_differences(q, geom: ReceiverGeometry):
-    """Path differences d1 - d2, d2 - d3, d3 - d1 [cm] from the point q = (x, y, z).
-
-    Raises DegenerateGeometryError if q coincides with a receiver input.
+def _phases(q, geom: ReceiverGeometry, k):
+    """The phase law: th12, th23, th31 = k * (d1 - d2), k * (d2 - d3), k * (d3 - d1) from the
+    point q = (x, y, z), unwrapped; k = rf.deg_per_cm gives degrees, k = 1.0 the path
+    differences [cm] exactly.  Raises DegenerateGeometryError if q coincides with an input.
     """
     p1, p2, p3 = geom.coords
     d1 = math.dist(q, p1)
@@ -150,7 +139,7 @@ def _path_differences(q, geom: ReceiverGeometry):
     d3 = math.dist(q, p3)
     if min(d1, d2, d3) <= 0.0:
         raise DegenerateGeometryError("landing point coincides with a receiver input")
-    return d1 - d2, d2 - d3, d3 - d1
+    return k * (d1 - d2), k * (d2 - d3), k * (d3 - d1)
 
 
 def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> PhaseSolution:
@@ -160,7 +149,7 @@ def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> Ph
     receiver input.  Phases are left unwrapped; wrap only where a detector
     model needs it.
     """
-    dd12, dd23, dd31 = _path_differences((landing.x, landing.y, landing.z), geom)
+    dd12, dd23, dd31 = _phases((landing.x, landing.y, landing.z), geom, 1.0)
     c_cm = SPEED_OF_LIGHT_MPS * 100.0
     k = rf.deg_per_cm
     return PhaseSolution(
@@ -185,9 +174,8 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     step = 360.0 / (n_samples - 1)
     for j in range(n_samples):
         phi = -180.0 + j * step
-        sin_phi, cos_phi = _direction(phi)  # phase_solution's float operations
-        dd12, dd23, dd31 = _path_differences((r * sin_phi, r * cos_phi, -z), geom)
-        rows.append((phi, k * dd12, k * dd23, k * dd31))
+        sin_phi, cos_phi = _direction(phi)
+        rows.append((phi, *_phases((r * sin_phi, r * cos_phi, -z), geom, k)))
     return rows
 
 
@@ -199,13 +187,13 @@ def _check_limit(theta_limit_deg):
 
 
 def _ray_kernel(z, sin_phi, cos_phi, geom: ReceiverGeometry, k):
-    """max|th| at radius r on one ray, by the float operations of phase_solution(...)."""
+    """max|th| at radius r on the ray from height z along the direction (sin_phi, cos_phi)."""
     def max_abs_phase(r):
         # r overflows only for extents near the float limit; a scan at inf would never end
         if not math.isfinite(r):
             raise InvalidParameterError(f"r_cm must be a finite number, got {r!r}")
-        dd12, dd23, dd31 = _path_differences((r * sin_phi, r * cos_phi, -z), geom)
-        return max(abs(k * dd12), abs(k * dd23), abs(k * dd31))
+        a, b, c = _phases((r * sin_phi, r * cos_phi, -z), geom, k)
+        return max(abs(a), abs(b), abs(c))
 
     return max_abs_phase
 

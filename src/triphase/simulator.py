@@ -43,7 +43,7 @@ from .geometry import (
     ReceiverGeometry,
     RFConfig,
     Vector3,
-    _path_differences,
+    _phases,
     _wrap,
     phase_solution,
 )
@@ -178,12 +178,11 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
 
 def _sense(q, geom, k, limit, voltage, profiles):
     """sense on the body-frame beacon point q, k = rf.deg_per_cm and a checked mode entry."""
-    # the float operations of phase_solution(geom, landing_body_frame(state, landing), rf)
     out = []
-    for pair, dd in zip(PAIR_IDS, _path_differences(q, geom)):
-        theta = _wrap(k * dd)
+    for pair, th in zip(PAIR_IDS, _phases(q, geom, k)):
+        theta = _wrap(th)
         if not abs(theta) <= limit:  # also nan, when the beacon offset overflowed
-            _check_finite("angle", k * dd)
+            _check_finite("angle", th)
             raise PhaseAmbiguityError(pair, theta)
         out.append(voltage(theta, pair, profiles))
     return _trusted(VoltageTriple, v12=out[0], v23=out[1], v31=out[2])

@@ -1,4 +1,4 @@
-"""Test oracle for the guidance sectors, kept out of the package."""
+"""Test oracles for the guidance sectors and the phase shifts, kept out of the package."""
 
 import math
 
@@ -13,6 +13,16 @@ def wrap_angle_deg(angle):
         raise InvalidParameterError(f"angle must be a finite number, got {angle!r}")
     a = float(angle) % 360.0
     return a - 360.0 if a > 180.0 else a
+
+
+def phases(sol):
+    """The three unwrapped phase shifts (th12, th23, th31) of a PhaseSolution."""
+    return (sol.th12, sol.th23, sol.th31)
+
+
+def peak_phase(sol):
+    """The largest |phase shift| of a PhaseSolution."""
+    return max(abs(sol.th12), abs(sol.th23), abs(sol.th31))
 
 
 def expected_sector_from_azimuth(phi_deg) -> SectorId:

@@ -40,7 +40,7 @@ from triphase.geometry import (
 from triphase.guidance import GuidanceConfig, ManeuverKind, VoltageTriple, classify_sector, decide
 from triphase.simulator import DroneState, SimConfig, sense, simulate_landing, worst_case_transect
 
-from sector_oracle import expected_sector_from_azimuth
+from sector_oracle import expected_sector_from_azimuth, phases
 
 GEOM = receiver_points(7.0)
 RF245 = RFConfig(2.45e9)
@@ -240,7 +240,7 @@ def test_criterion_10_guidance_oracle_agreement():
             if any(abs(phi - b) <= 1.0 for b in boundaries):
                 continue
             sol = phase_solution(GEOM, landing_point(10.0, phi, 100.0), RF245)
-            v = VoltageTriple(*(ideal_sine_voltage(t) for t in sol.phases))
+            v = VoltageTriple(*(ideal_sine_voltage(t) for t in phases(sol)))
             assert classify_sector(v) == expected_sector_from_azimuth(phi), f"phi={phi}"
 
 

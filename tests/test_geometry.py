@@ -29,18 +29,22 @@ from triphase.geometry import (
     receiver_points,
 )
 
-from sector_oracle import wrap_angle_deg
+from sector_oracle import peak_phase, wrap_angle_deg
 
 RF245 = RFConfig(2.45e9)
 RF246 = RFConfig(2.46e9)
 GEOM7 = receiver_points(7.0)
 
 
+def xyz(v):
+    return (v.x, v.y, v.z)
+
+
 def reference_phase_solution(geom, landing, rf):
-    """The phase law on objects: Vector3.distance_to from the landing point to each input."""
-    d1 = landing.distance_to(geom.p1)
-    d2 = landing.distance_to(geom.p2)
-    d3 = landing.distance_to(geom.p3)
+    """The phase law on objects: math.dist from the landing point to each input."""
+    d1 = math.dist(xyz(landing), xyz(geom.p1))
+    d2 = math.dist(xyz(landing), xyz(geom.p2))
+    d3 = math.dist(xyz(landing), xyz(geom.p3))
     if min(d1, d2, d3) <= 0.0:
         raise DegenerateGeometryError("landing point coincides with a receiver input")
     dd12, dd23, dd31 = d1 - d2, d2 - d3, d3 - d1
@@ -69,7 +73,7 @@ def reference_nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom, rf):
 
     def max_abs_phase(r):
         landing = reference_landing_point(r, phi_deg, z)
-        return reference_phase_solution(geom, landing, rf).max_abs_phase
+        return peak_phase(reference_phase_solution(geom, landing, rf))
 
     step = z / 100.0
     r_prev, f_prev = 0.0, 0.0
@@ -160,9 +164,9 @@ class TestReceiverPoints:
         for _ in range(50):
             d = rng.uniform(0.1, 50.0)
             geom = receiver_points(d)
-            assert geom.p1.distance_to(geom.p2) == pytest.approx(d, abs=1e-9)
-            assert geom.p2.distance_to(geom.p3) == pytest.approx(d, abs=1e-9)
-            assert geom.p3.distance_to(geom.p1) == pytest.approx(d, abs=1e-9)
+            assert math.dist(xyz(geom.p1), xyz(geom.p2)) == pytest.approx(d, abs=1e-9)
+            assert math.dist(xyz(geom.p2), xyz(geom.p3)) == pytest.approx(d, abs=1e-9)
+            assert math.dist(xyz(geom.p3), xyz(geom.p1)) == pytest.approx(d, abs=1e-9)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_spacing(self, bad):
@@ -220,7 +224,7 @@ class TestLandingPointWorld:
 class TestPhaseSolution:
     def test_zenith_null(self):
         sol = phase_solution(GEOM7, Vector3(0.0, 0.0, -100.0), RF245)
-        assert sol.max_abs_phase <= 1e-9
+        assert peak_phase(sol) <= 1e-9
 
     def test_degrees_per_cm_of_path_difference(self):
         # 1 cm path difference at 2.46 GHz: 2 * 2.46e9 * 180 / (299,792,458 * 100)
@@ -480,7 +484,7 @@ def scan_point_limit(z, phi, n, geom, rf):
     r = step
     for _ in range(n - 1):
         r += step
-    return phase_solution(geom, landing_point(r, phi, z), rf).max_abs_phase
+    return peak_phase(phase_solution(geom, landing_point(r, phi, z), rf))
 
 
 GEOM5 = receiver_points(5.0)  # k*D = 147 deg at 2.45 GHz

@@ -23,7 +23,7 @@ from triphase.guidance import (
     trace_line,
 )
 
-from sector_oracle import expected_sector_from_azimuth
+from sector_oracle import expected_sector_from_azimuth, phases
 
 CFG = GuidanceConfig()
 
@@ -135,7 +135,7 @@ class TestOracleAgreement:
             if any(abs(phi - b) <= 1.0 for b in boundaries):
                 continue
             sol = phase_solution(geom, landing_point(10.0, phi, 100.0), rf)
-            v = VoltageTriple(*(ideal_sine_voltage(t) for t in sol.phases))
+            v = VoltageTriple(*(ideal_sine_voltage(t) for t in phases(sol)))
             assert classify_sector(v) == expected_sector_from_azimuth(phi), f"phi={phi}"
 
 

@@ -18,6 +18,7 @@ from triphase.detector import (
 )
 from triphase.errors import InvalidParameterError, PhaseAmbiguityError, TriphaseError
 from triphase.geometry import (
+    PhaseSolution,
     RFConfig,
     Vector3,
     landing_point,
@@ -48,7 +49,7 @@ from triphase.simulator import (
     write_trajectory_csv,
 )
 
-from sector_oracle import wrap_angle_deg
+from sector_oracle import phases, wrap_angle_deg
 
 GEOM = receiver_points(7.0)
 RF = RFConfig(2.46e9)
@@ -73,7 +74,7 @@ def reference_sense(state, landing, geom, rf, profiles=None, mode="calibrated"):
         raise InvalidParameterError(f"unknown detector mode {mode!r}")
     sol = phase_solution(geom, landing_body_frame(state, landing), rf)
     wrapped = {pair: wrap_angle_deg(th)
-               for pair, th in zip(("d12", "d23", "d31"), sol.phases)}
+               for pair, th in zip(("d12", "d23", "d31"), phases(sol))}
 
     if mode == "calibrated":
         if profiles is None:
@@ -221,6 +222,15 @@ class TestSense:
         with pytest.raises(InvalidParameterError):
             sense(fig14_start(), Vector3(0.0, 0.0, 400.0), GEOM, RF, PROFILES)
 
+    @pytest.mark.parametrize("call", [
+        lambda state, beacon: sense(state, beacon, GEOM, RF, PROFILES),
+        lambda state, beacon: landing_body_frame(state, beacon),
+    ], ids=["sense", "landing_body_frame"])
+    def test_beacon_level_with_the_drone_rejected(self, call):
+        # dz == 0 is not below the plane: the body-frame point would sit in the receiver plane
+        with pytest.raises(InvalidParameterError, match="below the drone plane"):
+            call(fig14_start(), Vector3(5.0, -3.0, 300.0))
+
     def test_ideal_mode_is_sine_of_phase(self):
         v = sense(fig14_start(), ground_point(10.0, 0.0), GEOM, RF, None, mode="ideal-sine")
         assert v.v12 == 0.0
@@ -357,6 +367,11 @@ class TestSimulateLanding:
         with pytest.raises(InvalidParameterError, match="^landing z must be <= min_height_cm"):
             simulate_landing(fig14_start(), Vector3(0.0, 0.0, 50.0), GEOM, RF, PROFILES,
                              GCFG, SimConfig(max_iterations=1))
+
+    def test_beacon_at_touchdown_height_is_accepted(self):
+        result = simulate_landing(DroneState(Vector3(0.0, 0.0, 20.0)), Vector3(0.0, 0.0, 1.0),
+                                  GEOM, RF, PROFILES, GCFG, SimConfig(min_height_cm=1.0))
+        assert result.converged and result.final_state.position.z == 1.0
 
     def test_start_outside_cone_aborts_with_diagnostic(self):
         result = simulate_landing(fig14_start(), ground_point(250.0, 90.0),
@@ -610,6 +625,17 @@ class TestWorstCaseTransect:
                      PROFILES)
         assert all((r.th12, r.th23, r.th31, r.v23, r.v31, r.ambiguous)
                    == (0.0, 0.0, 0.0, null.v23, null.v31, False) for r in rows)
+
+    def test_a_phase_at_the_range_edge_is_not_ambiguous(self, monkeypatch):
+        edge = PhaseSolution(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                             0.0, CALIBRATED_RANGE_DEG, -CALIBRATED_RANGE_DEG)
+        monkeypatch.setattr(simulator, "phase_solution", lambda geom, landing, rf: edge)
+        rows = worst_case_transect(1000.0, 700.0, GEOM, RF, PROFILES, n_samples=3)
+        v23 = voltage_from_phase(PROFILES["d23"], 80.0) - PROFILES["d23"].v_ref
+        v31 = voltage_from_phase(PROFILES["d31"], -80.0) - PROFILES["d31"].v_ref
+        assert CALIBRATED_RANGE_DEG == 80.0 and math.isfinite(v23) and math.isfinite(v31)
+        assert all((r.th23, r.th31, r.v23, r.v31, r.ambiguous) == (80.0, -80.0, v23, v31, False)
+                   for r in rows)
 
     def test_phases_nearly_antisymmetric_in_y(self):
         # the triangle's fore/aft offset breaks exact oddness by a fraction

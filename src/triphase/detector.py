@@ -39,7 +39,7 @@ from .geometry import _wrap
 CALIBRATED_RANGE_DEG = 80.0
 #: voltage guard band beyond the validity interval [V]
 GUARD_BAND_V = 0.010
-#: how far voltage_from_phase may extend the bracket beyond [v_lo, v_hi] [V]
+#: how far the seed table may extend an end of [v_lo, v_hi] that falls short of +-80 deg [V]
 BRACKET_EXTENSION_V = 0.100
 #: grid points of the per-profile table that seeds voltage synthesis
 SEED_TABLE_POINTS = 256
@@ -180,9 +180,16 @@ class CalibrationPolynomial:
 
     @cached_property
     def _seed_table(self):
-        """(volts, phases) on a uniform grid over [v_lo, v_hi]; phases ascend."""
-        step = (self.v_hi - self.v_lo) / (SEED_TABLE_POINTS - 1)
-        volts = [self.v_lo + k * step for k in range(SEED_TABLE_POINTS - 1)] + [self.v_hi]
+        """(volts, phases) on a uniform grid over [v_lo, v_hi], phases ascending; an end short
+        of +-80 deg extends by up to BRACKET_EXTENSION_V, never past a root of the slope."""
+        slope = [k * c for k, c in enumerate(self.coeffs)][1:]
+        lo, hi = self.v_lo, self.v_hi
+        if self.evaluate(lo) > -CALIBRATED_RANGE_DEG:
+            lo = max([lo - BRACKET_EXTENSION_V, *_roots(slope, lo - BRACKET_EXTENSION_V, lo)])
+        if self.evaluate(hi) < CALIBRATED_RANGE_DEG:
+            hi = min([hi + BRACKET_EXTENSION_V, *_roots(slope, hi, hi + BRACKET_EXTENSION_V)])
+        step = (hi - lo) / (SEED_TABLE_POINTS - 1)
+        volts = [lo + k * step for k in range(SEED_TABLE_POINTS - 1)] + [hi]
         return volts, [self.evaluate(v) for v in volts]
 
 
@@ -209,30 +216,25 @@ def phase_from_voltage(poly: CalibrationPolynomial, v) -> float:
 def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     """Synthesize the raw voltage whose calibrated phase equals theta_deg.
 
-    The profile's seed table brackets the root and interpolates a start for a
-    safeguarded Newton-bisection.  Where [v_lo, v_hi] falls short of theta, the
-    bracket extends at most 100 mV past that end, over which the polynomial
-    must reach theta while strictly increasing.
+    The one synthesis path: the profile's seed table brackets the root and
+    interpolates a start for a safeguarded Newton-bisection.  The table reaches
+    up to 100 mV past v_lo or v_hi while the curve still rises, so a curve that
+    turns over there keeps the phases it reaches; any other theta is rejected.
     """
     theta_deg = _check_finite("theta_deg", theta_deg)
     if abs(theta_deg) > CALIBRATED_RANGE_DEG:
         raise PhaseAmbiguityError(poly.pair_id, theta_deg)
 
     volts, phases = poly._seed_table
-    if phases[0] <= theta_deg <= phases[-1]:
-        i = bisect.bisect_right(phases, theta_deg, 1, SEED_TABLE_POINTS - 1)
-        lo, hi = volts[i - 1], volts[i]
-        seed = lo + (theta_deg - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
-        return _solve(poly.coeffs, theta_deg, lo, hi, seed)
-    v_end = poly.v_lo if theta_deg < phases[0] else poly.v_hi
-    lo, hi = sorted((v_end, v_end + math.copysign(BRACKET_EXTENSION_V, theta_deg - phases[0])))
-    v = _solve(poly.coeffs, theta_deg, lo, hi, 0.5 * (lo + hi))
-    reached = poly.evaluate(lo) <= theta_deg <= poly.evaluate(hi)
-    if reached and _increasing(poly.coeffs, *sorted((v, v_end))):
-        return v
-    raise CalibrationRejectedError(
-        f"{poly.pair_id}: polynomial does not reach {theta_deg:+.2f} deg monotonically within "
-        f"{BRACKET_EXTENSION_V * 1000:.0f} mV of {v_end:.3f} V; cannot synthesize voltage")
+    if not phases[0] <= theta_deg <= phases[-1]:
+        v_end = poly.v_lo if theta_deg < phases[0] else poly.v_hi
+        raise CalibrationRejectedError(
+            f"{poly.pair_id}: polynomial does not reach {theta_deg:+.2f} deg monotonically within "
+            f"{BRACKET_EXTENSION_V * 1000:.0f} mV of {v_end:.3f} V; cannot synthesize voltage")
+    i = bisect.bisect_right(phases, theta_deg, 1, SEED_TABLE_POINTS - 1)
+    lo, hi = volts[i - 1], volts[i]
+    seed = lo + (theta_deg - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
+    return _solve(poly.coeffs, theta_deg, lo, hi, seed)
 
 
 def centered_voltage(v_raw, poly: CalibrationPolynomial) -> float:

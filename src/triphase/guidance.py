@@ -116,10 +116,6 @@ class GuidanceConfig:
         return {kind: Maneuver(kind, step) for *kinds, step in sizes for kind in kinds}
 
 
-def _sign(x) -> float:
-    return 1.0 if x >= 0.0 else -1.0
-
-
 def classify_sector(v: VoltageTriple) -> SectorId:
     """Locate the landing point's sector from the voltage magnitudes and signs.
 
@@ -130,7 +126,7 @@ def classify_sector(v: VoltageTriple) -> SectorId:
     """
     a12, a23, a31 = abs(v.v12), abs(v.v23), abs(v.v31)
     if a12 <= a23 and a12 <= a31:
-        return _SECTORS[1, "a" if _sign(v.v23) > 0 else "b"]
+        return _SECTORS[1, "a" if v.v23 >= 0.0 else "b"]
     if a23 < a31:
         return _SECTORS[2, "b" if v.v31 < 0 else "a"]
     return _SECTORS[3, "a" if v.v23 < 0 else "b"]
@@ -142,9 +138,9 @@ def tracking_maneuvers(v: VoltageTriple, cfg: GuidanceConfig):
     Rotate right when v12 and v23 disagree in sign (beacon on the right side),
     else left; move forward when v23 is non-negative, else backward.
     """
-    right = _sign(v.v12) != _sign(v.v23)
+    right = (v.v12 >= 0.0) != (v.v23 >= 0.0)
     rotation = ManeuverKind.ROTATE_RIGHT if right else ManeuverKind.ROTATE_LEFT
-    translation = ManeuverKind.FORWARD if _sign(v.v23) > 0 else ManeuverKind.BACKWARD
+    translation = ManeuverKind.FORWARD if v.v23 >= 0.0 else ManeuverKind.BACKWARD
     return [cfg._maneuvers[rotation], cfg._maneuvers[translation]]
 
 

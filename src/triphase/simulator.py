@@ -17,8 +17,9 @@ from the escape branch into the tracking branch.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, never inside the loop.  The
-loop's pose is plain floats, finite by construction; only the inversion
-voltage_from_phase checks its theta again.
+loop's pose is plain floats, finite by construction; only the detector laws
+check their theta again: voltage_from_phase in calibrated mode, the public
+ideal-sine and triangular laws in theirs.
 
 Runs are single-threaded and fully deterministic: identical inputs produce
 bit-identical trajectory logs.
@@ -60,7 +61,8 @@ from .guidance import (
 
 
 def _check_profiles(profiles, rf: RFConfig):
-    """Reject a calibration set that lacks a pair, mislabels one or was measured off rf's frequency."""
+    """The set's three calibrated laws, in PAIR_IDS order, after rejecting a set that lacks
+    a pair, mislabels one or was measured off rf's frequency."""
     if profiles is None:
         raise InvalidParameterError("calibrated mode requires calibration profiles")
     for pair in PAIR_IDS:
@@ -70,20 +72,17 @@ def _check_profiles(profiles, rf: RFConfig):
         if poly.frequency_hz != rf.frequency_hz:
             raise InvalidParameterError(f"profile {pair} and rf disagree on frequency: "
                                         f"{poly.frequency_hz} Hz vs {rf.frequency_hz} Hz")
+    # each law looks voltage_from_phase up in this module, where the benchmark tracer wraps it
+    return [lambda theta, poly=profiles[pair]: voltage_from_phase(poly, theta) - poly.v_ref
+            for pair in PAIR_IDS]
 
 
-def _calibrated_voltage(theta, pair, profiles):
-    # looks voltage_from_phase up in this module, where the benchmark tracer wraps it
-    poly = profiles[pair]
-    return voltage_from_phase(poly, theta) - poly.v_ref
-
-
-#: detector mode -> (non-ambiguous range [deg], f(theta, pair, profiles) giving the
-#: centered voltage [V] of a wrapped pair phase); only "calibrated" reads profiles
+#: detector mode -> (non-ambiguous range [deg], f(profiles, rf) giving the three laws, in
+#: PAIR_IDS order, from a wrapped pair phase to its centered voltage [V])
 DETECTOR_MODES = {
-    "calibrated": (CALIBRATED_RANGE_DEG, _calibrated_voltage),
-    "ideal-sine": (90.0, lambda theta, pair, profiles: ideal_sine_voltage(theta)),
-    "triangular": (90.0, lambda theta, pair, profiles: triangular_voltage(theta)),
+    "calibrated": (CALIBRATED_RANGE_DEG, _check_profiles),
+    "ideal-sine": (90.0, lambda profiles, rf: (ideal_sine_voltage,) * 3),
+    "triangular": (90.0, lambda profiles, rf: (triangular_voltage,) * 3),
 }
 
 
@@ -176,15 +175,15 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
     return Vector3(*_body_point(p.x, p.y, p.z, state.heading_deg, landing))
 
 
-def _sense(q, geom, k, limit, voltage, profiles):
-    """sense on the body-frame beacon point q, k = rf.deg_per_cm and a checked mode entry."""
+def _sense(q, geom, k, limit, laws):
+    """sense on the body-frame beacon point q, k = rf.deg_per_cm, a mode's range and its laws."""
     out = []
-    for pair, th in zip(PAIR_IDS, _phases(q, geom, k)):
+    for pair, th, law in zip(PAIR_IDS, _phases(q, geom, k), laws):
         theta = _wrap(th)
         if not abs(theta) <= limit:  # also nan, when the beacon offset overflowed
             _check_finite("angle", th)
             raise PhaseAmbiguityError(pair, theta)
-        out.append(voltage(theta, pair, profiles))
+        out.append(law(theta))
     return _trusted(VoltageTriple, v12=out[0], v23=out[1], v31=out[2])
 
 
@@ -206,10 +205,8 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
         raise InvalidParameterError(f"unknown detector mode {mode!r}")
     p = state.position
     q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
-    if mode == "calibrated":
-        _check_profiles(profiles, rf)
-    limit, voltage = DETECTOR_MODES[mode]
-    return _sense(q, geom, rf.deg_per_cm, limit, voltage, profiles)
+    limit, resolve = DETECTOR_MODES[mode]
+    return _sense(q, geom, rf.deg_per_cm, limit, resolve(profiles, rf))
 
 
 def _moved(x, y, heading, m: Maneuver):
@@ -250,9 +247,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     scfg = scfg or SimConfig()
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
-    if scfg.detector_mode == "calibrated":  # also when the start is already at touchdown
-        _check_profiles(profiles, rf)
-    limit, voltage = DETECTOR_MODES[scfg.detector_mode]
+    limit, resolve = DETECTOR_MODES[scfg.detector_mode]
+    laws = resolve(profiles, rf)  # checks the set also when the start is already at touchdown
     k = rf.deg_per_cm
     # from here on the pose is floats, finite by construction; the one DroneState per
     # cycle is the record's
@@ -267,8 +263,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         if z <= scfg.min_height_cm:
             break
         try:
-            volts = _sense(_body_point(x, y, z, heading, landing), geom, k, limit, voltage,
-                           profiles)
+            volts = _sense(_body_point(x, y, z, heading, landing), geom, k, limit, laws)
         except PhaseAmbiguityError as exc:
             diagnostic = f"iteration {iteration}: {exc}"
             break
@@ -289,7 +284,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
                 first_hold = iteration
             # descend one step, never past the touchdown height
-            z = max(z - scfg.descent_step_cm, min(z, scfg.min_height_cm))
+            z = max(z - scfg.descent_step_cm, scfg.min_height_cm)
         if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
             Vector3(x, y, z)
         state = _trusted(DroneState, position=_trusted(Vector3, x=x, y=y, z=z), heading_deg=heading)
@@ -324,7 +319,7 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     span = _check_positive("y_range_cm", y_range_cm)
     if not math.isfinite(2.0 * span * (n_samples - 1)):  # the last row's step overflows
         raise InvalidParameterError(f"y_range_cm must keep the sample positions finite, got {span}")
-    _check_profiles(profiles, rf)
+    _, law23, law31 = _check_profiles(profiles, rf)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)
@@ -337,8 +332,7 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
         if ambiguous:
             v23 = v31 = math.nan
         else:
-            v23 = _calibrated_voltage(th23, "d23", profiles)
-            v31 = _calibrated_voltage(th31, "d31", profiles)
+            v23, v31 = law23(th23), law31(th31)
         rows.append(TransectRow(y, sol.th12, th23, th31, v23, v31, ambiguous))
     return rows
 

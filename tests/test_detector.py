@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,6 +377,45 @@ class TestVoltageSynthesisOracle:
         for theta in (-80.0, 80.0):
             with pytest.raises(CalibrationRejectedError):
                 voltage_from_phase(fit, theta)
+
+
+def turn_over_profile(sign):
+    """Valid on [0, 1] V, the phase rises past v_hi to 70.51 deg at 1.05 V, then falls
+    (sign = +1); sign = -1 mirrors it onto [-1, 0] V, turning over at -1.05 V."""
+    k = 150.0 / (1.05 - 1.0 / 3.0 + 0.025)
+    v_lo, v_hi = (0.0, 1.0) if sign > 0 else (-1.0, 0.0)
+    return CalibrationPolynomial(-80.0 * sign, 1.05 * k, 0.025 * k * sign, -k / 3.0, 0.0, 0.0,
+                                 v_ref=0.392210 * sign, v_lo=v_lo, v_hi=v_hi, max_err_deg=1.0,
+                                 pair_id="d12")
+
+
+class TestSeedTable:
+    @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
+    def test_builtin_tables_span_exactly_the_validity_interval(self, poly):
+        volts, _ = poly._seed_table
+        assert (volts[0], volts[-1]) == (poly.v_lo, poly.v_hi)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["high-end", "low-end"])
+    def test_extension_stops_at_the_turn_and_phases_ascend(self, sign):
+        poly = turn_over_profile(sign)
+        volts, phases = poly._seed_table
+        ends = (volts[0], volts[-1]) if sign > 0 else (-volts[-1], -volts[0])
+        assert ends[0] == 0.0 and ends[1] == pytest.approx(1.05, abs=1e-9)
+        assert all(a < b for a, b in zip(phases, phases[1:]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["high-end", "low-end"])
+    @pytest.mark.parametrize("theta", [70.2, 70.4])
+    def test_phases_reached_before_the_turn_synthesize(self, sign, theta):
+        poly = turn_over_profile(sign)
+        v = voltage_from_phase(poly, sign * theta)
+        assert 1.0 < sign * v < 1.05
+        assert abs(poly.evaluate(v) - sign * theta) <= 1e-9
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["high-end", "low-end"])
+    def test_phase_past_the_turn_rejected(self, sign):
+        message = f"reach {sign * 70.6:+.2f} deg monotonically within 100 mV of {sign:.3f} V"
+        with pytest.raises(CalibrationRejectedError, match=re.escape(message)):
+            voltage_from_phase(turn_over_profile(sign), sign * 70.6)
 
 
 class TestMonotonicityProof:

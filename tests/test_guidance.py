@@ -71,6 +71,12 @@ class TestDecide:
         assert decide(VoltageTriple(0.00, 0.50, -0.51), CFG) == [
             Maneuver(ManeuverKind.ROTATE_LEFT, 1.0), Maneuver(ManeuverKind.FORWARD, 1.0)]
 
+    @pytest.mark.parametrize("v31", [0.5, -0.5])
+    def test_zero_v12_and_v23_both_count_as_positive(self, v31):
+        # v12 and v23 agree in sign, so rotate left; v23 reads as positive, so forward
+        assert decide(VoltageTriple(0.0, 0.0, v31), CFG) == [
+            Maneuver(ManeuverKind.ROTATE_LEFT, 1.0), Maneuver(ManeuverKind.FORWARD, 1.0)]
+
     def test_escape_right_for_sector_3(self):
         v = VoltageTriple(-0.5, 0.9, -0.2)  # |v31| smallest -> sector 3
         assert decide(v, CFG) == [Maneuver(ManeuverKind.YAW_RIGHT, 60.0)]

@@ -21,14 +21,10 @@ DEFAULT_SWEEP_FREQ_GHZ = 2.45
 _EXIT_CODES = ((InvalidParameterError, 1), ((FileFormatError, OSError), 2), (TriphaseError, 3))
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad usage; remap onto this tool's convention
+    # argparse exits with code 2 on bad usage; raise instead, so main maps it to exit 1
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise InvalidParameterError(f"{self.prog}: {message}")
 
 
 def cm_list(text):
@@ -219,10 +215,6 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except (TriphaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

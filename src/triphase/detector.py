@@ -53,14 +53,23 @@ _PROFILE_FIELDS = ("pair_id", "a0", "a1", "a2", "a3", "a4", "a5",
 TRIANGULAR_SLOPE_MV_PER_DEG = 10.0
 
 
+# the two laws below on a float theta their caller checked (and wrapped, for the sine)
+def _sine(theta):
+    return math.sin(math.radians(theta))
+
+
+def _triangular(theta):
+    return TRIANGULAR_SLOPE_MV_PER_DEG * theta / 1000.0
+
+
 def ideal_sine_voltage(theta_deg) -> float:
     """Ideal detector output in volts, sin(theta); theta wrapped to (-180, 180]."""
-    return 1.0 * math.sin(math.radians(_wrap(_check_finite("theta_deg", theta_deg))))
+    return _sine(_wrap(_check_finite("theta_deg", theta_deg)))
 
 
 def triangular_voltage(theta_deg) -> float:
     """Triangular detector output in volts over its linear region, slope * theta."""
-    return TRIANGULAR_SLOPE_MV_PER_DEG * _check_finite("theta_deg", theta_deg) / 1000.0
+    return _triangular(_check_finite("theta_deg", theta_deg))
 
 
 def _horner(coeffs, v):
@@ -196,15 +205,17 @@ class CalibrationPolynomial:
 def phase_from_voltage(poly: CalibrationPolynomial, v) -> float:
     """Recover the pair phase shift [deg] from a raw detector voltage.
 
-    Accepts voltages within the validity interval plus a 10 mV guard band;
-    within the guard band the result is clamped to the +-80 deg range.
-    Outside, the detector state is ambiguous and an error is raised.
+    Reads the validity interval plus a 10 mV guard band, widened to the seed
+    table's span, where the curve rises, so every voltage voltage_from_phase
+    returns reads back; the result is clamped to the +-80 deg range.  Outside,
+    the detector state is ambiguous and an error is raised.
     """
     v = _check_finite("v", v)
-    if v < poly.v_lo - GUARD_BAND_V or v > poly.v_hi + GUARD_BAND_V:
+    volts, _ = poly._seed_table  # spans [v_lo, v_hi] or more, so the hull below is the union
+    lo, hi = min(poly.v_lo - GUARD_BAND_V, volts[0]), max(poly.v_hi + GUARD_BAND_V, volts[-1])
+    if not lo <= v <= hi:
         raise VoltageOutOfRangeError(
-            f"{poly.pair_id}: {v:.4f} V outside [{poly.v_lo:.4f}, {poly.v_hi:.4f}] V "
-            f"+ {GUARD_BAND_V * 1000:.0f} mV guard band")
+            f"{poly.pair_id}: {v:.4f} V outside the readable [{lo:.4f}, {hi:.4f}] V")
     theta = poly.evaluate(v)
     if theta > CALIBRATED_RANGE_DEG:
         return CALIBRATED_RANGE_DEG
@@ -317,17 +328,10 @@ def save_profile(poly: CalibrationPolynomial, path_or_file):
             fh.write(f"{name} = {getattr(poly, name)!r}\n")
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> FileFormatError:
-    return FileFormatError(f"not UTF-8 text at byte 0x{exc.object[exc.start]:02x} ({exc.reason})")
-
-
 def load_profile(path_or_file) -> CalibrationPolynomial:
     """Read a UTF-8 key = value calibration profile, each key once; '#' starts a comment."""
     with text_stream(path_or_file, "r") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc) from None
+        text = fh.read()
     values = dict.fromkeys(_PROFILE_FIELDS)  # each key's text, None until its line is read
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -359,8 +363,6 @@ def read_measurement_csv(path_or_file):
             rows = list(reader)
         except csv.Error as exc:
             raise FileFormatError(f"line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc) from None
     if not rows:
         raise FileFormatError("empty measurement file")
     expected = ["theta_deg", "voltage_v", "power_dbm"]

@@ -17,9 +17,9 @@ from the escape branch into the tracking branch.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, never inside the loop.  The
-loop's pose is plain floats, finite by construction; only the detector laws
-check their theta again: voltage_from_phase in calibrated mode, the public
-ideal-sine and triangular laws in theirs.
+loop's pose is plain floats, finite by construction; one detector law checks
+its theta again: voltage_from_phase in calibrated mode.  The ideal-sine and
+triangular modes run the detector's unchecked cores.
 
 Runs are single-threaded and fully deterministic: identical inputs produce
 bit-identical trajectory logs.
@@ -34,8 +34,8 @@ from ._textio import write_csv
 from .detector import (
     CALIBRATED_RANGE_DEG,
     PAIR_IDS,
-    ideal_sine_voltage,
-    triangular_voltage,
+    _sine,
+    _triangular,
     voltage_from_phase,
 )
 from .errors import InvalidParameterError, PhaseAmbiguityError
@@ -81,8 +81,8 @@ def _check_profiles(profiles, rf: RFConfig):
 #: PAIR_IDS order, from a wrapped pair phase to its centered voltage [V])
 DETECTOR_MODES = {
     "calibrated": (CALIBRATED_RANGE_DEG, _check_profiles),
-    "ideal-sine": (90.0, lambda profiles, rf: (ideal_sine_voltage,) * 3),
-    "triangular": (90.0, lambda profiles, rf: (triangular_voltage,) * 3),
+    "ideal-sine": (90.0, lambda profiles, rf: (_sine,) * 3),
+    "triangular": (90.0, lambda profiles, rf: (_triangular,) * 3),
 }
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,8 @@ INPUT_BRANCHES = [
                  "line 13: unknown key 'typo_key'", id="profile-unknown-key"),
     pytest.param("simulate", saved_d31(lambda t: "# d31, mesur\xe9\n" + t).encode("latin-1"),
                  [], 2, "not UTF-8 text at byte 0xe9", id="profile-latin-1-comment"),
+    pytest.param("simulate", b"\xef\xbb\xbf" + saved_d31(lambda t: t).encode(), [], 0, "",
+                 id="profile-utf-8-bom"),
     pytest.param("simulate", saved_d31(lambda t: t.replace("= d31", "= d99")), [], 2,
                  "pair_id must be one of", id="profile-unknown-pair"),
     pytest.param("simulate", saved_d31(lambda t: t.replace("v_lo = ", "v_lo = 3.0 #")), [], 2,
@@ -308,6 +311,7 @@ INPUT_BRANCHES = [
                  "no measurement rows found", id="csv-header-only"),
     pytest.param("fit", MEASURED.replace("\n0,", "\n\n  \n0,", 1), [], 0, "",
                  id="csv-blank-rows"),
+    pytest.param("fit", b"\xef\xbb\xbf" + MEASURED.encode(), [], 0, "", id="csv-utf-8-bom"),
     pytest.param("fit", MEASURED, ["--degree", "6"], 1,
                  "degree must be an integer in [1, 5]", id="fit-degree-6"),
     pytest.param("fit", HEADER + "".join(f"{t},0,-20\n" for t in range(-50, 60, 10)), [], 3,
@@ -490,3 +494,28 @@ def test_only_cone_and_fit_load_numpy(tmp_path, command):
     out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, src, *command], cwd=tmp_path,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert json.loads(out) == [[0, 0, 0, 0], False, True]
+
+
+# argv, exit code and stdout of `python -m triphase.cli` in a fresh interpreter: the code
+# the process exits with, which the in-process calls of main above never reach
+PROCESS_EXITS = [
+    pytest.param(["decide", "0.72", "0.53", "-1.08"], 0, "0.72,0.53,-1.08,2b,YAWL60\n",
+                 id="success"),
+    pytest.param(["decide", "0.72", "0.53"], 1, "", id="usage"),
+    pytest.param(["fit", "missing.csv"], 2, "", id="io"),
+    pytest.param(["cone", "--spacing-cm", "1", "--z-cm", "100", "--n-azimuths", "1"], 3, "",
+                 id="numerical"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", PROCESS_EXITS)
+def test_process_exit_code(tmp_path, argv, code, stdout):
+    src = str(Path(triphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "triphase.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (code, stdout)
+    if code:  # every failure prints one line on stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    else:
+        assert done.stderr == ""

@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
 from triphase.detector import (
@@ -303,6 +303,25 @@ def test_readers_return_or_raise_a_package_error_on_any_bytes(tmp_path_factory, 
             pass
 
 
+class TestTextEncoding:
+    @pytest.mark.parametrize("reader", [load_profile, read_measurement_csv])
+    def test_caller_stream_that_does_not_decode_is_a_format_error(self, reader):
+        stream = io.TextIOWrapper(io.BytesIO(b"theta_deg,voltage_v,power_dbm\n0,1.5\xff,-20\n"),
+                                  encoding="utf-8", newline="")
+        with pytest.raises(FileFormatError,
+                           match=re.escape("not UTF-8 text at byte 0xff (invalid start byte)")):
+            reader(stream)
+        assert not stream.closed  # a caller's stream stays open
+
+    def test_byte_order_mark_is_read_and_never_written(self, tmp_path):
+        path = tmp_path / "d31.profile"
+        save_profile(TABLE2_D31, path)
+        saved = path.read_bytes()
+        assert saved.startswith(b"pair_id = d31\n")
+        path.write_bytes(b"\xef\xbb\xbf" + saved)
+        assert load_profile(path) == TABLE2_D31
+
+
 class TestMeasurementSample:
     @pytest.mark.parametrize("power", ["x", "1", math.nan, math.inf, -math.inf])
     def test_power_is_none_or_a_finite_number(self, power):
@@ -416,6 +435,35 @@ class TestSeedTable:
         message = f"reach {sign * 70.6:+.2f} deg monotonically within 100 mV of {sign:.3f} V"
         with pytest.raises(CalibrationRejectedError, match=re.escape(message)):
             voltage_from_phase(turn_over_profile(sign), sign * 70.6)
+
+
+# profiles whose seed table reaches past [v_lo, v_hi] by more than the guard band
+EXTENDED = {"stop-short-fit": STOP_SHORT_FIT, "turn-over-high": turn_over_profile(1.0),
+            "turn-over-low": turn_over_profile(-1.0)}
+
+
+class TestEverySynthesizedVoltageReadsBack:
+    @given(name=st.sampled_from(sorted(EXTENDED)), u=st.floats(0.0, 1.0))
+    @example(name="stop-short-fit", u=0.0)
+    @example(name="stop-short-fit", u=1.0)
+    @example(name="turn-over-high", u=1.0)
+    @example(name="turn-over-low", u=0.0)
+    def test_round_trip_over_the_phases_synthesis_reaches(self, name, u):
+        poly = EXTENDED[name]
+        _, phases = poly._seed_table
+        lo, hi = max(phases[0], -80.0), min(phases[-1], 80.0)
+        theta = min(lo + u * (hi - lo), hi)
+        assert abs(phase_from_voltage(poly, voltage_from_phase(poly, theta)) - theta) <= 1e-9
+
+    @pytest.mark.parametrize("name,end", [("stop-short-fit", 0), ("stop-short-fit", -1),
+                                          ("turn-over-high", -1), ("turn-over-low", 0)])
+    def test_nothing_past_the_seed_table_reads(self, name, end):
+        poly = EXTENDED[name]
+        v = poly._seed_table[0][end]
+        assert not poly.v_lo - 0.010 <= v <= poly.v_hi + 0.010
+        assert phase_from_voltage(poly, v) == max(-80.0, min(80.0, poly.evaluate(v)))
+        with pytest.raises(VoltageOutOfRangeError, match="outside the readable"):
+            phase_from_voltage(poly, math.nextafter(v, math.inf if end else -math.inf))
 
 
 class TestMonotonicityProof:

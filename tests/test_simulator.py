@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from triphase import simulator
+from triphase import detector, simulator
 from triphase.detector import (
     CALIBRATED_RANGE_DEG,
     TABLE2_D12,
@@ -476,6 +476,23 @@ class TestSimulateLanding:
         assert calls["sense"] == cycles
         assert calls["inversion"] == 3 * cycles
         assert calls["state"] <= cycles + 1
+
+    @pytest.mark.parametrize("mode,per_cycle", [("calibrated", 3), ("ideal-sine", 0),
+                                                ("triangular", 0)])
+    def test_only_the_calibrated_inversion_checks_theta(self, monkeypatch, mode, per_cycle):
+        # _sense has wrapped and range-tested every theta a detector law receives
+        calls = []
+        check = detector._check_finite
+
+        def counting(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        monkeypatch.setattr(detector, "_check_finite", counting)
+        result = simulate_landing(DroneState(Vector3(0.0, 0.0, 200.0)), Vector3(10.0, 20.0, 0.0),
+                                  GEOM, RF, PROFILES, GCFG, SimConfig(detector_mode=mode))
+        assert result.touchdown and result.iterations > 100
+        assert len(calls) == per_cycle * result.iterations
 
     def test_randomized_convergence_inside_half_cone(self):
         rng = random.Random(20260810)

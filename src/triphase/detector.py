@@ -73,25 +73,33 @@ def triangular_voltage(theta_deg) -> float:
 
 
 def _horner(coeffs, v):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
+    a0, a1, a2, a3, a4, a5 = coeffs  # exactly six, as _solve takes them
+    return ((((a5 * v + a4) * v + a3) * v + a2) * v + a1) * v + a0
 
 
 def _solve(coeffs, target, lo, hi, v):
     """Root of poly(x) = target in [lo, hi], where poly(lo) <= target <= poly(hi).
 
-    Safeguarded Newton from v (Brent 1973): each evaluation moves a bracket end
-    to v, a Newton step leaving the bracket becomes a bisection, and a step
+    coeffs is exactly six coefficients a0..a5 (pad a lower degree with high-order
+    zeros).  Safeguarded Newton from v (Brent 1973): each evaluation moves a bracket
+    end to v, a Newton step leaving the bracket becomes a bisection, and a step
     below 1e-9 (volts, for every caller) ends the search."""
+    a0, a1, a2, a3, a4, a5 = coeffs
     for _ in range(100):
-        p = dp = 0.0
-        for c in reversed(coeffs):
-            dp = dp * v + p
-            p = p * v + c
-        p -= target
-        lo, hi = (v, hi) if p <= 0.0 else (lo, v)
+        # p - target and dp = p' by Horner, unrolled in the generic loop's operation order
+        p = a5 * v + a4
+        dp = a5 * v + p
+        p = p * v + a3
+        dp = dp * v + p
+        p = p * v + a2
+        dp = dp * v + p
+        p = p * v + a1
+        dp = dp * v + p
+        p = p * v + a0 - target
+        if p <= 0.0:
+            lo = v
+        else:
+            hi = v
         if dp == 0.0 or not lo <= (nxt := v - p / dp) <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - v) <= 1e-9:
@@ -100,11 +108,16 @@ def _solve(coeffs, target, lo, hi, v):
     return v
 
 
+def _slope(coeffs):
+    """The derivative of six coefficients a0..a5, as six with a high-order 0.0."""
+    return [k * c for k, c in enumerate(coeffs)][1:] + [0.0]
+
+
 def _roots(coeffs, a, b):
     """Real roots in [a, b], ascending: at most one per piece between the derivative's roots."""
     if not any(coeffs[1:]):
         return []
-    cuts = [a, *_roots([k * c for k, c in enumerate(coeffs)][1:], a, b), b]
+    cuts = [a, *_roots(_slope(coeffs), a, b), b]
     roots = []
     for lo, hi in zip(cuts, cuts[1:]):
         sign = 1.0 if _horner(coeffs, lo) <= 0.0 else -1.0
@@ -115,7 +128,7 @@ def _roots(coeffs, a, b):
 
 def _increasing(coeffs, a, b):
     """Exact test of strict increase on [a, b]: the slope is positive at a, root-free on [a, b]."""
-    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    slope = _slope(coeffs)
     return _horner(slope, a) > 0.0 and not _roots(slope, a, b)
 
 
@@ -191,7 +204,7 @@ class CalibrationPolynomial:
     def _seed_table(self):
         """(volts, phases) on a uniform grid over [v_lo, v_hi], phases ascending; an end short
         of +-80 deg extends by up to BRACKET_EXTENSION_V, never past a root of the slope."""
-        slope = [k * c for k, c in enumerate(self.coeffs)][1:]
+        slope = _slope(self.coeffs)
         lo, hi = self.v_lo, self.v_hi
         if self.evaluate(lo) > -CALIBRATED_RANGE_DEG:
             lo = max([lo - BRACKET_EXTENSION_V, *_roots(slope, lo - BRACKET_EXTENSION_V, lo)])
@@ -330,8 +343,8 @@ def save_profile(poly: CalibrationPolynomial, path_or_file):
 
 def load_profile(path_or_file) -> CalibrationPolynomial:
     """Read a UTF-8 key = value calibration profile, each key once; '#' starts a comment."""
-    with text_stream(path_or_file, "r") as fh:
-        text = fh.read()
+    with text_stream(path_or_file, "r") as lines:
+        text = "".join(lines)
     values = dict.fromkeys(_PROFILE_FIELDS)  # each key's text, None until its line is read
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -357,8 +370,8 @@ def load_profile(path_or_file) -> CalibrationPolynomial:
 
 def read_measurement_csv(path_or_file):
     """Read measurement samples from UTF-8 CSV with header theta_deg,voltage_v,power_dbm."""
-    with text_stream(path_or_file, "r") as fh:
-        reader = csv.reader(fh)
+    with text_stream(path_or_file, "r") as lines:
+        reader = csv.reader(lines)
         try:
             rows = list(reader)
         except csv.Error as exc:

@@ -1,12 +1,14 @@
+import bisect
 import dataclasses
 import io
 import math
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
+from triphase import detector
 from triphase.detector import (
     CalibrationPolynomial,
     MeasurementSample,
@@ -167,13 +169,16 @@ class TestCenteredVoltage:
             v += 0.001
 
 
+def reference_horner(coeffs, v):
+    """Polynomial value by a generic Horner loop: the order detector._horner unrolls."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
 def quintic_samples(coeffs, volts):
-    def f(v):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * v + c
-        return acc
-    return [MeasurementSample(f(v), v) for v in volts]
+    return [MeasurementSample(reference_horner(coeffs, v), v) for v in volts]
 
 
 class TestFitCalibration:
@@ -321,6 +326,43 @@ class TestTextEncoding:
         path.write_bytes(b"\xef\xbb\xbf" + saved)
         assert load_profile(path) == TABLE2_D31
 
+    def test_byte_order_mark_on_a_callers_profile_stream_is_skipped(self):
+        buf = io.StringIO()
+        save_profile(TABLE2_D31, buf)
+        assert load_profile(io.StringIO("\ufeff" + buf.getvalue())) == TABLE2_D31
+
+    def test_byte_order_mark_on_a_callers_csv_stream_is_skipped(self):
+        text = "\ufefftheta_deg,voltage_v,power_dbm\n-10,1.25,-20\n"
+        assert read_measurement_csv(io.StringIO(text)) == [MeasurementSample(-10.0, 1.25, -20.0)]
+
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path, source):
+        buf = io.StringIO()
+        save_profile(TABLE2_D31, buf)
+        text = "\ufeff\ufeff" + buf.getvalue()
+        path = tmp_path / "two-marks.profile"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape("line 1: unknown key '\\ufeffpair_id'")):
+            load_profile(path if source == "path" else io.StringIO(text))
+        with pytest.raises(FileFormatError, match="line 1: expected header"):
+            read_measurement_csv(io.StringIO("\ufeff\ufefftheta_deg,voltage_v,power_dbm\n0,1.5,\n"))
+
+    def test_an_object_with_only_write_is_a_stream(self):
+        class Sink:
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+
+        sink = Sink()
+        save_profile(TABLE2_D31, sink)
+        assert load_profile(io.StringIO("".join(sink.parts))) == TABLE2_D31
+
+    def test_a_mark_after_the_first_character_is_data(self):
+        with pytest.raises(FileFormatError, match="line 1: expected header"):
+            read_measurement_csv(io.StringIO("t\ufeffheta_deg,voltage_v,power_dbm\n0,1.5,\n"))
+
 
 class TestMeasurementSample:
     @pytest.mark.parametrize("power", ["x", "1", math.nan, math.inf, -math.inf])
@@ -396,6 +438,84 @@ class TestVoltageSynthesisOracle:
         for theta in (-80.0, 80.0):
             with pytest.raises(CalibrationRejectedError):
                 voltage_from_phase(fit, theta)
+
+
+def reference_solve(coeffs, target, lo, hi, v):
+    """The safeguarded Newton search as a generic Horner loop over any number of
+    coefficients: the operation order detector._solve unrolls for exactly six."""
+    for _ in range(100):
+        p = dp = 0.0
+        for c in reversed(coeffs):
+            dp = dp * v + p
+            p = p * v + c
+        p -= target
+        lo, hi = (v, hi) if p <= 0.0 else (lo, v)
+        if dp == 0.0 or not lo <= (nxt := v - p / dp) <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - v) <= 1e-9:
+            return nxt
+        v = nxt
+    return v
+
+
+def seeded_bracket(poly, theta):
+    """voltage_from_phase's bracket and interpolated seed from the profile's seed table."""
+    volts, phases = poly._seed_table
+    i = bisect.bisect_right(phases, theta, 1, len(phases) - 1)
+    lo, hi = volts[i - 1], volts[i]
+    return lo, hi, lo + (theta - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
+
+
+class TestNewtonKernel:
+    @settings(max_examples=300)
+    @given(coeffs=st.lists(st.floats(-300.0, 300.0), min_size=6, max_size=6),
+           degree=st.integers(1, 5), lo=st.floats(-3.0, 3.0), width=st.floats(1e-6, 3.0),
+           t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0))
+    def test_matches_the_generic_loop_bit_for_bit(self, coeffs, degree, lo, width, t, s):
+        # high-order terms above the degree are 0.0 as _slope pads them, or -0.0 once negated
+        coeffs = coeffs[:degree + 1] + [0.0] * (5 - degree)
+        hi = lo + width
+        if reference_horner(coeffs, lo) > reference_horner(coeffs, hi):
+            coeffs = [-c for c in coeffs]
+        p_lo, p_hi = reference_horner(coeffs, lo), reference_horner(coeffs, hi)
+        assume(p_lo < p_hi)
+        assert detector._horner(coeffs, lo).hex() == p_lo.hex()
+        assert detector._horner(coeffs, hi).hex() == p_hi.hex()
+        target = min(p_lo + t * (p_hi - p_lo), p_hi)
+        v = min(lo + s * width, hi)
+        assert (detector._solve(coeffs, target, lo, hi, v).hex()
+                == reference_solve(coeffs, target, lo, hi, v).hex())
+
+    @pytest.mark.parametrize("coeffs,target,lo,hi,v", [
+        # p = p' = 0 at the seed: which bracket end moves decides the bisection
+        ([-1.0, 3.0, -3.0, 1.0, 0.0, 0.0], 0.0, 0.0, 2.0, 1.0),
+        # a bisection step of exactly 1e-9 ends the search
+        ([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 3.375e-27, 0.0, 2e-9, 0.0),
+        # a Newton step onto the bracket end stays a Newton step
+        ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1.0, 0.0, 1.0, 0.0),
+    ], ids=["stationary-root-seed", "step-of-exactly-1e-9", "newton-onto-bracket-end"])
+    def test_exact_ties_match_the_generic_loop(self, coeffs, target, lo, hi, v):
+        # ties the random draws above all but never hit
+        assert (detector._solve(coeffs, target, lo, hi, v).hex()
+                == reference_solve(coeffs, target, lo, hi, v).hex())
+
+    @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
+    @pytest.mark.parametrize("theta", [-80.0, -35.0, 0.0, 37.3, 80.0])
+    def test_builtin_synthesis_matches_the_generic_loop(self, poly, theta):
+        lo, hi, seed = seeded_bracket(poly, theta)
+        assert voltage_from_phase(poly, theta).hex() == reference_solve(
+            poly.coeffs, theta, lo, hi, seed).hex()
+
+    @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
+    def test_builtin_validity_ends_match_the_generic_loop(self, poly):
+        # the unstepped roots _builtin starts from, within a few ulps of v_lo and v_hi
+        for theta, end in ((-80.0, poly.v_lo), (80.0, poly.v_hi)):
+            got = detector._solve(poly.coeffs, theta, 0.05, 3.2, 1.625)
+            assert got.hex() == reference_solve(poly.coeffs, theta, 0.05, 3.2, 1.625).hex()
+            assert abs(got - end) <= 4 * math.ulp(end)
+
+    def test_slope_is_the_padded_derivative(self):
+        assert detector._slope([7.0, 1.0, 2.0, 3.0, 4.0, 5.0]) == [1.0, 4.0, 9.0, 16.0, 25.0, 0.0]
 
 
 def turn_over_profile(sign):

@@ -242,7 +242,7 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
 
     The one synthesis path: the profile's seed table brackets the root and
     interpolates a start for a safeguarded Newton-bisection.  The table reaches
-    up to 100 mV past v_lo or v_hi while the curve still rises, so a curve that
+    up to 100 mV past v_lo or v_hi where the curve still rises, so a curve that
     turns over there keeps the phases it reaches; any other theta is rejected.
     """
     theta_deg = _check_finite("theta_deg", theta_deg)
@@ -259,11 +259,6 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     lo, hi = volts[i - 1], volts[i]
     seed = lo + (theta_deg - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
     return _solve(poly.coeffs, theta_deg, lo, hi, seed)
-
-
-def centered_voltage(v_raw, poly: CalibrationPolynomial) -> float:
-    """Signed voltage relative to the zero-phase reference: v_raw - v_ref."""
-    return _check_finite("v_raw", v_raw) - poly.v_ref
 
 
 def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> CalibrationPolynomial:
@@ -301,31 +296,28 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
     v_lo, v_hi = float(volts.min()), float(volts.max())
 
     padded = [float(c) for c in coeffs] + [0.0] * (6 - len(coeffs))
-    if _horner(padded, v_lo) > 0.0 or _horner(padded, v_hi) < 0.0:
-        raise CalibrationRejectedError("fitted polynomial has no zero crossing in the sample interval")
+    p_lo, p_hi = _horner(padded, v_lo), _horner(padded, v_hi)
+    if p_lo > 0.0 or p_hi < 0.0:
+        raise CalibrationRejectedError(
+            "fitted polynomial does not rise through 0 deg on [v_lo, v_hi]: "
+            f"{p_lo:+.2f} deg at {v_lo:.3f} V, {p_hi:+.2f} deg at {v_hi:.3f} V")
     v_ref = _solve(padded, 0.0, v_lo, v_hi, 0.5 * (v_lo + v_hi))
     return CalibrationPolynomial(
         *padded, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
         max_err_deg=max_err, pair_id=pair_id, frequency_hz=frequency_hz)
 
 
-def _builtin(pair_id, coeffs, v_ref, max_err_deg):
-    # Validity interval = voltages where the polynomial reaches -80/+80 deg (a root
-    # rounded inside is stepped out by ulps), so synthesis covers the whole range.
-    v_lo, v_hi = (_solve(coeffs, s * CALIBRATED_RANGE_DEG, 0.05, 3.2, 1.625) for s in (-1, 1))
-    while _horner(coeffs, v_lo) > -CALIBRATED_RANGE_DEG:
-        v_lo = math.nextafter(v_lo, -math.inf)
-    while _horner(coeffs, v_hi) < CALIBRATED_RANGE_DEG:
-        v_hi = math.nextafter(v_hi, math.inf)
-    return CalibrationPolynomial(
-        *coeffs, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
-        max_err_deg=max_err_deg, pair_id=pair_id, frequency_hz=2.46e9)
-
-
-#: measured prototype calibration profiles at 2.46 GHz, one per input pair
-TABLE2_D12 = _builtin("d12", (-114.203, 199.396, -228.453, 164.691, -55.965, 7.245), 1.530, 0.9)
-TABLE2_D23 = _builtin("d23", (-125.812, 211.489, -240.403, 172.357, -58.608, 7.596), 1.624, 1.7)
-TABLE2_D31 = _builtin("d31", (-129.954, 274.718, -328.593, 226.222, -73.488, 9.115), 1.436, 3.8)
+#: measured prototype calibration profiles at 2.46 GHz, one per input pair; v_lo and v_hi
+#: are where each polynomial reaches -80 and +80 deg, as tests/test_detector.py re-derives
+TABLE2_D12 = CalibrationPolynomial(
+    -114.203, 199.396, -228.453, 164.691, -55.965, 7.245, v_ref=1.530,
+    v_lo=0.21806830805817157, v_hi=2.842351039565547, max_err_deg=0.9, pair_id="d12")
+TABLE2_D23 = CalibrationPolynomial(
+    -125.812, 211.489, -240.403, 172.357, -58.608, 7.596, v_ref=1.624,
+    v_lo=0.2981865145911088, v_hi=2.8838876752523137, max_err_deg=1.7, pair_id="d23")
+TABLE2_D31 = CalibrationPolynomial(
+    -129.954, 274.718, -328.593, 226.222, -73.488, 9.115, v_ref=1.436,
+    v_lo=0.2403806806715456, v_hi=2.7916997333114546, max_err_deg=3.8, pair_id="d31")
 
 
 def builtin_profile_set():

@@ -297,16 +297,6 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
     return rows
 
 
-def correction_sensitivity(v_max, v_min, r_best_case_cm):
-    """Detector voltage swing per cm of drift, in mV/cm: (Vmax - Vmin) / (2 * r_bc)."""
-    vmax = _check_finite("v_max", v_max)
-    vmin = _check_finite("v_min", v_min)
-    rbc = _check_positive("r_best_case_cm", r_best_case_cm)
-    if vmax < vmin:
-        raise InvalidParameterError(f"v_max ({vmax}) must be >= v_min ({vmin})")
-    return (vmax - vmin) * 1000.0 / (2.0 * rbc)
-
-
 def write_sweep_csv(path_or_file, rows):
     """Emit azimuth sweep rows as CSV: phi_deg,th12_deg,th23_deg,th31_deg (6 decimals)."""
     write_csv(path_or_file, ("phi_deg", "th12_deg", "th23_deg", "th31_deg"),

@@ -1,6 +1,17 @@
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+# runs pytest with this directory's conftest.py as a plugin and a 0.2 s budget
+SMALL_BUDGET_RUN = """
+import sys, pytest, conftest
+conftest.BUDGET_S = 0.2
+sys.exit(pytest.main(sys.argv[1:], plugins=[conftest]))
+"""
 
 
 def test_a_spinning_test_is_stopped():
@@ -9,3 +20,15 @@ def test_a_spinning_test_is_stopped():
         while True:
             pass
     assert not isinstance(err.value, Exception)
+
+
+def test_a_module_that_spins_at_import_is_a_collection_error(tmp_path):
+    (tmp_path / "test_spin.py").write_text("while True:\n    pass\n")
+    (tmp_path / "test_fine.py").write_text("def test_fine():\n    pass\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent)}
+    done = subprocess.run([sys.executable, "-c", SMALL_BUDGET_RUN, "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors", str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert "ERROR test_spin.py - conftest._OverBudget" in done.stdout
+    assert "1 passed, 1 error" in done.stdout
+    assert done.returncode == 1

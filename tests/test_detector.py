@@ -17,7 +17,6 @@ from triphase.detector import (
     TABLE2_D23,
     TABLE2_D31,
     builtin_profile_set,
-    centered_voltage,
     fit_calibration,
     ideal_sine_voltage,
     load_profile,
@@ -153,19 +152,13 @@ class TestVoltageFromPhase:
 
 
 class TestCenteredVoltage:
-    def test_reference_row(self):
-        assert centered_voltage(1.533, TABLE2_D12) == pytest.approx(0.003, abs=1e-12)
-
-    def test_reference_is_zero(self):
-        assert centered_voltage(TABLE2_D12.v_ref, TABLE2_D12) == 0.0
-
     @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
     def test_sign_matches_phase_outside_error_band(self, poly):
         v = poly.v_lo
         while v <= poly.v_hi:
             phase = poly.evaluate(v)
             if abs(phase) > poly.max_err_deg:
-                assert (centered_voltage(v, poly) > 0) == (phase > 0)
+                assert (v - poly.v_ref > 0) == (phase > 0)
             v += 0.001
 
 
@@ -215,6 +208,15 @@ class TestFitCalibration:
                    (1.8, 30.0), (2.3, 10.0), (2.8, 60.0)]]
         with pytest.raises(CalibrationRejectedError):
             fit_calibration(wiggly, degree=5)
+
+    def test_fit_must_rise_through_zero_inside_the_samples(self):
+        # phases 0.5..50.5 deg miss zero by half a degree; -49.5..0.5 deg reach it at 1.495 V
+        with pytest.raises(CalibrationRejectedError, match="does not rise through 0 deg"):
+            fit_calibration([MeasurementSample(t + 0.5, 1 + t / 100) for t in range(0, 60, 10)],
+                            degree=1)
+        fit = fit_calibration([MeasurementSample(t - 49.5, 1 + t / 100) for t in range(0, 60, 10)],
+                              degree=1)
+        assert fit.v_ref == pytest.approx(1.495, abs=1e-9)
 
     def test_out_of_range_sample_rejected(self):
         samples = quintic_samples(TABLE2_D12.coeffs, self.VOLTS)
@@ -508,11 +510,18 @@ class TestNewtonKernel:
 
     @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
     def test_builtin_validity_ends_match_the_generic_loop(self, poly):
-        # the unstepped roots _builtin starts from, within a few ulps of v_lo and v_hi
+        # each literal end is the root of poly = -+80 deg stepped outward by the fewest ulps
+        # that reach -+80 deg: 2 for d12's v_hi, 0 for the other five, never more than 8
         for theta, end in ((-80.0, poly.v_lo), (80.0, poly.v_hi)):
             got = detector._solve(poly.coeffs, theta, 0.05, 3.2, 1.625)
             assert got.hex() == reference_solve(poly.coeffs, theta, 0.05, 3.2, 1.625).hex()
-            assert abs(got - end) <= 4 * math.ulp(end)
+            sign = math.copysign(1.0, theta)
+            for _ in range(8):
+                if sign * reference_horner(poly.coeffs, got) >= 80.0:
+                    break
+                got = math.nextafter(got, sign * math.inf)
+            assert sign * reference_horner(poly.coeffs, got) >= 80.0
+            assert got.hex() == end.hex()
 
     def test_slope_is_the_padded_derivative(self):
         assert detector._slope([7.0, 1.0, 2.0, 3.0, 4.0, 5.0]) == [1.0, 4.0, 9.0, 16.0, 25.0, 0.0]
@@ -533,6 +542,8 @@ class TestSeedTable:
     def test_builtin_tables_span_exactly_the_validity_interval(self, poly):
         volts, _ = poly._seed_table
         assert (volts[0], volts[-1]) == (poly.v_lo, poly.v_hi)
+        gaps = [b - a for a, b in zip(volts, volts[1:])]
+        assert max(gaps) - min(gaps) <= 1e-12  # a uniform grid
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["high-end", "low-end"])
     def test_extension_stops_at_the_turn_and_phases_ascend(self, sign):
@@ -584,6 +595,29 @@ class TestEverySynthesizedVoltageReadsBack:
         assert phase_from_voltage(poly, v) == max(-80.0, min(80.0, poly.evaluate(v)))
         with pytest.raises(VoltageOutOfRangeError, match="outside the readable"):
             phase_from_voltage(poly, math.nextafter(v, math.inf if end else -math.inf))
+
+
+class TestRoots:
+    @pytest.mark.parametrize("coeffs,a,b,roots", [
+        ([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.0, 1.0, [1.0]),
+        ([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.0, 1.0, [0.0]),
+        ([-0.25, 0.5, 0.0, 0.0, 0.0, 0.0], 0.0, 1.0, [0.5]),
+        ([0.5, 1.0, 0.0, 0.0, 0.0, 0.0], 0.0, 1.0, []),
+        ([1.25, -3.0, 1.0, 0.0, 0.0, 0.0], 2.0, 3.0, [2.5]),  # (v - 0.5)(v - 2.5)
+        ([-50.0, 42.5, -11.5, 1.0, 0.0, 0.0], 2.0, 3.0, [2.5]),  # (v - 2.5)(v - 4)(v - 5)
+        ([1.0, -3.0, 2.0, 0.0, 0.0, 0.0], 0.0, 2.0, [0.5, 1.0]),  # (2v - 1)(v - 1)
+    ], ids=["root-at-b", "root-at-a", "small-values", "no-root", "other-root-below",
+            "other-roots-above", "two-roots"])
+    def test_finds_exactly_the_roots_in_the_closed_interval(self, coeffs, a, b, roots):
+        assert detector._roots(coeffs, a, b) == pytest.approx(roots, abs=1e-9)
+
+    @pytest.mark.parametrize("coeffs,increasing", [
+        ([0.0, 0.0, -1.0, 0.0, 0.0, 0.0], False),  # slope 0 at a, negative after
+        ([0.0, 0.5, 0.0, 0.0, 0.0, 0.0], True),  # a shallow line
+        ([0.0, 2.0, -1.0, 0.0, 0.0, 0.0], False),  # slope 0 at b
+    ], ids=["falling", "shallow", "flat-end"])
+    def test_increasing_needs_a_positive_slope_on_the_closed_interval(self, coeffs, increasing):
+        assert detector._increasing(coeffs, 0.0, 1.0) is increasing
 
 
 class TestMonotonicityProof:

@@ -12,7 +12,6 @@ from triphase.detector import (
     MeasurementSample,
     TABLE2_D12,
     builtin_profile_set,
-    centered_voltage,
     fit_calibration,
     ideal_sine_voltage,
     phase_from_voltage,
@@ -26,7 +25,6 @@ from triphase.geometry import (
     Vector3,
     azimuth_sweep,
     cone_profile,
-    correction_sensitivity,
     landing_point,
     nonambiguous_range,
     receiver_points,
@@ -70,9 +68,6 @@ ENTRY_POINTS = [
     (worst_case_transect, {"z_cm": 1000.0, "y_range_cm": 700.0, "geom": GEOM, "rf": RF,
                            "profiles": builtin_profile_set(), "n_samples": 3},
      ("z_cm", "y_range_cm")),
-    (correction_sensitivity, {"v_max": 1.8, "v_min": 1.2, "r_best_case_cm": 10.0},
-     ("v_max", "v_min", "r_best_case_cm")),
-    (centered_voltage, {"v_raw": 1.5, "poly": TABLE2_D12}, ("v_raw",)),
     (fit_calibration, {"samples": SAMPLES, "frequency_hz": 2.46e9}, ("frequency_hz",)),
 ]
 

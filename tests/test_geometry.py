@@ -22,7 +22,6 @@ from triphase.geometry import (
     Vector3,
     azimuth_sweep,
     cone_profile,
-    correction_sensitivity,
     landing_point,
     nonambiguous_range,
     phase_solution,
@@ -522,21 +521,3 @@ class TestConeScreen:
     def test_default_cone_settles_every_ray(self, fallbacks, tmp_path):
         assert main(["cone", "--out", str(tmp_path / "cone.csv")]) == 0
         assert fallbacks == []
-
-
-class TestCorrectionSensitivity:
-    def test_published_span(self):
-        assert correction_sensitivity(2.84, 0.14, 500.0) == pytest.approx(2.70, abs=1e-9)
-
-    def test_zero_span(self):
-        assert correction_sensitivity(1.0, 1.0, 100.0) == 0.0
-
-    def test_inverse_proportionality(self):
-        assert correction_sensitivity(2.0, 1.0, 200.0) == pytest.approx(
-            correction_sensitivity(2.0, 1.0, 100.0) / 2.0)
-
-    def test_rejects_negative_span_or_radius(self):
-        with pytest.raises(InvalidParameterError):
-            correction_sensitivity(1.0, 2.0, 100.0)
-        with pytest.raises(InvalidParameterError):
-            correction_sensitivity(2.0, 1.0, 0.0)

@@ -13,7 +13,6 @@ from triphase.detector import (
     CALIBRATED_RANGE_DEG,
     TABLE2_D12,
     builtin_profile_set,
-    centered_voltage,
     voltage_from_phase,
 )
 from triphase.errors import InvalidParameterError, PhaseAmbiguityError, TriphaseError
@@ -89,7 +88,7 @@ def reference_sense(state, landing, geom, rf, profiles=None, mode="calibrated"):
             if abs(theta) > CALIBRATED_RANGE_DEG:
                 raise PhaseAmbiguityError(pair, theta)
             poly = profiles[pair]
-            out.append(centered_voltage(voltage_from_phase(poly, theta), poly))
+            out.append(voltage_from_phase(poly, theta) - poly.v_ref)
         return VoltageTriple(*out)
 
     for pair, theta in wrapped.items():

@@ -322,6 +322,9 @@ INPUT_BRANCHES = [
     pytest.param("fit", HEADER + "".join(f"{t},{1 - t / 100},-20\n" for t in range(-10, 50, 10)),
                  [], 3, "does not rise through 0 deg on [v_lo, v_hi]: +40.00 deg at 0.600 V, "
                  "-10.00 deg at 1.100 V", id="fit-falling-voltage"),
+    pytest.param("fit", HEADER + "".join(f"{t},{1 + t / 100},-20\n" for t in range(-70, 0, 10)),
+                 [], 3, "does not rise through 0 deg on [v_lo, v_hi]: -70.00 deg at 0.300 V, "
+                 "-10.00 deg at 0.900 V", id="fit-below-zero"),
     # reads no file: at 0.5 GHz and z = 1 cm, max|phase| falls along the phi = 0 ray
     pytest.param("cone", "", ["--z-cm", "1", "--theta-limit", "40", "--freq-ghz", "0.5",
                               "--n-azimuths", "2"], 3,

@@ -218,6 +218,19 @@ class TestFitCalibration:
                               degree=1)
         assert fit.v_ref == pytest.approx(1.495, abs=1e-9)
 
+    @pytest.mark.parametrize("samples,ends", [
+        ([MeasurementSample(t + 0.5, 1 + t / 100) for t in range(0, 60, 10)],
+         "+0.50 deg at 1.000 V, +50.50 deg at 1.500 V"),
+        ([MeasurementSample(t - 50.5, 1 + t / 100) for t in range(0, 60, 10)],
+         "-50.50 deg at 1.000 V, -0.50 deg at 1.500 V"),
+        ([MeasurementSample(t, 1 - t / 100) for t in range(-10, 50, 10)],
+         "+40.00 deg at 0.600 V, -10.00 deg at 1.100 V"),
+    ], ids=["above-zero", "below-zero", "falling"])
+    def test_rejection_gives_the_fitted_phase_at_each_end(self, samples, ends):
+        message = f"fitted polynomial does not rise through 0 deg on [v_lo, v_hi]: {ends}"
+        with pytest.raises(CalibrationRejectedError, match=f"^{re.escape(message)}$"):
+            fit_calibration(samples, degree=1)
+
     def test_out_of_range_sample_rejected(self):
         samples = quintic_samples(TABLE2_D12.coeffs, self.VOLTS)
         samples.append(MeasurementSample(81.0, 2.85))
@@ -535,6 +548,43 @@ def turn_over_profile(sign):
     return CalibrationPolynomial(-80.0 * sign, 1.05 * k, 0.025 * k * sign, -k / 3.0, 0.0, 0.0,
                                  v_ref=0.392210 * sign, v_lo=v_lo, v_hi=v_hi, max_err_deg=1.0,
                                  pair_id="d12")
+
+
+# every numeric field of each built-in profile, bit for bit
+BUILTIN_HEX = {
+    "d12": ("-0x1.c8cfdf3b645a2p+6", "0x1.8ecac083126e9p+7", "-0x1.c8e7ef9db22d1p+7",
+            "0x1.4961cac083127p+7", "-0x1.bfb851eb851ecp+5", "0x1.cfae147ae147bp+2",
+            "0x1.87ae147ae147bp+0", "0x1.be9a98db3b300p-3", "0x1.6bd228ab57c2ap+1",
+            "0x1.ccccccccccccdp-1", "0x1.25413e0000000p+31"),
+    "d23": ("-0x1.f73f7ced91687p+6", "0x1.a6fa5e353f7cfp+7", "-0x1.e0ce560418937p+7",
+            "0x1.58b6c8b439581p+7", "-0x1.d4dd2f1a9fbe7p+5", "0x1.e624dd2f1a9fcp+2",
+            "0x1.9fbe76c8b4396p+0", "0x1.3157ce411bb02p-2", "0x1.71233b3945e87p+1",
+            "0x1.b333333333333p+0", "0x1.25413e0000000p+31"),
+    "d31": ("-0x1.03e872b020c4ap+7", "0x1.12b7ced916873p+8", "-0x1.4897ced916873p+8",
+            "0x1.c471a9fbe76c9p+7", "-0x1.25f3b645a1cacp+6", "0x1.23ae147ae147bp+3",
+            "0x1.6f9db22d0e560p+0", "0x1.ec4cb4d098978p-3", "0x1.65566ab7698d2p+1",
+            "0x1.e666666666666p+1", "0x1.25413e0000000p+31"),
+}
+
+# the validity ends as detector.py writes them
+BUILTIN_ENDS = {"d12": ("0.21806830805817157", "2.842351039565547"),
+                "d23": ("0.2981865145911088", "2.8838876752523137"),
+                "d31": ("0.2403806806715456", "2.7916997333114546")}
+
+
+class TestBuiltinProfiles:
+    @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
+    def test_every_field_keeps_its_bits(self, poly):
+        assert tuple(getattr(poly, f).hex() for f in NUMERIC_FIELDS) == BUILTIN_HEX[poly.pair_id]
+
+    @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
+    def test_saved_profile_carries_the_literal_ends(self, poly):
+        buf = io.StringIO()
+        save_profile(poly, buf)
+        v_lo, v_hi = BUILTIN_ENDS[poly.pair_id]
+        lines = buf.getvalue().splitlines()
+        assert f"v_lo = {v_lo}" in lines and f"v_hi = {v_hi}" in lines
+        assert load_profile(io.StringIO(buf.getvalue())) == poly
 
 
 class TestSeedTable:

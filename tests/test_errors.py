@@ -57,6 +57,7 @@ ENTRY_POINTS = [
     (Vector3, {"x": 1.0, "y": 2.0, "z": 3.0}, ("x", "y", "z")),
     (RFConfig, {"frequency_hz": 2.46e9}, ("frequency_hz",)),
     (ReceiverGeometry, {"spacing_cm": 7.0}, ("spacing_cm",)),
+    (receiver_points, {"spacing_cm": 7.0}, ("spacing_cm",)),
     (landing_point, {"r_cm": 10.0, "phi_deg": 30.0, "height_cm": 100.0},
      ("r_cm", "phi_deg", "height_cm")),
     (DroneState, {"position": Vector3(0.0, 0.0, 300.0), "heading_deg": 10.0}, ("heading_deg",)),

@@ -297,11 +297,12 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
 
     padded = [float(c) for c in coeffs] + [0.0] * (6 - len(coeffs))
     p_lo, p_hi = _horner(padded, v_lo), _horner(padded, v_hi)
-    if p_lo > 0.0 or p_hi < 0.0:
+    if p_lo > 1e-6 or p_hi < -1e-6:  # an end within 1e-6 deg of zero reaches it
         raise CalibrationRejectedError(
             "fitted polynomial does not rise through 0 deg on [v_lo, v_hi]: "
             f"{p_lo:+.2f} deg at {v_lo:.3f} V, {p_hi:+.2f} deg at {v_hi:.3f} V")
-    v_ref = _solve(padded, 0.0, v_lo, v_hi, 0.5 * (v_lo + v_hi))
+    v_ref = (v_lo if p_lo > 0.0 else v_hi if p_hi < 0.0  # an end just past zero is the crossing
+             else _solve(padded, 0.0, v_lo, v_hi, 0.5 * (v_lo + v_hi)))
     return CalibrationPolynomial(
         *padded, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
         max_err_deg=max_err, pair_id=pair_id, frequency_hz=frequency_hz)

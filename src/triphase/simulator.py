@@ -28,6 +28,7 @@ bit-identical trajectory logs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ._textio import write_csv
@@ -157,6 +158,38 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _pose(x, y, z, heading):
+    return _trusted(DroneState, position=_trusted(Vector3, x=x, y=y, z=z), heading_deg=heading)
+
+
+def _record(k, row):
+    x, y, z, heading, v, m = row
+    return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v), tuple(m))
+
+
+class _Records(Sequence):
+    """A run's TrajectoryRecords, built when read from the loop's rows; row k is iteration k."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        k = range(len(self._rows))[i]  # an index in range or, for a slice, a range of them
+        return [self[j] for j in k] if isinstance(k, range) else _record(k, self._rows[k])
+
+    def __iter__(self):  # Sequence's own __iter__ would index and range-check every record
+        return map(_record, range(len(self._rows)), self._rows)
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, (list, _Records)) else NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 def _body_point(x, y, z, heading, landing: Vector3):
     """The landing point in the body frame of the pose (x, y, z, heading) as a float tuple."""
     dx = landing.x - x
@@ -250,11 +283,9 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     limit, resolve = DETECTOR_MODES[scfg.detector_mode]
     laws = resolve(profiles, rf)  # checks the set also when the start is already at touchdown
     k = rf.deg_per_cm
-    # from here on the pose is floats, finite by construction; the one DroneState per
-    # cycle is the record's
-    state = start
+    # from here on the pose is floats, finite by construction; each cycle keeps one row
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
-    records = []
+    rows = []
     first_hold = None
     last_escape = 0
     diagnostic = None
@@ -274,8 +305,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             # opposite escape yaws back to back: fall through to tracking
             maneuvers = tracking_maneuvers(volts, gcfg)
             escape = 0
-        records.append(TrajectoryRecord(iteration, state, volts,
-                                        classify_sector(volts), tuple(maneuvers)))
+        rows.append((x, y, z, heading, volts, maneuvers))
         for m in maneuvers:
             x, y, heading = _moved(x, y, heading, m)
 
@@ -287,11 +317,10 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             z = max(z - scfg.descent_step_cm, scfg.min_height_cm)
         if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
             Vector3(x, y, z)
-        state = _trusted(DroneState, position=_trusted(Vector3, x=x, y=y, z=z), heading_deg=heading)
 
-    return SimulationResult(records=records, touchdown=z <= scfg.min_height_cm,
+    return SimulationResult(records=_Records(rows), touchdown=z <= scfg.min_height_cm,
                             aborted=diagnostic is not None, diagnostic=diagnostic,
-                            first_hold_iteration=first_hold, final_state=state)
+                            first_hold_iteration=first_hold, final_state=_pose(x, y, z, heading))
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,44 @@ class TestFitCalibration:
         with pytest.raises(CalibrationRejectedError, match=f"^{re.escape(message)}$"):
             fit_calibration(samples, degree=1)
 
+    @pytest.mark.parametrize("samples,degree,v_ref", [
+        # a0 comes out +6.3e-16 deg, so the exact test rejected this fit; the low end is v_ref
+        ([MeasurementSample(0, 0.0), MeasurementSample(10, 1.0)], 1, 0.0),
+        # a0 comes out -2.5e-15 deg, so the exact test accepted it by rounding luck, and the
+        # solve finds the crossing 3.2e-16 V inside the low end
+        ([MeasurementSample(8 * v, v) for v in range(4)], 2, float.fromhex("0x1.6dc603f2473a5p-52")),
+    ], ids=["line-from-zero", "quadratic-from-zero"])
+    def test_fit_that_starts_at_zero_reaches_it(self, samples, degree, v_ref):
+        fit = fit_calibration(samples, degree=degree)
+        assert fit.v_lo == 0.0 and abs(fit.evaluate(0.0)) < 1e-6
+        assert fit.v_ref == pytest.approx(v_ref, abs=1e-15)
+
+    @pytest.mark.parametrize("shift,accepted", [(0.5e-6, True), (-0.5e-6, True),
+                                                (0.999e-6, True), (-0.999e-6, True),
+                                                (2e-6, False), (-2e-6, False)])
+    def test_an_end_within_a_micro_degree_of_zero_reaches_it(self, shift, accepted):
+        # shift > 0 lifts the low end above zero; shift < 0 sinks the high end below it.  An
+        # accepted end is v_ref itself, so its phase there stays inside the v_ref check
+        base = 0.0 if shift > 0 else -10.0
+        samples = [MeasurementSample(base + shift, 1.0), MeasurementSample(base + 10 + shift, 2.0)]
+        if accepted:
+            fit = fit_calibration(samples, degree=1)
+            assert fit.v_ref == (1.0 if shift > 0 else 2.0)
+        else:
+            with pytest.raises(CalibrationRejectedError, match="does not rise through 0 deg"):
+                fit_calibration(samples, degree=1)
+
+    @pytest.mark.parametrize("theta", [math.nextafter(1e-6, 1.0), math.nextafter(-1e-6, -1.0)],
+                             ids=["low-end", "high-end"])
+    def test_an_end_exactly_a_micro_degree_from_zero_reaches_it(self, theta):
+        # two equal samples one ulp past +-1e-6 deg fit a constant of exactly +-1e-6 deg; the
+        # flat fit may fail the monotonicity proof, but not the zero-crossing test
+        samples = [MeasurementSample(theta, 0.0), MeasurementSample(theta, 1.0)]
+        try:
+            fit_calibration(samples, degree=1)
+        except CalibrationRejectedError as exc:
+            assert "does not rise through 0 deg" not in str(exc)
+
     def test_out_of_range_sample_rejected(self):
         samples = quintic_samples(TABLE2_D12.coeffs, self.VOLTS)
         samples.append(MeasurementSample(81.0, 2.85))

@@ -1,4 +1,5 @@
 import collections
+import collections.abc
 import dataclasses
 import io
 import math
@@ -510,6 +511,88 @@ class TestSimulateLanding:
             target = ground_point(r, phi)
             err = math.hypot(final.x - target.x, final.y - target.y)
             assert err <= 2.0 * gcfg.move_step_cm
+
+
+class TestRecordsBuiltWhenRead:
+    RUNS = {
+        "converging": (fig14_start(), ground_point(100.0, -35.0), SCFG),
+        "aborting": (fig14_start(), ground_point(250.0, 90.0), SCFG),
+        "budget-capped": (fig14_start(), ground_point(100.0, -35.0), SimConfig(max_iterations=40)),
+    }
+
+    def run(self, fn, name):
+        start, beacon, scfg = self.RUNS[name]
+        return fn(start, beacon, GEOM, RF, PROFILES, GCFG, scfg)
+
+    def test_the_loop_builds_no_record(self, monkeypatch):
+        built = []
+        init = TrajectoryRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrajectoryRecord, "__init__", counted)
+        result = self.run(simulate_landing, "converging")
+        assert built == []
+        assert result.iterations > 100 and result.final_state.position.z == 1.0
+        assert 0 < result.first_hold_iteration < result.iterations
+        assert built == []
+        assert len(list(result.records)) == len(built) == result.iterations
+
+    @pytest.mark.parametrize("name", tuple(RUNS))
+    def test_records_equal_the_object_based_loop(self, name):
+        got, want = self.run(simulate_landing, name), self.run(reference_simulate_landing, name)
+        assert got.records == want.records and want.records == got.records
+        assert got == want
+        assert (got.aborted, got.touchdown) == {"converging": (False, True),
+                                                "aborting": (True, False),
+                                                "budget-capped": (False, False)}[name]
+        assert (got.records == []) is (name == "aborting") is ([] == got.records)
+        assert (got.records != []) is (name != "aborting")
+
+    def test_sequence_protocol(self):
+        records = self.run(simulate_landing, "budget-capped").records
+        want = self.run(reference_simulate_landing, "budget-capped").records
+        n = len(want)
+        assert len(records) == n == 40
+        assert records[0] == want[0] and records[0].iteration == 0
+        assert records[-1] == want[-1] and records[-1].iteration == n - 1
+        assert records[-n] == want[0] and records[n - 1] == want[n - 1]
+        for index in (n, -n - 1, 10**9):
+            with pytest.raises(IndexError):
+                records[index]
+        for part in (slice(3, 7), slice(None, None, -1), slice(-5, None), slice(2, 30, 9),
+                     slice(n, None), slice(7, 3)):
+            assert records[part] == want[part]
+            assert [r.iteration for r in records[part]] == list(range(n))[part]
+        assert [r for r in records] == list(records) == want
+        assert records[5] == records[5] and list(records) == list(records)
+        assert records[5:6] != want[4:5] and records != want[:-1]
+        assert records != tuple(want) and records != want[0]
+
+    def test_records_support_the_read_only_sequence_methods(self):
+        records = self.run(simulate_landing, "converging").records
+        want = self.run(reference_simulate_landing, "converging").records
+        assert isinstance(records, collections.abc.Sequence)
+        assert want[17] in records and records.index(want[17]) == 17
+        assert list(reversed(records)) == want[::-1]
+        assert repr(records) == repr(want)
+        with pytest.raises(TypeError):
+            records[0] = want[0]
+        with pytest.raises(TypeError):
+            records["0"]
+
+    def test_result_stays_frozen_and_takes_a_plain_list(self):
+        result = self.run(simulate_landing, "converging")
+        built = SimulationResult(records=list(result.records), touchdown=True, aborted=False,
+                                 diagnostic=None, first_hold_iteration=result.first_hold_iteration,
+                                 final_state=result.final_state)
+        assert built == result and built.iterations == result.iterations
+        assert built.records[-1] == result.records[-1]
+        for field in dataclasses.fields(SimulationResult):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, field.name, None)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

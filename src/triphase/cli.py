@@ -119,9 +119,9 @@ def cmd_simulate(args):
                                min_height_cm=args.min_height,
                                max_iterations=args.max_iterations,
                                detector_mode=args.mode)
-    # every mode runs at the profiles' frequency; a set without d12 fails whatever stands in
+    # every mode checks the set at its frequency; a set without d12 fails whatever stands in
     geom, rf = _geometry(args, profiles.get("d12", detector.TABLE2_D12).frequency_hz)
-    simulator._check_profiles(profiles, rf)
+    simulator.DETECTOR_MODES["calibrated"](profiles, rf)
     start = simulator.DroneState(
         geometry.Vector3(args.start_x, args.start_y, args.start_z), args.heading)
     offset = geometry.landing_point(args.landing_r, args.landing_phi, args.start_z)

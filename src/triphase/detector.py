@@ -86,7 +86,8 @@ def _solve(coeffs, target, lo, hi, v):
     below 1e-9 (volts, for every caller) ends the search."""
     a0, a1, a2, a3, a4, a5 = coeffs
     for _ in range(100):
-        # p - target and dp = p' by Horner, unrolled in the generic loop's operation order
+        # p - target and dp = p' by Horner, in the order TestNewtonKernel's reference_solve
+        # takes, so the two agree bit for bit
         p = a5 * v + a4
         dp = a5 * v + p
         p = p * v + a3
@@ -301,6 +302,10 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
         raise CalibrationRejectedError(
             "fitted polynomial does not rise through 0 deg on [v_lo, v_hi]: "
             f"{p_lo:+.2f} deg at {v_lo:.3f} V, {p_hi:+.2f} deg at {v_hi:.3f} V")
+    if not p_hi - p_lo > 2e-6:  # a rise within the zero band's width is rounding noise
+        raise CalibrationRejectedError(
+            f"fitted polynomial is flat: its phase rises {p_hi - p_lo:.3g} deg on [v_lo, v_hi], "
+            "not more than 2e-06 deg")
     v_ref = (v_lo if p_lo > 0.0 else v_hi if p_hi < 0.0  # an end just past zero is the crossing
              else _solve(padded, 0.0, v_lo, v_hi, 0.5 * (v_lo + v_hi)))
     return CalibrationPolynomial(

@@ -61,9 +61,9 @@ from .guidance import (
 )
 
 
-def _check_profiles(profiles, rf: RFConfig):
-    """The set's three calibrated laws, in PAIR_IDS order, after rejecting a set that lacks
-    a pair, mislabels one or was measured off rf's frequency."""
+def _calibrated(profiles, rf: RFConfig):
+    """The calibrated range and the set's three laws, in PAIR_IDS order, after rejecting a
+    set that lacks a pair, mislabels one or was measured off rf's frequency."""
     if profiles is None:
         raise InvalidParameterError("calibrated mode requires calibration profiles")
     for pair in PAIR_IDS:
@@ -74,16 +74,17 @@ def _check_profiles(profiles, rf: RFConfig):
             raise InvalidParameterError(f"profile {pair} and rf disagree on frequency: "
                                         f"{poly.frequency_hz} Hz vs {rf.frequency_hz} Hz")
     # each law looks voltage_from_phase up in this module, where the benchmark tracer wraps it
-    return [lambda theta, poly=profiles[pair]: voltage_from_phase(poly, theta) - poly.v_ref
+    laws = [lambda theta, poly=profiles[pair]: voltage_from_phase(poly, theta) - poly.v_ref
             for pair in PAIR_IDS]
+    return CALIBRATED_RANGE_DEG, laws
 
 
-#: detector mode -> (non-ambiguous range [deg], f(profiles, rf) giving the three laws, in
-#: PAIR_IDS order, from a wrapped pair phase to its centered voltage [V])
+#: detector mode -> f(profiles, rf) giving the mode's non-ambiguous range [deg] and its three
+#: laws, in PAIR_IDS order, from a wrapped pair phase to its centered voltage [V]
 DETECTOR_MODES = {
-    "calibrated": (CALIBRATED_RANGE_DEG, _check_profiles),
-    "ideal-sine": (90.0, lambda profiles, rf: (_sine,) * 3),
-    "triangular": (90.0, lambda profiles, rf: (_triangular,) * 3),
+    "calibrated": _calibrated,
+    "ideal-sine": lambda profiles, rf: (90.0, (_sine,) * 3),
+    "triangular": lambda profiles, rf: (90.0, (_triangular,) * 3),
 }
 
 
@@ -221,25 +222,18 @@ def _sense(q, geom, k, limit, laws):
 
 
 def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFConfig,
-          profiles=None, mode="calibrated") -> VoltageTriple:
-    """Centered detector voltages for the current pose.
+          profiles) -> VoltageTriple:
+    """Centered calibrated detector voltages for the current pose.
 
-    `mode` is a key of DETECTOR_MODES, which sets each pair's non-ambiguous
-    range and voltage.  `profiles` maps pair ids ("d12", "d23", "d31") to
-    their calibration polynomials, required in calibrated mode.  The +-90 deg
-    ideal-sine variant returns sin(theta); the triangular one 10 mV/deg * theta,
-    the linear region of the quadrature-shifted triangular characteristic.
-    Raises PhaseAmbiguityError when any pair leaves its non-ambiguous range.
-    This entry checks the mode, the beacon's side and the profile set, in that
-    order; simulate_landing checks them once per run and calls the unchecked
-    core _sense every cycle.
+    `profiles` maps pair ids ("d12", "d23", "d31") to their calibration
+    polynomials.  Raises PhaseAmbiguityError when any pair leaves the +-80 deg
+    calibrated range.  This entry checks the beacon's side, then the profile
+    set; simulate_landing checks them once per run and calls the unchecked
+    core _sense every cycle, in the mode SimConfig.detector_mode names.
     """
-    if not isinstance(mode, str) or mode not in DETECTOR_MODES:
-        raise InvalidParameterError(f"unknown detector mode {mode!r}")
     p = state.position
     q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
-    limit, resolve = DETECTOR_MODES[mode]
-    return _sense(q, geom, rf.deg_per_cm, limit, resolve(profiles, rf))
+    return _sense(q, geom, rf.deg_per_cm, *_calibrated(profiles, rf))
 
 
 def _moved(x, y, heading, m: Maneuver):
@@ -280,8 +274,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     scfg = scfg or SimConfig()
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
-    limit, resolve = DETECTOR_MODES[scfg.detector_mode]
-    laws = resolve(profiles, rf)  # checks the set also when the start is already at touchdown
+    # the one lookup of a mode; it checks the set also when the start is already at touchdown
+    limit, laws = DETECTOR_MODES[scfg.detector_mode](profiles, rf)
     k = rf.deg_per_cm
     # from here on the pose is floats, finite by construction; each cycle keeps one row
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
@@ -348,7 +342,7 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     span = _check_positive("y_range_cm", y_range_cm)
     if not math.isfinite(2.0 * span * (n_samples - 1)):  # the last row's step overflows
         raise InvalidParameterError(f"y_range_cm must keep the sample positions finite, got {span}")
-    _, law23, law31 = _check_profiles(profiles, rf)
+    limit, (_, law23, law31) = _calibrated(profiles, rf)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)
@@ -357,7 +351,7 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
         if math.isnan(sol.th12 + th23 + th31):  # a distance to an input overflowed
             raise InvalidParameterError(
                 f"z_cm and y_range_cm must keep the phases finite, got {z} and {span}")
-        ambiguous = max(abs(th23), abs(th31)) > CALIBRATED_RANGE_DEG
+        ambiguous = max(abs(th23), abs(th31)) > limit
         if ambiguous:
             v23 = v31 = math.nan
         else:

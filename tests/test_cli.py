@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import triphase
+from triphase import geometry
 from triphase.cli import main
 from triphase.detector import TABLE2_D12, TABLE2_D31, load_profile, save_profile
 
@@ -82,6 +83,16 @@ class TestCone:
         assert main(["cone", "--z-cm", "100", "--n-azimuths", "4", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "z_cm,phi_deg,rmax_cm"
 
+    def test_frequency_reaches_the_library_in_hertz(self, tmp_path, monkeypatch):
+        # a 1 Hz error moves no radius by a printed digit, so the call itself is checked
+        seen = []
+        cone_profile = geometry.cone_profile
+        monkeypatch.setattr(geometry, "cone_profile",
+                            lambda *args: seen.append(args[3].frequency_hz) or cone_profile(*args))
+        assert main(["cone", "--freq-ghz", "2.45", "--z-cm", "100", "--n-azimuths", "4",
+                     "--out", str(tmp_path / "cone.csv")]) == 0
+        assert seen == [2.45e9]
+
 
 class TestFit:
     def test_fit_measured_rows(self, tmp_path, capsys):
@@ -95,6 +106,16 @@ class TestFit:
         assert float(printed.split("=")[1]) <= 1.1
         loaded = load_profile(str(profile_path))
         assert loaded.pair_id == "d12"
+
+    @pytest.mark.parametrize("options,frequency_hz", [
+        ([], 2.46e9),
+        (["--freq-ghz", "2.45"], 2.45e9),
+    ], ids=["default", "2.45"])
+    def test_profile_stores_the_frequency_in_hertz(self, tmp_path, options, frequency_hz):
+        samples, path = tmp_path / "d12.csv", tmp_path / "d12.profile"
+        write_samples(samples, TABLE1_D12)
+        assert main(["fit", str(samples), *options, "--out", str(path)]) == 0
+        assert load_profile(path).frequency_hz == frequency_hz
 
     def test_fit_exact_quintic(self, tmp_path, capsys):
         coeffs = (-114.203, 199.396, -228.453, 164.691, -55.965, 7.245)
@@ -175,6 +196,17 @@ class TestSimulate:
         rows = read_csv(out)
         assert rows[0]["maneuvers"] == "YAWL60"
         assert rows[0]["sector"] == "2b"
+
+    @pytest.mark.parametrize("options,summary", [
+        ([], "converged: first hold at iteration 101; touchdown at (-56.85, 81.14) cm; "
+             "horizontal error 0.92 cm in 300 iterations"),
+        (["--max-iterations", "50"],
+         "non-converged after 50 iterations (horizontal error 51.92 cm)"),
+    ], ids=["converged", "budget"])
+    def test_summary_line(self, tmp_path, capsys, options, summary):
+        assert main(["simulate", "--landing-phi", "-35", "--landing-r", "100", *options,
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+        assert capsys.readouterr().out == summary + "\n"
 
     def test_nadir_run_holds_all_the_way(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -501,6 +533,22 @@ def test_only_cone_and_fit_load_numpy(tmp_path, command):
     out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, src, *command], cwd=tmp_path,
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert json.loads(out) == [[0, 0, 0, 0], False, True]
+
+
+def test_simulate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # str hashing differs per process under PYTHONHASHSEED; no byte of a run may follow it
+    src = str(Path(triphase.__file__).resolve().parents[1])
+    argv = ["simulate", "--landing-r", "150", "--landing-phi", "120", "--heading", "33",
+            "--start-z", "500"]
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        outputs.append(subprocess.run([sys.executable, "-m", "triphase.cli", *argv], cwd=tmp_path,
+                                      env=env, capture_output=True, check=True,
+                                      timeout=60).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"iter,x_cm,") and outputs[0].count(b"\n") == 501
 
 
 # argv, exit code and stdout of `python -m triphase.cli` in a fresh interpreter: the code

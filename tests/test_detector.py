@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
 from triphase import detector
@@ -268,6 +268,25 @@ class TestFitCalibration:
             fit_calibration(samples, degree=1)
         except CalibrationRejectedError as exc:
             assert "does not rise through 0 deg" not in str(exc)
+
+    @pytest.mark.parametrize("low,high,accepted", [
+        (math.nextafter(1e-6, 1.0), math.nextafter(1e-6, 1.0), False),  # slope 1.3e-24 deg/V
+        (5e-7, 5e-7, False),
+        (-1e-7, 1e-7, False),
+        (-0.99e-6, 0.99e-6, False),
+        (-1.01e-6, 1.01e-6, True),
+    ], ids=["micro-degree", "half-micro-degree", "straddle-0.2", "straddle-1.98", "straddle-2.02"])
+    def test_a_fit_must_rise_more_than_two_micro_degrees(self, low, high, accepted):
+        # a fit whose ends both sit in the +-1e-6 deg zero band passes the zero test, but its
+        # slope is rounding noise, so it would synthesize no phase past the band
+        samples = [MeasurementSample(low, 0.0), MeasurementSample(high, 1.0)]
+        if accepted:
+            assert fit_calibration(samples, degree=1).v_ref == pytest.approx(0.5, abs=1e-9)
+        else:
+            with pytest.raises(CalibrationRejectedError,
+                               match=r"^fitted polynomial is flat: its phase rises \S+ deg on "
+                                     r"\[v_lo, v_hi\], not more than 2e-06 deg$"):
+                fit_calibration(samples, degree=1)
 
     def test_out_of_range_sample_rejected(self):
         samples = quintic_samples(TABLE2_D12.coeffs, self.VOLTS)
@@ -708,7 +727,36 @@ class TestRoots:
         assert detector._increasing(coeffs, 0.0, 1.0) is increasing
 
 
+def gamma(n):
+    """Higham's gamma_n = n*u / (1 - n*u), u the unit roundoff of a double."""
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
 class TestMonotonicityProof:
+    @settings(deadline=None, max_examples=400)
+    @given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+           v_lo=st.floats(-3.0, 3.0), width=st.floats(1e-3, 3.0))
+    @example(coeffs=list(TABLE2_D12.coeffs), v_lo=TABLE2_D12.v_lo, width=2.6)
+    @example(coeffs=[0.0, 1.0, -1.0, 0.0, 0.0, 0.0], v_lo=0.0, width=1.0)  # turns at 0.5 V
+    def test_proof_agrees_with_dense_sampling(self, coeffs, v_lo, width):
+        # a max_err_deg far beyond any phase leaves the construction to the monotonicity proof
+        v_hi = v_lo + width
+        volts = [min(v_lo + k * (width / 256), v_hi) for k in range(256)] + [v_hi]
+        phases = [detector._horner(coeffs, v) for v in volts]
+        # Horner over six coefficients errs by at most gamma_10 * sum|a_k||v|^k (Higham 2002,
+        # eq. 5.3); gamma_20 also covers the rounding of that sum, evaluated by Horner too
+        size = [detector._horner([abs(c) for c in coeffs], abs(v)) for v in volts]
+        falls = any(phases[k + 1] < phases[k] - gamma(20) * (size[k] + size[k + 1])
+                    for k in range(256))
+        event("falls" if falls else "rises within rounding")
+        try:
+            CalibrationPolynomial(*coeffs, v_ref=v_lo, v_lo=v_lo, v_hi=v_hi, max_err_deg=1e300,
+                                  pair_id="d12")
+        except CalibrationRejectedError:
+            return
+        assert not falls, "a profile constructed whose samples fall beyond rounding"
+
     def test_dip_narrower_than_a_millivolt_rejected(self):
         # slope = k * ((v - c)**2 - d**2) * ((v - c)**2 + b) is negative only on
         # (c - d, c + d), d = 0.3 mV, with c halfway between two 1 mV steps from v_lo

@@ -30,7 +30,7 @@ from triphase.geometry import (
     receiver_points,
 )
 from triphase.guidance import GuidanceConfig, Maneuver, ManeuverKind, VoltageTriple, decide
-from triphase.simulator import DroneState, SimConfig, sense, worst_case_transect
+from triphase.simulator import DroneState, SimConfig, worst_case_transect
 
 GEOM = receiver_points(7.0)
 RF = RFConfig(2.46e9)
@@ -90,9 +90,6 @@ WRONG_TYPES = [
                  id="Maneuver-kind"),
     pytest.param(lambda: SimConfig(detector_mode=["calibrated"]), "detector_mode must be one of (",
                  id="SimConfig-detector_mode"),
-    pytest.param(lambda: sense(DroneState(Vector3(0.0, 0.0, 300.0)), Vector3(10.0, 0.0, 0.0), GEOM,
-                               RF, builtin_profile_set(), mode=["calibrated"]),
-                 "unknown detector mode ['calibrated']", id="sense-mode"),
     pytest.param(lambda: DroneState(position=(0, 0, 300)),
                  "position must be a Vector3, got (0, 0, 300)", id="DroneState-position"),
 ]

@@ -115,6 +115,21 @@ def hex_or_error(fn, *args):
     return v.v12.hex(), v.v23.hex(), v.v31.hex()
 
 
+def first_cycle(state, beacon, mode, profiles=PROFILES):
+    """The landing loop run for one cycle from `state` with detector `mode`."""
+    return simulate_landing(state, beacon, GEOM, RF, profiles, GCFG,
+                            SimConfig(detector_mode=mode, max_iterations=1))
+
+
+def first_cycle_hex_or_error(state, beacon, mode):
+    """hex_or_error's view of the first cycle's sensing: its voltages, or its ambiguity."""
+    result = first_cycle(state, beacon, mode)
+    if result.aborted:
+        return PhaseAmbiguityError, result.diagnostic.removeprefix("iteration 0: ")
+    v = result.records[0].voltages
+    return v.v12.hex(), v.v23.hex(), v.v31.hex()
+
+
 def reference_apply_maneuver(state, m):
     """One maneuver as a new DroneState, which rewraps the heading every time."""
     kind = m.kind
@@ -232,42 +247,46 @@ class TestSense:
             call(fig14_start(), Vector3(5.0, -3.0, 300.0))
 
     def test_ideal_mode_is_sine_of_phase(self):
-        v = sense(fig14_start(), ground_point(10.0, 0.0), GEOM, RF, None, mode="ideal-sine")
+        run = first_cycle(fig14_start(), ground_point(10.0, 0.0), "ideal-sine", None)
+        v = run.records[0].voltages
         assert v.v12 == 0.0
         assert v.v23 > 0.0
         assert v.v31 == pytest.approx(-v.v23, abs=1e-12)
 
     def test_triangular_mode_is_linear_in_phase(self):
-        v10 = sense(fig14_start(), ground_point(10.0, 0.0), GEOM, RF, None, mode="triangular")
-        v20 = sense(fig14_start(), ground_point(20.0, 0.0), GEOM, RF, None, mode="triangular")
+        v10, v20 = (first_cycle(fig14_start(), ground_point(r, 0.0), "triangular", None)
+                    .records[0].voltages for r in (10.0, 20.0))
         assert v20.v23 == pytest.approx(2.0 * v10.v23, rel=0.01)  # near-linear regime
 
     @settings(deadline=None, max_examples=300)
     @given(x=st.floats(-500, 500), y=st.floats(-500, 500), z=st.floats(10.0, 2000.0),
            heading=st.floats(-720.0, 720.0), bx=st.floats(-500, 500), by=st.floats(-500, 500),
            bz=st.floats(-10.0, 50.0), f=st.floats(1e9, 6e9), d=st.floats(2.0, 15.0),
-           profiles=st.sampled_from([PROFILES, "at f", None]),
-           mode=st.sampled_from(["calibrated", "ideal-sine", "triangular", "sine"]))
-    def test_matches_reference_bit_for_bit(self, x, y, z, heading, bx, by, bz, f, d,
-                                           profiles, mode):
+           profiles=st.sampled_from([PROFILES, "at f", None]))
+    def test_matches_reference_bit_for_bit(self, x, y, z, heading, bx, by, bz, f, d, profiles):
         # the 2.46 GHz built-in set mostly meets another f, so it compares the errors;
         # the set moved to f compares the calibrated voltages
         if profiles == "at f":
             profiles = at_frequency(PROFILES, f)
         args = (DroneState(Vector3(x, y, z), heading), Vector3(bx, by, bz),
-                receiver_points(d), RFConfig(f), profiles, mode)
+                receiver_points(d), RFConfig(f), profiles)
         assert hex_or_error(sense, *args) == hex_or_error(reference_sense, *args)
 
     @pytest.mark.parametrize("mode,limit", [("calibrated", 80.0), ("ideal-sine", 90.0),
                                             ("triangular", 90.0)])
     def test_range_edge_matches_reference(self, mode, limit):
-        # 0.05 cm either side of the mode's cone edge, |theta| is within 0.03 deg of the limit
+        # 0.05 cm either side of the mode's cone edge, |theta| is within 0.03 deg of the limit;
+        # sense is calibrated, so the +-90 deg modes sense through the loop's first cycle
         r = nonambiguous_range(300.0, 90.0, limit, GEOM, RF)
         results = []
         for dr in (-0.05, 0.05):
-            args = (fig14_start(), ground_point(r + dr, 90.0), GEOM, RF, PROFILES, mode)
-            results.append(hex_or_error(sense, *args))
-            assert results[-1] == hex_or_error(reference_sense, *args)
+            state, beacon = fig14_start(), ground_point(r + dr, 90.0)
+            if mode == "calibrated":
+                got = hex_or_error(sense, state, beacon, GEOM, RF, PROFILES)
+            else:
+                got = first_cycle_hex_or_error(state, beacon, mode)
+            assert got == hex_or_error(reference_sense, state, beacon, GEOM, RF, PROFILES, mode)
+            results.append(got)
         assert isinstance(results[0][0], str) and results[1][0] is PhaseAmbiguityError
 
     def test_calibrated_inversion_is_looked_up_in_the_simulator(self, monkeypatch):
@@ -424,7 +443,7 @@ class TestSimulateLanding:
         error = (InvalidParameterError, "angle must be a finite number, got nan")
         assert landing_hex_or_error(simulate_landing, start, beacon, GEOM, RF, PROFILES, GCFG,
                                     SimConfig(detector_mode=mode)) == error
-        assert hex_or_error(sense, start, beacon, GEOM, RF, PROFILES, mode) == error
+        assert hex_or_error(sense, start, beacon, GEOM, RF, PROFILES) == error
 
     @pytest.mark.parametrize("mode", tuple(DETECTOR_MODES))
     def test_far_drone_over_a_near_beacon_matches_object_based_loop(self, mode):
@@ -735,6 +754,32 @@ class TestWorstCaseTransect:
         assert CALIBRATED_RANGE_DEG == 80.0 and math.isfinite(v23) and math.isfinite(v31)
         assert all((r.th23, r.th31, r.v23, r.v31, r.ambiguous) == (80.0, -80.0, v23, v31, False)
                    for r in rows)
+
+    def test_each_row_reads_what_sense_reads_over_the_beacon(self):
+        # row y is the drone at (0, y, z), heading 0, over the beacon at the origin
+        z, beacon = 1000.0, Vector3(0.0, 0.0, 0.0)
+        rows = worst_case_transect(z, 700.0, GEOM, RF, PROFILES, n_samples=15)
+        assert {r.ambiguous for r in rows} == {False, True}
+        for r in rows:
+            state = DroneState(Vector3(0.0, r.y_cm, z), 0.0)
+            sol = phase_solution(GEOM, landing_body_frame(state, beacon), RF)
+            assert (r.th23, r.th31) == (wrap_angle_deg(sol.th23), wrap_angle_deg(sol.th31))
+            try:
+                v = sense(state, beacon, GEOM, RF, PROFILES)
+            except PhaseAmbiguityError:
+                assert r.ambiguous
+            else:
+                assert not r.ambiguous and (r.v23, r.v31) == (v.v23, v.v31)
+
+    def test_default_sample_count(self):
+        rows = worst_case_transect(1000.0, 700.0, GEOM, RF, PROFILES)
+        assert [r.y_cm for r in rows[:2]] == [-700.0, -693.0] and len(rows) == 201
+
+    def test_rejects_a_last_sample_position_that_overflows(self):
+        # 2 * span is finite, but the last row's 2 * span * (n_samples - 1) is not
+        with pytest.raises(InvalidParameterError,
+                           match="^y_range_cm must keep the sample positions finite"):
+            worst_case_transect(1000.0, 5e307, GEOM, RF, PROFILES, n_samples=3)
 
     def test_phases_nearly_antisymmetric_in_y(self):
         # the triangle's fore/aft offset breaks exact oddness by a fraction

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,8 @@ GUARD_BAND_V = 0.010
 BRACKET_EXTENSION_V = 0.100
 #: grid points of the per-profile table that seeds voltage synthesis
 SEED_TABLE_POINTS = 256
+#: how far from 0 V a validity interval may reach: half the float range
+_VOLTAGE_BOUND_V = sys.float_info.max / 2.0
 
 PAIR_IDS = ("d12", "d23", "d31")
 _PROFILE_FIELDS = ("pair_id", "a0", "a1", "a2", "a3", "a4", "a5",
@@ -155,9 +158,10 @@ class CalibrationPolynomial:
 
     coefficients a0..a5 give phase [deg] = sum(a_k * v**k); v_ref is the
     voltage reported for zero phase; [v_lo, v_hi] is the validity interval.
-    Construction requires finite numbers and a positive frequency, proves
-    strict monotonicity on the validity interval exactly, and checks that the
-    polynomial is near zero at v_ref.
+    Construction requires finite numbers, a positive frequency and an interval
+    within half the float range, so every sum and difference of two of its
+    voltages is finite; it proves strict monotonicity on the validity interval
+    exactly, and checks that the polynomial is near zero at v_ref.
     """
 
     a0: float
@@ -181,8 +185,9 @@ class CalibrationPolynomial:
         object.__setattr__(self, "max_err_deg",
                            _check_positive("max_err_deg", self.max_err_deg, zero_ok=True))
         object.__setattr__(self, "frequency_hz", _check_positive("frequency_hz", self.frequency_hz))
-        if not self.v_lo < self.v_hi:
-            raise InvalidParameterError(f"need v_lo < v_hi, got [{self.v_lo}, {self.v_hi}]")
+        if not -_VOLTAGE_BOUND_V <= self.v_lo < self.v_hi <= _VOLTAGE_BOUND_V:
+            raise InvalidParameterError(
+                f"need v_lo < v_hi within +-{_VOLTAGE_BOUND_V:.6g} V, got [{self.v_lo}, {self.v_hi}]")
         if not _increasing(self.coeffs, self.v_lo, self.v_hi):
             raise CalibrationRejectedError(
                 f"{self.pair_id}: polynomial not strictly increasing on "
@@ -259,6 +264,8 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     i = bisect.bisect_right(phases, theta_deg, 1, SEED_TABLE_POINTS - 1)
     lo, hi = volts[i - 1], volts[i]
     seed = lo + (theta_deg - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
+    if not math.isfinite(seed):  # the product overflows where phases or voltages are huge
+        seed = 0.5 * (lo + hi)
     return _solve(poly.coeffs, theta_deg, lo, hi, seed)
 
 
@@ -285,8 +292,13 @@ def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> Ca
 
     volts = np.array([s.voltage_v for s in samples], dtype=float)
     thetas = np.array([s.theta_deg for s in samples], dtype=float)
-    design = np.vander(volts, degree + 1, increasing=True)
-    col_scale = np.linalg.norm(design, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        design = np.vander(volts, degree + 1, increasing=True)
+        col_scale = np.linalg.norm(design, axis=0)
+    if not (np.isfinite(design).all() and np.isfinite(col_scale).all()):
+        raise CalibrationFitError(
+            f"sample voltages up to {np.max(np.abs(volts)):.6g} V overflow the "
+            f"degree-{degree} design matrix")
     if np.any(col_scale == 0.0):
         raise CalibrationFitError("degenerate design matrix (zero column)")
     scaled, *_ = np.linalg.lstsq(design / col_scale, thetas, rcond=None)

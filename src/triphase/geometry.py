@@ -13,7 +13,6 @@ computed with exact near-field distances (no plane-wave approximation).
 Azimuths are measured from body +Y toward body +X, i.e. clockwise when seen
 from above.  All values are plain floats; every public object is immutable
 and safe to share between threads.
-Only the cone screen imports numpy, so the landing path starts without it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import _check_count, _check_finite, _check_positive
 #: speed of light in vacuum [m/s]
 SPEED_OF_LIGHT_MPS = 299_792_458.0
 
-_SCREEN_RAYS, _SCREEN_STEPS, _ROUNDING = 256, 128, 32.0 * 2.0 ** -52  # see _screened_ranges
+_ROUNDING = 32.0 * 2.0 ** -52  # see _proven_start
 
 
 def _wrap(angle):
@@ -186,16 +185,38 @@ def _check_limit(theta_limit_deg):
     return limit
 
 
-def _ray_kernel(z, sin_phi, cos_phi, geom: ReceiverGeometry, k):
-    """max|th| at radius r on the ray from height z along the direction (sin_phi, cos_phi)."""
-    def max_abs_phase(r):
-        # r overflows only for extents near the float limit; a scan at inf would never end
-        if not math.isfinite(r):
-            raise InvalidParameterError(f"r_cm must be a finite number, got {r!r}")
-        a, b, c = _phases((r * sin_phi, r * cos_phi, -z), geom, k)
-        return max(abs(a), abs(b), abs(c))
+def _proven_start(z, limit, sin_phi, cos_phi, geom: ReceiverGeometry, k):
+    """A radius below which every scan point's computed max|th| is proven to stay under the
+    limit and to rise, so the scan need not evaluate them; 0.0 where that is not shown.
 
-    return max_abs_phase
+    With a_i = e.P_i for the ray's unit direction e and the exact inputs, R = D/sqrt(3) < D
+    from the origin, d_i^2 - d_j^2 = 2r(a_j - a_i).  So with u = max|a_i - a_j| and d_i
+    between hypot(z, max(0, r - D)) and hypot(z, r + D), max|th| lies between
+    k u r / hypot(z, r + D) and k u r / hypot(z, max(0, r - D)).  For r < z the upper bound
+    rises, and as |dd_i/dr| <= 1 and d_i + d_j >= 2z, max|th| rises over a step z/100 by at
+    least k u (z - r) / (101 hypot(z, r + D)).  The computed max|th| is within
+    7 eps k (z + r + D) of the exact one (math.dist is within 1 ulp; the ray point, the inputs,
+    the subtractions and k add the rest), so err = _ROUNDING k (2z + D) covers it up to r = z
+    with room for the rounding here.  The radius returned, at most 0.9 z, is where the upper
+    bound meets limit - err, kept only where the rise there is at least 2 err; the rise
+    also covers the step from the last point below it, so that step needs no check.
+    """
+    d = geom.spacing_cm
+    a = [sin_phi * x + cos_phi * y for x, y, _ in geom.coords]
+    u, err = max(a) - min(a), _ROUNDING * k * (2.0 * z + d)
+    if not limit > err:
+        return 0.0
+    alpha = k * u / (limit - err)  # the upper bound meets limit - err where alpha r = hypot(...)
+    if alpha * d > z:  # inside the inputs' circle, where the bound's hypot is z
+        r = z / alpha
+    else:  # the root of (alpha^2 - 1) r^2 + 2 D r - (z^2 + D^2), none if the radicand is < 0
+        radicand = d * d + (alpha * alpha - 1.0) * (z * z + d * d)
+        r = (z * z + d * d) / (d + math.sqrt(radicand)) if radicand >= 0.0 else z
+    r = min(r, 0.9 * z)
+    # a bound that overflowed, underflowed or is nan fails this test
+    if k * u * (z - r) >= 202.0 * err * math.hypot(z, r + d):
+        return r
+    return 0.0
 
 
 def _bisect(max_abs_phase, lo, hi, limit):
@@ -211,23 +232,35 @@ def _bisect(max_abs_phase, lo, hi, limit):
 def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig):
     """Largest radius at which all three |phase shifts| stay within theta_limit.
 
-    Brackets the first crossing with an outward scan (step z/100), verifying
-    that max|th| grows monotonically along the ray, then bisects the bracket
-    down to 0.1 cm, or to one ulp where r's ulp exceeds 0.1 cm.  Raises
-    RangeUnboundedError when no crossing is found below r = 100 * z, at once
-    when the limit exceeds k*D plus the kernel's rounding at the last scan
-    point: |d_i - d_j| < D, so max|th| < k*D.  Raises InvalidParameterError
+    Brackets the first crossing with an outward scan (step z/100) from the
+    last step below _proven_start's radius, verifying that max|th| grows
+    monotonically along the ray, then bisects the bracket down to 0.1 cm,
+    or to one ulp where r's ulp exceeds 0.1 cm.  Raises RangeUnboundedError
+    when no crossing is found below r = 100 * z, at once when the limit
+    exceeds k*D plus the kernel's rounding at the last scan point:
+    |d_i - d_j| < D, so max|th| < k*D.  Raises InvalidParameterError
     when z/100 is too small to move the scan (subnormal z).
     """
     z = _check_positive("z_cm", z_cm)
     limit = _check_limit(theta_limit_deg)
     ceiling, step, k = 100.0 * z, z / 100.0, rf.deg_per_cm
-    max_abs_phase = _ray_kernel(z, *_direction(_check_finite("phi_deg", phi_deg)), geom, k)
+    sin_phi, cos_phi = _direction(_check_finite("phi_deg", phi_deg))
+
+    def max_abs_phase(r):
+        # r overflows only for extents near the float limit; a scan at inf would never end
+        if not math.isfinite(r):
+            raise InvalidParameterError(f"r_cm must be a finite number, got {r!r}")
+        a, b, c = _phases((r * sin_phi, r * cos_phi, -z), geom, k)
+        return max(abs(a), abs(b), abs(c))
+
     unbounded = f"no {limit:g} deg crossing below r = {ceiling:g} cm at phi = {phi_deg:g} deg"
     d_far = math.hypot(ceiling + step, z) + geom.spacing_cm  # inf if the scan would overflow
     if limit > k * (geom.spacing_cm + 3.0 * _ROUNDING * d_far):
         raise RangeUnboundedError(unbounded)
     r_prev, f_prev, r = 0.0, 0.0, step
+    start = _proven_start(z, limit, sin_phi, cos_phi, geom, k)
+    while r < start:  # the scan's own sums, so every radius keeps its bits
+        r_prev, r = r, r + step
     while True:
         f = max_abs_phase(r)
         if f < f_prev - 1e-9:
@@ -244,42 +277,11 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
     return _bisect(max_abs_phase, r_prev, r, limit)
 
 
-def _screened_ranges(z, limit, directions, geom: ReceiverGeometry, k):
-    """nonambiguous_range at height z along each (sin, cos) direction; None if unsettled.
-
-    numpy replays each ray's first _SCREEN_STEPS scan points: the radii
-    exactly (the same sums in order), max|th| to within tol = 32 eps k
-    (max d1 + max d2 + max d3).  From the same coordinate differences,
-    math.dist is within 1 ulp of a distance d and numpy's sqrt of squares
-    within 1.25 eps d; the pair subtractions and products add 2 eps (d_i +
-    d_j), so |th| differs by at most 4.25 eps k (d_i + d_j); 32 also covers
-    rounding in f_prev - 1e-9 and in the tests here.  A ray is settled when
-    every test of its scan up to the first max|th| >= limit clears tol, so
-    the scalar scan takes the same branches; the scalar kernel then bisects.
-    """
-    import numpy as np
-
-    r = np.add.accumulate(np.full(_SCREEN_STEPS, z / 100.0))
-    x, y = np.array(directions).T[:, :, None] * r
-    with np.errstate(all="ignore"):  # an overflow leaves tol non-finite, which settles nothing
-        d = [np.sqrt((x - px) ** 2 + (y - py) ** 2 + np.square(-z - pz)) for px, py, pz in geom.coords]
-        f = np.maximum.reduce([abs(k * (d[0] - d[1])), abs(k * (d[1] - d[2])), abs(k * (d[2] - d[0]))])
-        tol = _ROUNDING * k * sum(float(di.max()) for di in d)
-        clear = (abs(f - limit) >= tol) & (np.diff(f, axis=1, prepend=0.0) + 1e-9 >= 2.0 * tol)
-    stop = np.logical_and.accumulate(clear, axis=1) & (f >= limit)  # the first crossing, if clear
-    first, settled = stop.argmax(axis=1), stop.any(axis=1)
-    sound = math.isfinite(tol) and z > 1e-150  # d >= z keeps every square clear of underflow
-    return [_bisect(_ray_kernel(z, *direction, geom, k), float(r[n - 1]) if n else 0.0,
-                    float(r[n]), limit) if sound and ok and r[n] < 100.0 * z else None
-            for direction, n, ok in zip(directions, first.tolist(), settled.tolist())]
-
-
 def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, n_azimuths=24):
     """Non-ambiguity cone: per-height, per-azimuth maximum radius.
 
     Azimuths sample (-180, +180] uniformly; rows are sorted by (z, phi).
-    Returns a list of (z_cm, phi_deg, r_max_cm), radii and errors bit for bit
-    nonambiguous_range's, which takes the rays _screened_ranges leaves.
+    Returns a list of (z_cm, phi_deg, r_max_cm), one nonambiguous_range per row.
     """
     _check_count("n_azimuths", n_azimuths, 1)
     heights = sorted(_check_positive("z", z) for z in z_list)
@@ -287,14 +289,7 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
         raise InvalidParameterError("z_list must hold at least one height, got none")
     limit = _check_limit(theta_limit_deg)
     phis = [-180.0 + (j + 1) * 360.0 / n_azimuths for j in range(n_azimuths)]
-    directions = [_direction(phi) for phi in phis]
-    rows = []
-    for z in heights:
-        for i in range(0, n_azimuths, _SCREEN_RAYS):  # bounds the screen's arrays
-            radii = _screened_ranges(z, limit, directions[i:i + _SCREEN_RAYS], geom, rf.deg_per_cm)
-            rows += [(z, phi, nonambiguous_range(z, phi, limit, geom, rf) if r is None else r)
-                     for phi, r in zip(phis[i:i + _SCREEN_RAYS], radii)]
-    return rows
+    return [(z, phi, nonambiguous_range(z, phi, limit, geom, rf)) for z in heights for phi in phis]
 
 
 def write_sweep_csv(path_or_file, rows):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -308,6 +309,16 @@ def saved_d31(edit):
 
 HEADER = "theta_deg,voltage_v,power_dbm\n"
 MEASURED = HEADER + "".join(f"{t},{v},-20\n" for t, v in TABLE1_D12)
+# v**5 overflows a float at these voltages
+OVERFLOWING = HEADER + "".join(f"{-60 + 10 * i},{i + 1}e100,-20\n" for i in range(13))
+
+
+def linear_d31(v_lo, v_hi):
+    """A d31 profile of 1 deg per volt through 0 V on [v_lo, v_hi]."""
+    return ("pair_id = d31\na0 = 0.0\na1 = 1.0\na2 = 0.0\na3 = 0.0\na4 = 0.0\na5 = 0.0\n"
+            f"v_ref = 0.0\nv_lo = {v_lo!r}\nv_hi = {v_hi!r}\nmax_err_deg = 0.0\n"
+            "frequency_hz = 2460000000.0\n")
+
 
 # command, the text of the file it reads, more options, exit code, and what stderr must hold:
 # each branch of the profile reader, the measurement reader, the fit and the ray scan that
@@ -335,6 +346,8 @@ INPUT_BRANCHES = [
                  "line 1: expected header", id="csv-wrong-header"),
     pytest.param("fit", MEASURED + "10,1.7\n", [], 2,
                  "line 8: expected 3 fields, got 2", id="csv-two-fields"),
+    pytest.param("fit", MEASURED + "10\n", [], 2,
+                 "line 8: expected 3 fields, got 1", id="csv-one-field"),
     pytest.param("fit", MEASURED.encode() + b"10,1.7\xff,-20\n", [], 2,
                  "not UTF-8 text at byte 0xff", id="csv-byte-0xff"),
     pytest.param("fit", HEADER + f'"{"1" * 140_000}",1.5,-20\n', [], 2,
@@ -348,6 +361,11 @@ INPUT_BRANCHES = [
                  "degree must be an integer in [1, 5]", id="fit-degree-6"),
     pytest.param("fit", HEADER + "".join(f"{t},0,-20\n" for t in range(-50, 60, 10)), [], 3,
                  "degenerate design matrix", id="fit-all-zero-volts"),
+    pytest.param("fit", OVERFLOWING, [], 3,
+                 "error: sample voltages up to 1.3e+101 V overflow the degree-5 design matrix",
+                 id="fit-overflowing-volts"),
+    pytest.param("simulate", linear_d31(-1e308, 1e308), [], 2,
+                 "need v_lo < v_hi within +-8.98847e+307 V", id="profile-interval-overflows"),
     pytest.param("fit", HEADER + "".join(f"{t},{1 + t / 100},-20\n" for t in range(10, 80, 10)),
                  [], 3, "does not rise through 0 deg on [v_lo, v_hi]: +10.00 deg at 1.100 V, "
                  "+70.00 deg at 1.700 V", id="fit-no-zero-crossing"),
@@ -374,6 +392,26 @@ def test_input_branch_exit_code(tmp_path, capsys, command, text, options, code, 
                          "--max-iterations", "3"]}[command]
     assert main([*argv, *options, "--out", str(tmp_path / "out")]) == code
     assert message in capsys.readouterr().err
+
+
+def test_a_profile_over_huge_voltages_synthesizes_finite_voltages(tmp_path, capsys):
+    path = tmp_path / "d31.profile"
+    path.write_text(linear_d31(-1e200, 1e200))
+    assert main(["simulate", "--profile", f"table2-d12,table2-d23,{path}",
+                 "--max-iterations", "3", "--out", "-"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3 and all(math.isfinite(float(row["v31"])) for row in rows)
+
+
+def test_fit_on_overflowing_voltages_prints_one_error_line(tmp_path):
+    (tmp_path / "samples.csv").write_text(OVERFLOWING)
+    src = str(Path(triphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "triphase.cli", "fit", "samples.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == ("error: sample voltages up to 1.3e+101 V overflow the degree-5 "
+                           "design matrix\n")
 
 
 class TestOutputDigests:
@@ -511,7 +549,7 @@ geom, rf = geometry.receiver_points(7.0), geometry.RFConfig(2.46e9)
 profiles = detector.builtin_profile_set()
 with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
     codes = [cli.main(["simulate"]), cli.main(["decide", "0.72", "0.53", "-1.08"]),
-             cli.main(["sweep"])]
+             cli.main(["sweep"]), cli.main(["cone", "--z-cm", "100"])]
     simulator.sense(simulator.DroneState(geometry.Vector3(0.0, 0.0, 300.0)),
                     geometry.Vector3(50.0, 20.0, 0.0), geom, rf, profiles)
     simulator.worst_case_transect(300.0, 100.0, geom, rf, profiles, n_samples=11)
@@ -525,14 +563,13 @@ print(json.dumps([codes, guidance_path, "numpy" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("command", [["cone", "--z-cm", "100"], ["fit", "samples.csv"]],
-                         ids=["cone", "fit"])
-def test_only_cone_and_fit_load_numpy(tmp_path, command):
+def test_only_fit_loads_numpy(tmp_path):
     (tmp_path / "samples.csv").write_text(MEASURED)
     src = str(Path(triphase.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, src, *command], cwd=tmp_path,
-                         capture_output=True, text=True, check=True, timeout=60).stdout
-    assert json.loads(out) == [[0, 0, 0, 0], False, True]
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, src, "fit", "samples.csv"],
+                         cwd=tmp_path, capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert json.loads(out) == [[0, 0, 0, 0, 0], False, True]
 
 
 def test_simulate_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -145,6 +145,11 @@ class TestVoltageFromPhase:
             voltage_from_phase(TABLE2_D23, 80.5)
         assert err.value.pair == "d23"
 
+    def test_phase_below_the_range_is_ambiguous_too(self):
+        with pytest.raises(PhaseAmbiguityError) as err:
+            voltage_from_phase(TABLE2_D12, -80.5)
+        assert err.value.pair == "d12"
+
     @pytest.mark.parametrize("poly", PROFILES.values(), ids=lambda p: p.pair_id)
     def test_builtin_interval_spans_the_calibrated_range(self, poly):
         # +-80 deg then synthesizes inside [v_lo, v_hi], never on the extension path
@@ -287,6 +292,15 @@ class TestFitCalibration:
                                match=r"^fitted polynomial is flat: its phase rises \S+ deg on "
                                      r"\[v_lo, v_hi\], not more than 2e-06 deg$"):
                 fit_calibration(samples, degree=1)
+
+    @pytest.mark.parametrize("scale,degree,largest", [(1e61, 5, "1.3e+62"), (1e100, 5, "1.3e+101"),
+                                                      (1e155, 1, "1.3e+156")])
+    def test_voltages_that_overflow_the_design_matrix_rejected(self, scale, degree, largest):
+        samples = [MeasurementSample(-60.0 + 10.0 * i, scale * (i + 1)) for i in range(13)]
+        with pytest.raises(CalibrationFitError,
+                           match=rf"^sample voltages up to {re.escape(largest)} V overflow the "
+                                 rf"degree-{degree} design matrix$"):
+            fit_calibration(samples, degree=degree)
 
     def test_out_of_range_sample_rejected(self):
         samples = quintic_samples(TABLE2_D12.coeffs, self.VOLTS)
@@ -796,3 +810,42 @@ class TestProfileValidation:
                  for line in buf.getvalue().splitlines()]
         with pytest.raises(FileFormatError):
             load_profile(io.StringIO("\n".join(lines)))
+
+
+def linear_profile(v_lo, v_hi, v_ref=0.0):
+    """phase = 1 deg per volt through v_ref, valid on [v_lo, v_hi]."""
+    return CalibrationPolynomial(-v_ref, 1.0, 0.0, 0.0, 0.0, 0.0, v_ref=v_ref, v_lo=v_lo,
+                                 v_hi=v_hi, max_err_deg=0.0, pair_id="d12")
+
+
+class TestHugeVoltageIntervals:
+    """A profile either synthesizes a finite voltage for each phase its table reaches or is
+    rejected when constructed or loaded."""
+
+    @settings(deadline=None)
+    @given(theta=st.floats(-80.0, 80.0))
+    def test_a_table_over_huge_voltages_synthesizes_finite_voltages(self, theta):
+        # the seed's (theta - p0) * (hi - lo) overflows on these tables' 7.8e197 and 4.2e303 V
+        # steps; near the top of the float range only half of lo + hi stays finite
+        assert voltage_from_phase(linear_profile(-1e200, 1e200), theta) == theta
+        assert voltage_from_phase(linear_profile(7.9e307, 8.98e307, v_ref=8e307), theta) == 8e307
+
+    @pytest.mark.parametrize("v_lo,v_hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_an_empty_interval_rejected(self, v_lo, v_hi):
+        with pytest.raises(InvalidParameterError, match=r"^need v_lo < v_hi within"):
+            linear_profile(v_lo, v_hi)
+
+    @pytest.mark.parametrize("v_lo,v_hi", [(-1e308, 1e308), (0.0, 1e308), (-9e307, 0.0)])
+    def test_an_interval_past_half_the_float_range_rejected(self, v_lo, v_hi):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^need v_lo < v_hi within \+-8.98847e\+307 V"):
+            linear_profile(v_lo, v_hi)
+        buf = io.StringIO()
+        save_profile(linear_profile(-1.0, 1.0), buf)
+        text = buf.getvalue().replace("v_lo = -1.0", f"v_lo = {v_lo!r}")
+        with pytest.raises(FileFormatError, match="need v_lo < v_hi within"):
+            load_profile(io.StringIO(text.replace("v_hi = 1.0", f"v_hi = {v_hi!r}")))
+
+    def test_half_the_float_range_is_accepted(self):
+        half = 8.988465674311579e307
+        assert voltage_from_phase(linear_profile(-half, half), 45.0) == 45.0

@@ -4,10 +4,9 @@ import random
 import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triphase import geometry
-from triphase.cli import main
 from triphase.errors import (
     DegenerateGeometryError,
     InvalidParameterError,
@@ -369,6 +368,23 @@ class TestNonambiguousRange:
             nonambiguous_range(5e305, 10.0, 90.0, GEOM7, RFConfig(0.4e9))
         assert len(str(info.value)) < 200
 
+    def test_a_limit_beyond_kd_raises_before_any_scan_point(self, monkeypatch):
+        phases, calls = geometry._phases, []
+        monkeypatch.setattr(geometry, "_phases", lambda *args: calls.append(args) or phases(*args))
+        with pytest.raises(RangeUnboundedError,
+                           match="^no 90 deg crossing below r = 10000 cm at phi = 0 deg$"):
+            nonambiguous_range(100.0, 0.0, 90.0, GEOM7, RFConfig(0.4e9))
+        assert calls == []
+
+    def test_a_crossing_on_the_point_past_the_ceiling_is_found(self):
+        # at z = 100 cm the scan steps by exactly 1 cm, so its point 10,000 lies on the ceiling
+        # 100 z, which the scan passes by one more step
+        limit = scan_point_limit(100.0, 0.0, 10_001, GEOM5, RF245)
+        args = (100.0, 0.0, limit, GEOM5, RF245)
+        assert nonambiguous_range(*args) == pytest.approx(10_000.97, abs=0.1)
+        assert radius_or_error(nonambiguous_range, *args) == radius_or_error(
+            reference_nonambiguous_range, *args)
+
     @settings(deadline=None)
     @given(z=st.floats(20.0, 2000.0), phi=st.floats(-360.0, 360.0),
            limit=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
@@ -450,6 +466,10 @@ class TestConeProfile:
         assert min(radii) == pytest.approx(486.0, rel=0.02)
         assert max(radii) == pytest.approx(585.0, rel=0.02)
 
+    def test_default_is_24_azimuths(self):
+        rows = cone_profile([1000.0], 80.0, GEOM7, RF246)
+        assert [phi for _, phi, _ in rows] == [-180.0 + 15.0 * (j + 1) for j in range(24)]
+
     @pytest.mark.parametrize("z_list", [[], ()], ids=repr)
     def test_rejects_an_empty_height_list(self, z_list):
         with pytest.raises(InvalidParameterError, match="^z_list must hold at least one height"):
@@ -462,19 +482,6 @@ class TestConeProfile:
     def test_matches_per_ray_loop(self, z_list, limit, d, f, n):
         args = (z_list, limit, receiver_points(d), RFConfig(f), n)
         assert rows_or_error(cone_profile, *args) == rows_or_error(reference_cone_profile, *args)
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The (z, phi) of every ray cone_profile leaves to nonambiguous_range."""
-    rays = []
-
-    def counted(z_cm, phi_deg, *rest):
-        rays.append((z_cm, phi_deg))
-        return nonambiguous_range(z_cm, phi_deg, *rest)
-
-    monkeypatch.setattr(geometry, "nonambiguous_range", counted)
-    return rays
 
 
 def scan_point_limit(z, phi, n, geom, rf):
@@ -491,33 +498,102 @@ GEOM5 = receiver_points(5.0)  # k*D = 147 deg at 2.45 GHz
 
 @pytest.mark.filterwarnings("error")
 class TestConeScreen:
-    """The numpy screen settles a ray only when the scalar scan would take its branches."""
+    """Cones at the edges of the scan's proven start match the per-ray loop bit for bit."""
 
-    @pytest.mark.parametrize("z_list,limit,geom,rf,n,unsettled", [
+    @pytest.mark.parametrize("z_list,limit,geom,rf,n", [
         # the limit is the scan's own value at point 40 of the phi = -90 ray
-        ([1000.0], scan_point_limit(1000.0, -90.0, 40, GEOM7, RF245), GEOM7, RF245, 24,
-         [(1000.0, -90.0)]),
-        # every crossing lies past the screen's 128 scan points
-        ([500.0], 0.85 * RF245.deg_per_cm * 5.0, GEOM5, RF245, 4,
-         [(500.0, -90.0), (500.0, 0.0), (500.0, 90.0), (500.0, 180.0)]),
-        # the -90 deg crossing lies past the screen; the 0 deg ray has none
-        ([500.0], 0.99 * RF245.deg_per_cm * 5.0, GEOM5, RF245, 4, [(500.0, -90.0), (500.0, 0.0)]),
+        ([1000.0], scan_point_limit(1000.0, -90.0, 40, GEOM7, RF245), GEOM7, RF245, 24),
+        # every crossing lies past the proven start's cap of 0.9 z
+        ([500.0], 0.85 * RF245.deg_per_cm * 5.0, GEOM5, RF245, 4),
+        # the -90 deg crossing lies past 0.9 z; the 0 deg ray has none
+        ([500.0], 0.99 * RF245.deg_per_cm * 5.0, GEOM5, RF245, 4),
         # beyond k*D: nonambiguous_range raises on the first ray without a scan
-        ([100.0], 90.0, receiver_points(2.5), RF245, 24, [(100.0, -165.0)]),
-        # the screen's squares overflow; the scan's radius overflows too
-        ([1e307], 45.0, GEOM7, RF245, 24, [(1e307, -165.0)]),
+        ([100.0], 90.0, receiver_points(2.5), RF245, 24),
+        # the scan's radius overflows
+        ([1e307], 45.0, GEOM7, RF245, 24),
     ], ids=["limit-on-a-scan-point", "crossing-past-the-screen", "crossing-then-none",
             "limit-beyond-kD", "overflowing-height"])
-    def test_unsettled_rays_take_the_scan(self, fallbacks, z_list, limit, geom, rf, n, unsettled):
+    def test_unsettled_rays_take_the_scan(self, z_list, limit, geom, rf, n):
         args = (z_list, limit, geom, rf, n)
         assert rows_or_error(cone_profile, *args) == rows_or_error(reference_cone_profile, *args)
-        assert set(unsettled) <= set(fallbacks)
 
-    def test_azimuths_past_one_screen_batch(self, fallbacks):
+    def test_azimuths_past_one_screen_batch(self):
         args = ([1000.0], 80.0, GEOM7, RF246, 300)
         assert rows_or_error(cone_profile, *args) == rows_or_error(reference_cone_profile, *args)
-        assert fallbacks == []
 
-    def test_default_cone_settles_every_ray(self, fallbacks, tmp_path):
-        assert main(["cone", "--out", str(tmp_path / "cone.csv")]) == 0
-        assert fallbacks == []
+
+def first_point_after_skip(z, phi, limit, geom, rf):
+    """The index of the first scan point nonambiguous_range evaluates past its proven start."""
+    start = geometry._proven_start(z, limit, *geometry._direction(phi), geom, rf.deg_per_cm)
+    step = z / 100.0
+    n, r = 1, step
+    while r < start:
+        n, r = n + 1, r + step
+    return n
+
+
+@st.composite
+def rays(draw, max_log_z=12.0):
+    """(z, phi, limit, geom, rf) with z log-uniform over 1e-2..1e12 cm and the limit drawn
+    uniformly or within 5 % of k*D, where the far-field maximum stops the scan."""
+    z = 10.0 ** draw(st.floats(-2.0, max_log_z))
+    f = draw(st.floats(0.4e9, 6e9))
+    k = RFConfig(f).deg_per_cm
+    if draw(st.booleans()):
+        d = draw(st.floats(1.0, 20.0))
+        limit = draw(st.floats(0.0, 180.0, exclude_min=True, exclude_max=True))
+    else:
+        d = draw(st.floats(1.0, min(20.0, 170.0 / k)))
+        limit = k * d * draw(st.floats(0.95, 1.05))
+    return z, draw(st.floats(-360.0, 360.0)), limit, receiver_points(d), RFConfig(f)
+
+
+class TestProvenStart:
+    """The scan skips the points below its proven start and keeps every radius bit and error."""
+
+    @settings(deadline=None)
+    @given(ray=rays())
+    def test_matches_reference_from_near_field_to_far(self, ray):
+        assert (radius_or_error(nonambiguous_range, *ray)
+                == radius_or_error(reference_nonambiguous_range, *ray))
+
+    @settings(deadline=None)
+    @given(ray=rays(), scales=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3),
+           n=st.integers(1, 30))
+    def test_cone_matches_per_ray_loop_from_near_field_to_far(self, ray, scales, n):
+        z, _, limit, geom, rf = ray
+        args = ([z * s for s in scales], limit, geom, rf, n)
+        assert rows_or_error(cone_profile, *args) == rows_or_error(reference_cone_profile, *args)
+
+    # up to 1e14 cm, where the rounding outgrows the rise and the start must be 0.  The
+    # examples sit on the proof's edges: just past the last height where the rise is shown
+    # for D = 1 and D = 20 cm, a limit equal to the rounding margin, a root with a radicand
+    # below 1 (D < 1 cm), and a root past the 0.9 z cap
+    @settings(deadline=None)
+    @given(ray=rays(max_log_z=14.0))
+    @example(ray=(2e11, 0.0, 10.0, receiver_points(1.0), RF245))
+    @example(ray=(5944136670429.357, 0.0, 10.0, receiver_points(20.0), RF245))
+    @example(ray=(107632748894869.36, 0.0, 45.0, GEOM7, RF245))
+    @example(ray=(1.0, 0.0, RF245.deg_per_cm * 0.5 * math.sqrt(3.0) / 2.0 / 1.23,
+                  receiver_points(0.5), RF245))
+    @example(ray=(1000.0, 0.0, 0.69 * RF245.deg_per_cm * 7.0 * math.sqrt(3.0) / 2.0, GEOM7, RF245))
+    def test_start_meets_the_conditions_of_its_proof(self, ray):
+        z, phi, limit, geom, rf = ray
+        k, d = rf.deg_per_cm, geom.spacing_cm
+        sin_phi, cos_phi = geometry._direction(phi)
+        start = geometry._proven_start(z, limit, sin_phi, cos_phi, geom, k)
+        if start:
+            a = [sin_phi * x + cos_phi * y for x, y, _ in geom.coords]
+            u, err = max(a) - min(a), 32.0 * 2.0 ** -52 * k * (2.0 * z + d)
+            assert 0.0 < start <= 0.9 * z
+            assert k * u * start / math.hypot(z, max(0.0, start - d)) <= (limit - err) * (1 + 1e-12)
+            assert k * u * (z - start) / (101.0 * math.hypot(z, start + d)) >= 2.0 * err
+
+    @pytest.mark.parametrize("z,phi,n", [(1000.0, -90.0, 49), (1e4, 45.0, 60), (10.0, -90.0, 12),
+                                         (1e8, 120.0, 30)])
+    def test_limit_on_the_first_point_after_the_skip(self, z, phi, n):
+        limit = scan_point_limit(z, phi, n, GEOM7, RF245)
+        assert first_point_after_skip(z, phi, limit, GEOM7, RF245) == n
+        args = (z, phi, limit, GEOM7, RF245)
+        assert (radius_or_error(nonambiguous_range, *args)
+                == radius_or_error(reference_nonambiguous_range, *args))

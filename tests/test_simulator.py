@@ -343,6 +343,11 @@ class TestApplyManeuver:
         turned = apply_maneuver(state, Maneuver(ManeuverKind.YAW_RIGHT, 60.0))
         assert turned.heading_deg == pytest.approx(-130.0, abs=1e-12)
 
+    @pytest.mark.parametrize("heading,wrapped", [(180.0, 180.0), (180.5, -179.5), (181.0, -179.0),
+                                                 (-180.0, 180.0), (540.25, -179.75)])
+    def test_heading_wraps_into_the_half_open_circle(self, heading, wrapped):
+        assert DroneState(Vector3(0.0, 0.0, 100.0), heading).heading_deg == wrapped
+
 
 class TestSimulateLanding:
     def test_reference_scenario_sequence_and_convergence(self):

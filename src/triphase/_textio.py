@@ -2,45 +2,39 @@
 
 import contextlib
 import csv
-import itertools
 
 from .errors import FileFormatError
 
 
-@contextlib.contextmanager
-def text_stream(path_or_file, mode):
-    """Context manager yielding, for mode "w", a text stream and, for mode "r", its lines.
-
-    An open stream is used as is and left open on exit; anything else is
-    treated as a path and opened as UTF-8, whatever the locale, with newline=""
-    (the csv module's contract).  Reading skips one leading byte-order mark,
-    whatever the source.  A byte that does not decode, raised inside the block,
-    leaves as FileFormatError.
-    """
-    if hasattr(path_or_file, "read" if mode == "r" else "write"):
-        opened = contextlib.nullcontext(path_or_file)
-    else:
-        opened = open(path_or_file, mode, encoding="utf-8", newline="")
-    with opened as fh:
-        try:
-            yield fh if mode == "w" else _skip_bom(fh)
-        except UnicodeDecodeError as exc:
-            raise FileFormatError(
-                f"not UTF-8 text at byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+def read_text(path_or_file):
+    """The whole text of an open stream, or of a path opened as UTF-8 with newline="" (the
+    csv module's contract), one leading byte-order mark removed.  Bytes that do not decode,
+    and a stream whose read() returns bytes, raise FileFormatError."""
+    try:
+        if hasattr(path_or_file, "read"):
+            text = path_or_file.read()
+        else:
+            with open(path_or_file, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"not UTF-8 text at byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+    if not isinstance(text, str):
+        raise FileFormatError(f"expected a text stream, got {type(text).__name__} from read()")
+    return text.removeprefix("\ufeff")
 
 
-def _skip_bom(fh):
-    """The stream's lines, one leading byte-order mark skipped."""
-    lines = iter(fh)
-    for first in lines:
-        # == rather than str.removeprefix: a binary stream's bytes reach the reader unchanged
-        return itertools.chain((first[1:] if first[:1] == "\ufeff" else first,), lines)
-    return lines
+def text_stream(path_or_file):
+    """A context manager for writing: a caller's stream, left open, or the path as UTF-8."""
+    if hasattr(path_or_file, "write"):
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, "w", encoding="utf-8", newline="")
 
 
 def write_csv(path_or_file, header, rows):
-    """Write a header row and formatted rows with "\\n" line endings."""
-    with text_stream(path_or_file, "w") as fh:
+    """Write a header row and rows with "\\n" line endings: a str cell as is, any other
+    cell as a number with six decimals."""
+    with text_stream(path_or_file) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([c if isinstance(c, str) else f"{c:.6f}" for c in row] for row in rows)

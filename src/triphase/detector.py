@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._textio import text_stream
+from ._textio import read_text, text_stream
 from .errors import (
     CalibrationFitError,
     CalibrationRejectedError,
@@ -86,7 +87,8 @@ def _solve(coeffs, target, lo, hi, v):
     coeffs is exactly six coefficients a0..a5 (pad a lower degree with high-order
     zeros).  Safeguarded Newton from v (Brent 1973): each evaluation moves a bracket
     end to v, a Newton step leaving the bracket becomes a bisection, and a step
-    below 1e-9 (volts, for every caller) ends the search."""
+    below 1e-9 (volts, for every caller) ends the search.  Once 100 steps are spent,
+    bisection alone goes on until a step is that small or the bracket will not split."""
     a0, a1, a2, a3, a4, a5 = coeffs
     for _ in range(100):
         # p - target and dp = p' by Horner, in the order TestNewtonKernel's reference_solve
@@ -109,7 +111,11 @@ def _solve(coeffs, target, lo, hi, v):
         if abs(nxt - v) <= 1e-9:
             return nxt
         v = nxt
-    return v
+    while True:
+        lo, hi = (v, hi) if _horner(coeffs, v) <= target else (lo, v)
+        if abs((nxt := 0.5 * (lo + hi)) - v) <= 1e-9:
+            return nxt
+        v = nxt
 
 
 def _slope(coeffs):
@@ -345,7 +351,7 @@ def builtin_profile_set():
 
 def save_profile(poly: CalibrationPolynomial, path_or_file):
     """Write a calibration profile as key = value text."""
-    with text_stream(path_or_file, "w") as fh:
+    with text_stream(path_or_file) as fh:
         fh.write(f"pair_id = {poly.pair_id}\n")
         for name in _PROFILE_FIELDS[1:]:
             fh.write(f"{name} = {getattr(poly, name)!r}\n")
@@ -353,10 +359,8 @@ def save_profile(poly: CalibrationPolynomial, path_or_file):
 
 def load_profile(path_or_file) -> CalibrationPolynomial:
     """Read a UTF-8 key = value calibration profile, each key once; '#' starts a comment."""
-    with text_stream(path_or_file, "r") as lines:
-        text = "".join(lines)
     values = dict.fromkeys(_PROFILE_FIELDS)  # each key's text, None until its line is read
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path_or_file).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -379,20 +383,20 @@ def load_profile(path_or_file) -> CalibrationPolynomial:
 
 
 def read_measurement_csv(path_or_file):
-    """Read measurement samples from UTF-8 CSV with header theta_deg,voltage_v,power_dbm."""
-    with text_stream(path_or_file, "r") as lines:
-        reader = csv.reader(lines)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise FileFormatError(f"line {reader.line_num}: {exc}") from None
+    """Read measurement samples from UTF-8 CSV with header theta_deg,voltage_v,power_dbm; a
+    caller's stream splits into lines as a path does, and errors name physical lines."""
+    reader = csv.reader(io.StringIO(read_text(path_or_file), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise FileFormatError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise FileFormatError("empty measurement file")
     expected = ["theta_deg", "voltage_v", "power_dbm"]
-    if [h.strip() for h in rows[0]] != expected:
+    if [h.strip() for h in rows[0][1]] != expected:
         raise FileFormatError(f"line 1: expected header {','.join(expected)}")
     samples = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:

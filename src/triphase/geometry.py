@@ -294,11 +294,9 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
 
 def write_sweep_csv(path_or_file, rows):
     """Emit azimuth sweep rows as CSV: phi_deg,th12_deg,th23_deg,th31_deg (6 decimals)."""
-    write_csv(path_or_file, ("phi_deg", "th12_deg", "th23_deg", "th31_deg"),
-              (tuple(f"{v:.6f}" for v in row) for row in rows))
+    write_csv(path_or_file, ("phi_deg", "th12_deg", "th23_deg", "th31_deg"), rows)
 
 
 def write_cone_csv(path_or_file, rows):
-    """Emit cone profile rows as CSV: z_cm,phi_deg,rmax_cm."""
-    write_csv(path_or_file, ("z_cm", "phi_deg", "rmax_cm"),
-              ((f"{z:.6f}", f"{phi:.6f}", f"{r:.6f}") for z, phi, r in rows))
+    """Emit cone profile rows as CSV: z_cm,phi_deg,rmax_cm (6 decimals)."""
+    write_csv(path_or_file, ("z_cm", "phi_deg", "rmax_cm"), rows)

@@ -367,7 +367,6 @@ def write_trajectory_csv(path_or_file, records):
     rows = []
     for r in records:
         p, v = r.state.position, r.voltages
-        rows.append((str(r.iteration), f"{p.x:.6f}", f"{p.y:.6f}", f"{p.z:.6f}",
-                     f"{r.state.heading_deg:.6f}", f"{v.v12:.6f}", f"{v.v23:.6f}",
-                     f"{v.v31:.6f}", str(r.sector), ";".join(m.token for m in r.maneuvers)))
+        rows.append((str(r.iteration), p.x, p.y, p.z, r.state.heading_deg, v.v12, v.v23, v.v31,
+                     str(r.sector), ";".join(m.token for m in r.maneuvers)))
     write_csv(path_or_file, header, rows)

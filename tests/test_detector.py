@@ -4,11 +4,13 @@ import io
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
 from triphase import detector
+from triphase._textio import write_csv
 from triphase.detector import (
     CalibrationPolynomial,
     MeasurementSample,
@@ -380,6 +382,19 @@ class TestMeasurementCsv:
         samples = read_measurement_csv(io.StringIO("theta_deg,voltage_v,power_dbm\n0,1.533,\n"))
         assert samples[0].power_dbm is None
 
+    def test_an_error_names_the_physical_line(self):
+        # the quoted field of row 2 spans lines 2 and 3, so the bad row is on line 4
+        bad = 'theta_deg,voltage_v,power_dbm\n"0\n",1,2\nabc,1,2\n'
+        with pytest.raises(FileFormatError, match="^line 4: non-numeric field"):
+            read_measurement_csv(io.StringIO(bad))
+
+    def test_a_callers_stream_splits_into_lines_as_a_path_does(self, tmp_path):
+        text = "theta_deg,voltage_v,power_dbm\r-10,1.25,-20\r\n0,1.5,\r"
+        path = tmp_path / "cr.csv"
+        path.write_bytes(text.encode())
+        assert read_measurement_csv(io.StringIO(text)) == read_measurement_csv(path) == [
+            MeasurementSample(-10.0, 1.25, -20.0), MeasurementSample(0.0, 1.5)]
+
 
 @settings(deadline=None)
 @given(head=st.sampled_from([b"", b"theta_deg,voltage_v,power_dbm\n", b"pair_id = d12\n"]),
@@ -448,6 +463,18 @@ class TestTextEncoding:
     def test_a_mark_after_the_first_character_is_data(self):
         with pytest.raises(FileFormatError, match="line 1: expected header"):
             read_measurement_csv(io.StringIO("t\ufeffheta_deg,voltage_v,power_dbm\n0,1.5,\n"))
+
+    @pytest.mark.parametrize("reader", [load_profile, read_measurement_csv])
+    def test_a_binary_stream_is_a_format_error(self, reader):
+        with pytest.raises(FileFormatError,
+                           match=re.escape("expected a text stream, got bytes from read()")):
+            reader(io.BytesIO(b"pair_id = d12\n"))
+
+
+def test_write_csv_keeps_text_and_writes_numbers_with_six_decimals():
+    buf = io.StringIO()
+    write_csv(buf, ("name", "value"), [("1.0", np.float32(0.1)), ("x,y", 2)])
+    assert buf.getvalue() == 'name,value\n1.0,0.100000\n"x,y",2.000000\n'
 
 
 class TestMeasurementSample:
@@ -845,6 +872,20 @@ class TestHugeVoltageIntervals:
         text = buf.getvalue().replace("v_lo = -1.0", f"v_lo = {v_lo!r}")
         with pytest.raises(FileFormatError, match="need v_lo < v_hi within"):
             load_profile(io.StringIO(text.replace("v_hi = 1.0", f"v_hi = {v_hi!r}")))
+
+    @pytest.mark.parametrize("theta", [-80.0, -50.0, 0.0, 37.3, 80.0])
+    def test_a_spent_newton_budget_still_ends_at_the_root(self, theta):
+        # over 1e200 V the cubic term sends Newton from the seed to the root by a factor of
+        # 2/3 a step, too slowly for 100 steps; bisection alone finishes the search
+        poly = CalibrationPolynomial(0.0, 1.0, 0.0, 1e-300, 0.0, 0.0, v_ref=0.0, v_lo=-1e200,
+                                     v_hi=1e200, max_err_deg=0.0, pair_id="d12")
+        assert poly.evaluate(voltage_from_phase(poly, theta)) == pytest.approx(theta, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [-1e199, 1e199])
+    def test_the_bisection_ends_where_the_bracket_will_not_split(self, seed):
+        # the root at 1e12 V lies where an ulp is 1.2e-4 V, far over the 1e-9 V step
+        coeffs = [-1e12, 1.0, 0.0, 1e-300, 0.0, 0.0]
+        assert detector._solve(coeffs, 0.0, -1e200, 1e200, seed) == 1e12
 
     def test_half_the_float_range_is_accepted(self):
         half = 8.988465674311579e307

@@ -87,10 +87,11 @@ def _solve(coeffs, target, lo, hi, v):
     coeffs is exactly six coefficients a0..a5 (pad a lower degree with high-order
     zeros).  Safeguarded Newton from v (Brent 1973): each evaluation moves a bracket
     end to v, a Newton step leaving the bracket becomes a bisection, and a step
-    below 1e-9 (volts, for every caller) ends the search.  Once 100 steps are spent,
-    bisection alone goes on until a step is that small or the bracket will not split."""
+    below 1e-9 (volts, for every caller) ends the search.  Once 100 Newton steps are
+    spent, every step bisects, until one is that small or the bracket will not split."""
     a0, a1, a2, a3, a4, a5 = coeffs
-    for _ in range(100):
+    newton = 100
+    while True:
         # p - target and dp = p' by Horner, in the order TestNewtonKernel's reference_solve
         # takes, so the two agree bit for bit
         p = a5 * v + a4
@@ -106,14 +107,9 @@ def _solve(coeffs, target, lo, hi, v):
             lo = v
         else:
             hi = v
-        if dp == 0.0 or not lo <= (nxt := v - p / dp) <= hi:
+        if (newton := newton - 1) < 0 or dp == 0.0 or not lo <= (nxt := v - p / dp) <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - v) <= 1e-9:
-            return nxt
-        v = nxt
-    while True:
-        lo, hi = (v, hi) if _horner(coeffs, v) <= target else (lo, v)
-        if abs((nxt := 0.5 * (lo + hi)) - v) <= 1e-9:
             return nxt
         v = nxt
 

@@ -116,6 +116,9 @@ class GuidanceConfig:
         return {kind: Maneuver(kind, step) for *kinds, step in sizes for kind in kinds}
 
 
+_DEFAULT_GUIDANCE = GuidanceConfig()  # decide's and simulate_landing's when given none
+
+
 def classify_sector(v: VoltageTriple) -> SectorId:
     """Locate the landing point's sector from the voltage magnitudes and signs.
 
@@ -151,7 +154,7 @@ def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
     sector-2/3 reading returns a single 60-degree escape yaw (the drone must
     re-sense before tracking).  Sector 1 returns the tracking pair.
     """
-    cfg = cfg or GuidanceConfig()
+    cfg = cfg or _DEFAULT_GUIDANCE
     if v.max_abs <= cfg.hold_threshold_v:
         return [HOLD]
     sector = classify_sector(v)

@@ -50,6 +50,7 @@ from .geometry import (
     phase_solution,
 )
 from .guidance import (
+    _DEFAULT_GUIDANCE,
     GuidanceConfig,
     Maneuver,
     ManeuverKind,
@@ -270,7 +271,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
                      gcfg: GuidanceConfig | None = None,
                      scfg: SimConfig | None = None) -> SimulationResult:
     """Run the sense-decide-act loop until touchdown, abort, or budget exhaustion."""
-    gcfg = gcfg or GuidanceConfig()
+    gcfg = gcfg or _DEFAULT_GUIDANCE
     scfg = scfg or SimConfig()
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
@@ -280,7 +281,6 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     # from here on the pose is floats, finite by construction; each cycle keeps one row
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     rows = []
-    first_hold = None
     last_escape = 0
     diagnostic = None
 
@@ -305,13 +305,13 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
 
         last_escape = escape
         if escape == 0:  # an escape yaw only reorients: no descent
-            if maneuvers[0].kind is ManeuverKind.HOLD and first_hold is None:
-                first_hold = iteration
             # descend one step, never past the touchdown height
             z = max(z - scfg.descent_step_cm, scfg.min_height_cm)
         if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
             Vector3(x, y, z)
 
+    # a hold is always decide's only maneuver, so no escape or fall-through replaced it
+    first_hold = next((k for k, row in enumerate(rows) if row[5][0].kind is ManeuverKind.HOLD), None)
     return SimulationResult(records=_Records(rows), touchdown=z <= scfg.min_height_cm,
                             aborted=diagnostic is not None, diagnostic=diagnostic,
                             first_hold_iteration=first_hold, final_state=_pose(x, y, z, heading))

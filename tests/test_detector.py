@@ -881,6 +881,17 @@ class TestHugeVoltageIntervals:
                                      v_hi=1e200, max_err_deg=0.0, pair_id="d12")
         assert poly.evaluate(voltage_from_phase(poly, theta)) == pytest.approx(theta, abs=1e-6)
 
+    @pytest.mark.parametrize("theta,bits", [(-80.0, "-0x1.3ffffffffbd0bp+6"),
+                                            (-50.0, "-0x1.900000000d37bp+5"),
+                                            (0.0, "0x1.b0cc8f771c294p-33"),
+                                            (37.3, "0x1.2a6666665c415p+5"),
+                                            (80.0, "0x1.4000000002940p+6")])
+    def test_the_steps_after_the_newton_budget_keep_their_bits(self, theta, bits):
+        # each theta takes about 690 bisection steps once the 100 Newton steps are spent
+        poly = CalibrationPolynomial(0.0, 1.0, 0.0, 1e-300, 0.0, 0.0, v_ref=0.0, v_lo=-1e200,
+                                     v_hi=1e200, max_err_deg=0.0, pair_id="d12")
+        assert voltage_from_phase(poly, theta).hex() == bits
+
     @pytest.mark.parametrize("seed", [-1e199, 1e199])
     def test_the_bisection_ends_where_the_bracket_will_not_split(self, seed):
         # the root at 1e12 V lies where an ulp is 1.2e-4 V, far over the 1e-9 V step

@@ -86,6 +86,12 @@ class TestDecide:
         out = decide(v, CFG)
         assert out == [Maneuver(ManeuverKind.HOLD)]
 
+    def test_without_a_config_the_maneuvers_are_shared(self):
+        # the default config and its maneuvers are built once, not on every call
+        v = VoltageTriple(0.01, 0.5, -0.3)
+        assert decide(v)[0] is decide(v)[0]
+        assert decide(v) == decide(v, CFG)
+
     def test_never_empty(self):
         rng = random.Random(5)
         for _ in range(300):

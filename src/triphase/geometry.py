@@ -178,13 +178,6 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
     return rows
 
 
-def _check_limit(theta_limit_deg):
-    limit = _check_finite("theta_limit_deg", theta_limit_deg)
-    if not 0.0 < limit < 180.0:
-        raise InvalidParameterError(f"theta_limit_deg must be in (0, 180), got {limit}")
-    return limit
-
-
 def _proven_start(z, limit, sin_phi, cos_phi, geom: ReceiverGeometry, k):
     """A radius below which every scan point's computed max|th| is proven to stay under the
     limit and to rise, so the scan need not evaluate them; 0.0 where that is not shown.
@@ -219,16 +212,6 @@ def _proven_start(z, limit, sin_phi, cos_phi, geom: ReceiverGeometry, k):
     return 0.0
 
 
-def _bisect(max_abs_phase, lo, hi, limit):
-    # where r's ulp exceeds 0.1 cm the midpoint of a one-ulp bracket rounds to an end: stop
-    while hi - lo > 0.1 and (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if max_abs_phase(mid) < limit:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig):
     """Largest radius at which all three |phase shifts| stay within theta_limit.
 
@@ -236,15 +219,18 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
     last step below _proven_start's radius, verifying that max|th| grows
     monotonically along the ray, then bisects the bracket down to 0.1 cm,
     or to one ulp where r's ulp exceeds 0.1 cm.  Raises RangeUnboundedError
-    when no crossing is found below r = 100 * z, at once when the limit
-    exceeds k*D plus the kernel's rounding at the last scan point:
-    |d_i - d_j| < D, so max|th| < k*D.  Raises InvalidParameterError
-    when z/100 is too small to move the scan (subnormal z).
+    from one exit when no crossing is found below r = 100 * z: past that
+    ceiling, or at once when the limit exceeds k*D plus the kernel's rounding
+    at the last scan point, as |d_i - d_j| < D, so max|th| < k*D.  Raises
+    InvalidParameterError when z/100 is too small to move the scan (subnormal z).
     """
     z = _check_positive("z_cm", z_cm)
-    limit = _check_limit(theta_limit_deg)
+    limit = _check_finite("theta_limit_deg", theta_limit_deg)
+    if not 0.0 < limit < 180.0:
+        raise InvalidParameterError(f"theta_limit_deg must be in (0, 180), got {limit}")
     ceiling, step, k = 100.0 * z, z / 100.0, rf.deg_per_cm
-    sin_phi, cos_phi = _direction(_check_finite("phi_deg", phi_deg))
+    phi = _check_finite("phi_deg", phi_deg)
+    sin_phi, cos_phi = _direction(phi)
 
     def max_abs_phase(r):
         # r overflows only for extents near the float limit; a scan at inf would never end
@@ -253,28 +239,34 @@ def nonambiguous_range(z_cm, phi_deg, theta_limit_deg, geom: ReceiverGeometry, r
         a, b, c = _phases((r * sin_phi, r * cos_phi, -z), geom, k)
         return max(abs(a), abs(b), abs(c))
 
-    unbounded = f"no {limit:g} deg crossing below r = {ceiling:g} cm at phi = {phi_deg:g} deg"
     d_far = math.hypot(ceiling + step, z) + geom.spacing_cm  # inf if the scan would overflow
-    if limit > k * (geom.spacing_cm + 3.0 * _ROUNDING * d_far):
-        raise RangeUnboundedError(unbounded)
-    r_prev, f_prev, r = 0.0, 0.0, step
-    start = _proven_start(z, limit, sin_phi, cos_phi, geom, k)
-    while r < start:  # the scan's own sums, so every radius keeps its bits
-        r_prev, r = r, r + step
-    while True:
-        f = max_abs_phase(r)
-        if f < f_prev - 1e-9:
-            raise RangeUnboundedError(
-                f"max|phase| not monotone along the ray at r={r:.1f} cm; cannot bracket")
-        if f >= limit:
-            break
-        if r > ceiling:
-            raise RangeUnboundedError(unbounded)
-        r_prev, f_prev = r, f
-        r += step
-        if r == r_prev:  # the step z/100 underflowed to 0
-            raise InvalidParameterError(f"z_cm too small for a scan step of z/100, got {z!r}")
-    return _bisect(max_abs_phase, r_prev, r, limit)
+    if limit <= k * (geom.spacing_cm + 3.0 * _ROUNDING * d_far):
+        r_prev, f_prev, r = 0.0, 0.0, step
+        start = _proven_start(z, limit, sin_phi, cos_phi, geom, k)
+        while r < start:  # the scan's own sums, so every radius keeps its bits
+            r_prev, r = r, r + step
+        # near the float limit every distance overflows and max|th| is nan: scan on to r = inf
+        while not (f := max_abs_phase(r)) >= limit:
+            if f < f_prev - 1e-9:
+                raise RangeUnboundedError(
+                    f"max|phase| not monotone along the ray at r={r:.1f} cm; cannot bracket")
+            if r > ceiling:
+                break
+            r_prev, f_prev = r, f
+            r += step
+            if r == r_prev:  # the step z/100 underflowed to 0
+                raise InvalidParameterError(f"z_cm too small for a scan step of z/100, got {z!r}")
+        else:
+            lo, hi = r_prev, r
+            # where r's ulp exceeds 0.1 cm the midpoint of a one-ulp bracket rounds to an end
+            while hi - lo > 0.1 and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if max_abs_phase(mid) < limit:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+    raise RangeUnboundedError(
+        f"no {limit:g} deg crossing below r = {ceiling:g} cm at phi = {phi:g} deg")
 
 
 def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, n_azimuths=24):
@@ -287,9 +279,9 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
     heights = sorted(_check_positive("z", z) for z in z_list)
     if not heights:
         raise InvalidParameterError("z_list must hold at least one height, got none")
-    limit = _check_limit(theta_limit_deg)
     phis = [-180.0 + (j + 1) * 360.0 / n_azimuths for j in range(n_azimuths)]
-    return [(z, phi, nonambiguous_range(z, phi, limit, geom, rf)) for z in heights for phi in phis]
+    return [(z, phi, nonambiguous_range(z, phi, theta_limit_deg, geom, rf))
+            for z in heights for phi in phis]
 
 
 def write_sweep_csv(path_or_file, rows):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,13 +175,15 @@ def test_value_types_store_numpy_scalars_as_float(entry, kwargs, name, number):
 
 
 # each numeric parameter of a function in ENTRY_POINTS, and each height of cone_profile's
-# z_list, given as np.float32 of its valid value and as np.int64 of that value rounded
-NUMPY_NUMBERS = {"float32": np.float32, "int64": lambda x: np.int64(round(x))}
-FUNCTION_NUMPY_CASES = [
+# z_list, given as np.float32 of its valid value, as np.int64 of that value rounded and as
+# the exact Fraction of that value, which formats differently from its float
+NON_FLOAT_NUMBERS = {"float32": np.float32, "int64": lambda x: np.int64(round(x)),
+                     "Fraction": Fraction}
+FUNCTION_NUMBER_CASES = [
     pytest.param(entry, kwargs, name, number, id=f"{entry.__name__}-{name}-{number_id}")
     for entry, kwargs, names in [*ENTRY_POINTS, (cone_profile, CONE_KWARGS, ("z_list",))]
     if not isinstance(entry, type) for name in names
-    for number_id, number in NUMPY_NUMBERS.items()]
+    for number_id, number in NON_FLOAT_NUMBERS.items()]
 
 
 def _leaves(result):
@@ -192,7 +195,7 @@ def _leaves(result):
     return [(type(result), result.hex() if isinstance(result, float) else result)]
 
 
-@pytest.mark.parametrize("entry,kwargs,name,number", FUNCTION_NUMPY_CASES)
+@pytest.mark.parametrize("entry,kwargs,name,number", FUNCTION_NUMBER_CASES)
 def test_functions_compute_on_numpy_scalars_as_on_their_floats(entry, kwargs, name, number):
     value = kwargs[name]
     given = [number(x) for x in value] if isinstance(value, list) else number(value)

@@ -385,6 +385,22 @@ class TestNonambiguousRange:
         assert radius_or_error(nonambiguous_range, *args) == radius_or_error(
             reference_nonambiguous_range, *args)
 
+    def test_a_limit_below_kd_without_a_crossing_raises_past_the_ceiling(self, monkeypatch):
+        # 130 deg is below k*D = 147 deg, so the scan runs until its point past 100 z
+        phases, radii = geometry._phases, []
+        monkeypatch.setattr(geometry, "_phases", lambda q, *rest: (
+            radii.append(math.hypot(q[0], q[1])) or phases(q, *rest)))
+        with pytest.raises(RangeUnboundedError,
+                           match="^no 130 deg crossing below r = 10000 cm at phi = 0 deg$"):
+            nonambiguous_range(100.0, 0.0, 130.0, GEOM5, RF245)
+        assert radii[-1] > 10_000.0 and max(radii) == radii[-1]
+
+    def test_a_crossing_at_the_first_point_of_an_underflowed_step_is_found(self):
+        # z/100 rounds to 0, so the first scan point is r = 0, where max|th| is 1.3e-14 deg:
+        # the crossing there is found before the step's underflow is tested
+        args = (1e-323, 0.0, 6.5e-15, receiver_points(3.5529206381356233), RF245)
+        assert nonambiguous_range(*args) == 0.0
+
     @settings(deadline=None)
     @given(z=st.floats(20.0, 2000.0), phi=st.floats(-360.0, 360.0),
            limit=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),

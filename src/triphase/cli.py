@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from . import detector, geometry, guidance, simulator
@@ -22,6 +23,11 @@ _EXIT_CODES = ((InvalidParameterError, 1), ((FileFormatError, OSError), 2), (Tri
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -3 and -.3 as negative numbers; float() also takes -3e-2 and -inf
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
+
     # argparse exits with code 2 on bad usage; raise instead, so main maps it to exit 1
     def error(self, message):
         raise InvalidParameterError(f"{self.prog}: {message}")

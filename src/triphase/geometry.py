@@ -276,7 +276,10 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
     Returns a list of (z_cm, phi_deg, r_max_cm), one nonambiguous_range per row.
     """
     _check_count("n_azimuths", n_azimuths, 1)
-    heights = sorted(_check_positive("z", z) for z in z_list)
+    try:
+        heights = sorted(_check_positive("z", z) for z in z_list)
+    except TypeError:  # z_list is not iterable: _check_positive raises no TypeError of its own
+        raise InvalidParameterError(f"z_list must be a list of heights, got {z_list!r}") from None
     if not heights:
         raise InvalidParameterError("z_list must hold at least one height, got none")
     phis = [-180.0 + (j + 1) * 360.0 / n_azimuths for j in range(n_azimuths)]

@@ -281,29 +281,25 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     # from here on the pose is floats, finite by construction; each cycle keeps one row
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     rows = []
-    last_escape = 0
     diagnostic = None
 
-    for iteration in range(scfg.max_iterations):
-        if z <= scfg.min_height_cm:
-            break
+    while z > scfg.min_height_cm and len(rows) < scfg.max_iterations:
         try:
             volts = _sense(_body_point(x, y, z, heading, landing), geom, k, limit, laws)
         except PhaseAmbiguityError as exc:
-            diagnostic = f"iteration {iteration}: {exc}"
+            diagnostic = f"iteration {len(rows)}: {exc}"
             break
 
         maneuvers = decide(volts, gcfg)
         escape = _ESCAPES.get(maneuvers[0].kind, 0)
-        if escape != 0 and escape == -last_escape:
-            # opposite escape yaws back to back: fall through to tracking
+        if escape and rows and escape == -_ESCAPES.get(rows[-1][5][0].kind, 0):
+            # opposite escape yaws back to back (a fall-through row starts with a rotate): track
             maneuvers = tracking_maneuvers(volts, gcfg)
             escape = 0
         rows.append((x, y, z, heading, volts, maneuvers))
         for m in maneuvers:
             x, y, heading = _moved(x, y, heading, m)
 
-        last_escape = escape
         if escape == 0:  # an escape yaw only reorients: no descent
             # descend one step, never past the touchdown height
             z = max(z - scfg.descent_step_cm, scfg.min_height_cm)

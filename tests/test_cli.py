@@ -536,6 +536,37 @@ class TestParsing:
     def test_infinite_voltage_rejected(self):
         assert main(["decide", "inf", "0", "0"]) == 1
 
+    @pytest.mark.parametrize("text", ["-3e-2", "-3E-2", "-0.3e-1", "-.3e-1"])
+    def test_negative_number_in_any_float_syntax_is_a_value(self, capsys, text):
+        assert main(["decide", "0.01", "0.5", "-0.03"]) == 0
+        want = capsys.readouterr().out
+        assert main(["decide", "0.01", "0.5", text]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("text,shown", [("-inf", "-inf"), ("-Infinity", "-inf"),
+                                            ("-nan", "nan"), ("-NaN", "nan")])
+    def test_negative_non_finite_names_the_parameter(self, capsys, text, shown):
+        assert main(["decide", "0.01", "0.5", text]) == 1
+        assert capsys.readouterr().err == f"error: v31 must be a finite number, got {shown}\n"
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    def test_negative_exponent_option_value_matches_the_default(self, tmp_path, capsys, out):
+        # the default --landing-phi is -35; --out - still means stdout
+        path = tmp_path / "out.csv"
+        assert main(["simulate", "--landing-phi", "-3.5e1",
+                     "--out", str(path) if out == "file" else "-"]) == 0
+        data = path.read_bytes() if out == "file" else capsys.readouterr().out.encode()
+        assert hashlib.sha256(data).hexdigest() == TestOutputDigests.DIGESTS["simulate"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--r-cm", "-1e1"], "error: r_cm must be >= 0, got -10.0"),
+        (["cone", "--z-cm", "-1e1"], "error: z must be > 0, got -10.0"),
+        (["simulate", "--landing-r", "-inf"], "error: r_cm must be a finite number, got -inf"),
+    ])
+    def test_negative_option_value_reaches_the_library(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.strip() == message
+
 
 # Run in a fresh interpreter, since this test process has numpy loaded.  argv: the source
 # directory, then the command that should load numpy.  Prints whether numpy was loaded

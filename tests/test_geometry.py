@@ -491,6 +491,12 @@ class TestConeProfile:
         with pytest.raises(InvalidParameterError, match="^z_list must hold at least one height"):
             cone_profile(z_list, 80.0, GEOM7, RF246)
 
+    @pytest.mark.parametrize("z_list", [1000.0, None, math.nan, 3], ids=repr)
+    def test_rejects_a_height_list_that_is_not_a_list(self, z_list):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^z_list must be a list of heights, got {z_list!r}$"):
+            cone_profile(z_list, 80.0, GEOM7, RF246)
+
     @settings(deadline=None)
     @given(z_list=st.lists(st.floats(20.0, 2000.0), min_size=1, max_size=3),
            limit=st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),

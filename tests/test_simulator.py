@@ -421,6 +421,15 @@ class TestSimulateLanding:
         assert result.converged
         assert result.iterations < 1000
 
+    def test_boundary_seam_run_matches_object_based_loop_bit_for_bit(self):
+        # the seam run falls through to tracking 16 times in 434 cycles
+        args = (DroneState(Vector3(0.0, 0.0, 400.0), 0.0), ground_point(30.0, -150.0),
+                GEOM, RF, PROFILES, GCFG, SCFG)
+        records = simulate_landing(*args).records
+        assert any(decide(r.voltages, GCFG) != list(r.maneuvers) for r in records)
+        assert (landing_hex_or_error(simulate_landing, *args)
+                == landing_hex_or_error(reference_simulate_landing, *args))
+
     @settings(deadline=None, max_examples=150)
     @given(x=st.floats(-300.0, 300.0), y=st.floats(-300.0, 300.0), z=st.floats(1.0, 400.0),
            heading=st.floats(-720.0, 720.0), slope=st.floats(0.0, 1.0),

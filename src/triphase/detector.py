@@ -271,6 +271,48 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     return _solve(poly.coeffs, theta_deg, lo, hi, seed)
 
 
+#: how far inside +-threshold_v the voltages at a hold box's edges lie [V]
+_HOLD_GUARD_V = 1e-6
+
+
+def _hold_box(poly: CalibrationPolynomial, threshold_v):
+    """Phases [deg] whose synthesized voltage lies within threshold_v of v_ref, or None.
+
+    The box is [p(v_ref - thr + d), p(v_ref + thr - d)] within +-80 deg, p = evaluate and
+    d = _HOLD_GUARD_V.  For theta in it, v* = p^-1(theta) lies in [v_ref +- (thr - d)], up
+    to rounding.  Why d covers the distance from v* to what voltage_from_phase returns:
+    * _solve's bracket and iterates lie in the seed-table cell around v*.  A bisection stops
+      with v* in a bracket of width <= 2e-9 and returns its midpoint; once 100 Newton steps
+      are spent, every step bisects.  A Newton step from v stops at |step| <= 1e-9, and
+      p(v) - theta = p'(xi) (v - v*), so |v - v*| <= 1e-9 p'(v) / p'(xi).  In all, the
+      error is at most 1e-9 (1 + s_max / s_min), the extremes of p' over the cells around
+      [v_ref +- thr].
+    * Horner's p(v), at the box's edges and in _solve, is off by at most 10u sum|a_k||v|^k
+      degrees (Higham 2002, section 5.1), which moves a root by that over s_min; the 1e-14
+      below covers it several times over, and the rounding of v_ref +- thr +- d.
+    A pair gets a box only where the two sum to at most d / 2, the rest covering the
+    rounding of that bound, and where [v_ref +- thr] lies in [v_lo, v_hi], so that
+    voltage_from_phase accepts every theta in the box.  The returned v then lies in
+    [v_ref +- thr], and so does the float v - v_ref: rounding is monotone, and +-thr are
+    floats.
+    """
+    thr, v_ref = threshold_v, poly.v_ref
+    if not poly.v_lo <= v_ref - thr < v_ref + thr <= poly.v_hi:
+        return None
+    volts, _ = poly._seed_table
+    cell = (volts[-1] - volts[0]) / (SEED_TABLE_POINTS - 1)
+    # every cell holding a root in [v_ref +- thr], and a cell to spare for the table's rounding
+    a, b = v_ref - thr - 2.0 * cell, v_ref + thr + 2.0 * cell
+    slope = _slope(poly.coeffs)
+    slopes = [_horner(slope, v) for v in (a, b, *_roots(_slope(slope), a, b))]
+    s_min, s_max = min(slopes), max(slopes)
+    rounding = 1e-14 * _horner([abs(c) for c in poly.coeffs], max(-a, b))  # sum|a_k||v|^k
+    if not (s_min > 0.0 and 1e-9 * (s_min + s_max) + rounding <= 0.5 * _HOLD_GUARD_V * s_min):
+        return None
+    return (max(poly.evaluate(v_ref - thr + _HOLD_GUARD_V), -CALIBRATED_RANGE_DEG),
+            min(poly.evaluate(v_ref + thr - _HOLD_GUARD_V), CALIBRATED_RANGE_DEG))
+
+
 def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> CalibrationPolynomial:
     """Least-squares polynomial (voltage -> phase) from measurement samples.
 

@@ -277,6 +277,8 @@ def cone_profile(z_list, theta_limit_deg, geom: ReceiverGeometry, rf: RFConfig, 
     """
     _check_count("n_azimuths", n_azimuths, 1)
     try:
+        if isinstance(z_list, (str, bytes, bytearray)):  # iterable, but of characters or bytes
+            raise TypeError
         heights = sorted(_check_positive("z", z) for z in z_list)
     except TypeError:  # z_list is not iterable: _check_positive raises no TypeError of its own
         raise InvalidParameterError(f"z_list must be a list of heights, got {z_list!r}") from None

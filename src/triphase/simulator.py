@@ -15,6 +15,12 @@ through to the fine-tracking maneuvers computed from the fresh voltages.
 That mirrors the original maneuver program, whose listing always continues
 from the escape branch into the tracking branch.
 
+A calibrated run decides a hold in phase: each profile is strictly increasing,
+so all three |law(theta)| lie inside the hold threshold wherever the three
+wrapped phases lie inside the pairs' hold boxes (detector._hold_box), and such
+a cycle runs no inversion and no decide.  Its row keeps the three phases, and
+the records build its voltages with the run's laws when first read.
+
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, never inside the loop.  The
 loop's pose is plain floats, finite by construction; one detector law checks
@@ -30,11 +36,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from ._textio import write_csv
 from .detector import (
     CALIBRATED_RANGE_DEG,
     PAIR_IDS,
+    _hold_box,
     _sine,
     _triangular,
     voltage_from_phase,
@@ -51,6 +59,7 @@ from .geometry import (
 )
 from .guidance import (
     _DEFAULT_GUIDANCE,
+    HOLD,
     GuidanceConfig,
     Maneuver,
     ManeuverKind,
@@ -62,9 +71,16 @@ from .guidance import (
 )
 
 
-def _calibrated(profiles, rf: RFConfig):
-    """The calibrated range and the set's three laws, in PAIR_IDS order, after rejecting a
-    set that lacks a pair, mislabels one or was measured off rf's frequency."""
+def _centered(poly, theta):
+    """The calibrated law: theta's synthesized voltage, centered.  It looks voltage_from_phase
+    up in this module, where the benchmark tracer wraps it, and pickles with a run's records."""
+    return voltage_from_phase(poly, theta) - poly.v_ref
+
+
+def _calibrated(profiles, rf: RFConfig, hold_threshold_v):
+    """The calibrated range, the set's three laws and, for a threshold, the three hold
+    boxes (None unless every pair has one), in PAIR_IDS order, after rejecting a set that
+    lacks a pair, mislabels one or was measured off rf's frequency."""
     if profiles is None:
         raise InvalidParameterError("calibrated mode requires calibration profiles")
     for pair in PAIR_IDS:
@@ -74,18 +90,20 @@ def _calibrated(profiles, rf: RFConfig):
         if poly.frequency_hz != rf.frequency_hz:
             raise InvalidParameterError(f"profile {pair} and rf disagree on frequency: "
                                         f"{poly.frequency_hz} Hz vs {rf.frequency_hz} Hz")
-    # each law looks voltage_from_phase up in this module, where the benchmark tracer wraps it
-    laws = [lambda theta, poly=profiles[pair]: voltage_from_phase(poly, theta) - poly.v_ref
-            for pair in PAIR_IDS]
-    return CALIBRATED_RANGE_DEG, laws
+    laws = [partial(_centered, profiles[pair]) for pair in PAIR_IDS]
+    if hold_threshold_v is None:
+        return CALIBRATED_RANGE_DEG, laws, None
+    boxes = [_hold_box(profiles[pair], hold_threshold_v) for pair in PAIR_IDS]
+    return CALIBRATED_RANGE_DEG, laws, None if None in boxes else boxes
 
 
-#: detector mode -> f(profiles, rf) giving the mode's non-ambiguous range [deg] and its three
-#: laws, in PAIR_IDS order, from a wrapped pair phase to its centered voltage [V]
+#: detector mode -> f(profiles, rf, hold_threshold_v) giving the mode's non-ambiguous range
+#: [deg], its three laws, in PAIR_IDS order, from a wrapped pair phase to its centered
+#: voltage [V], and the pairs' hold boxes [deg] for the threshold, or None
 DETECTOR_MODES = {
     "calibrated": _calibrated,
-    "ideal-sine": lambda profiles, rf: (90.0, (_sine,) * 3),
-    "triangular": lambda profiles, rf: (90.0, (_triangular,) * 3),
+    "ideal-sine": lambda profiles, rf, hold_threshold_v: (90.0, (_sine,) * 3, None),
+    "triangular": lambda profiles, rf, hold_threshold_v: (90.0, (_triangular,) * 3, None),
 }
 
 
@@ -164,26 +182,33 @@ def _pose(x, y, z, heading):
     return _trusted(DroneState, position=_trusted(Vector3, x=x, y=y, z=z), heading_deg=heading)
 
 
-def _record(k, row):
-    x, y, z, heading, v, m = row
-    return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v), tuple(m))
-
-
 class _Records(Sequence):
-    """A run's TrajectoryRecords, built when read from the loop's rows; row k is iteration k."""
+    """A run's TrajectoryRecords, built when read from the loop's rows; row k is iteration k.
 
-    def __init__(self, rows):
+    A row decided in phase holds its three wrapped phases where others hold a VoltageTriple;
+    its first read builds the voltages with the run's laws and stores them in the row."""
+
+    def __init__(self, rows, laws):
         self._rows = rows
+        self._laws = laws
+
+    def _record(self, k):
+        x, y, z, heading, v, m = self._rows[k]
+        if type(v) is tuple:
+            law12, law23, law31 = self._laws
+            v = _trusted(VoltageTriple, v12=law12(v[0]), v23=law23(v[1]), v31=law31(v[2]))
+            self._rows[k] = x, y, z, heading, v, m
+        return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v), tuple(m))
 
     def __len__(self):
         return len(self._rows)
 
     def __getitem__(self, i):
         k = range(len(self._rows))[i]  # an index in range or, for a slice, a range of them
-        return [self[j] for j in k] if isinstance(k, range) else _record(k, self._rows[k])
+        return [self[j] for j in k] if isinstance(k, range) else self._record(k)
 
     def __iter__(self):  # Sequence's own __iter__ would index and range-check every record
-        return map(_record, range(len(self._rows)), self._rows)
+        return map(self._record, range(len(self._rows)))
 
     def __eq__(self, other):
         return list(self) == other if isinstance(other, (list, _Records)) else NotImplemented
@@ -210,11 +235,10 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
     return Vector3(*_body_point(p.x, p.y, p.z, state.heading_deg, landing))
 
 
-def _sense(q, geom, k, limit, laws):
-    """sense on the body-frame beacon point q, k = rf.deg_per_cm, a mode's range and its laws."""
+def _sense(raw, thetas, limit, laws):
+    """sense on the three pair phases, raw and wrapped, with a mode's range and its laws."""
     out = []
-    for pair, th, law in zip(PAIR_IDS, _phases(q, geom, k), laws):
-        theta = _wrap(th)
+    for pair, th, theta, law in zip(PAIR_IDS, raw, thetas, laws):
         if not abs(theta) <= limit:  # also nan, when the beacon offset overflowed
             _check_finite("angle", th)
             raise PhaseAmbiguityError(pair, theta)
@@ -234,7 +258,9 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     """
     p = state.position
     q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
-    return _sense(q, geom, rf.deg_per_cm, *_calibrated(profiles, rf))
+    limit, laws, _ = _calibrated(profiles, rf, None)
+    raw = _phases(q, geom, rf.deg_per_cm)
+    return _sense(raw, tuple(map(_wrap, raw)), limit, laws)
 
 
 def _moved(x, y, heading, m: Maneuver):
@@ -264,6 +290,9 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
 
 #: escape yaw -> its direction; decide commands an escape yaw as the only maneuver
 _ESCAPES = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: +1}
+#: the maneuvers of a cycle decided in phase, and the box of a run without hold boxes
+_HOLD_ONLY = (HOLD,)
+_NO_BOX = (math.inf, -math.inf)
 
 
 def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry,
@@ -276,7 +305,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     # the one lookup of a mode; it checks the set also when the start is already at touchdown
-    limit, laws = DETECTOR_MODES[scfg.detector_mode](profiles, rf)
+    limit, laws, boxes = DETECTOR_MODES[scfg.detector_mode](profiles, rf, gcfg.hold_threshold_v)
+    (lo12, hi12), (lo23, hi23), (lo31, hi31) = boxes or (_NO_BOX,) * 3
     k = rf.deg_per_cm
     # from here on the pose is floats, finite by construction; each cycle keeps one row
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
@@ -284,8 +314,15 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     diagnostic = None
 
     while z > scfg.min_height_cm and len(rows) < scfg.max_iterations:
+        raw = _phases(_body_point(x, y, z, heading, landing), geom, k)
+        thetas = th12, th23, th31 = _wrap(raw[0]), _wrap(raw[1]), _wrap(raw[2])
+        if lo12 <= th12 <= hi12 and lo23 <= th23 <= hi23 and lo31 <= th31 <= hi31:
+            # each box lies inside the range, and nan fails every test: a hold, decided in phase
+            rows.append((x, y, z, heading, thetas, _HOLD_ONLY))
+            z = max(z - scfg.descent_step_cm, scfg.min_height_cm)
+            continue
         try:
-            volts = _sense(_body_point(x, y, z, heading, landing), geom, k, limit, laws)
+            volts = _sense(raw, thetas, limit, laws)
         except PhaseAmbiguityError as exc:
             diagnostic = f"iteration {len(rows)}: {exc}"
             break
@@ -308,7 +345,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
 
     # a hold is always decide's only maneuver, so no escape or fall-through replaced it
     first_hold = next((k for k, row in enumerate(rows) if row[5][0].kind is ManeuverKind.HOLD), None)
-    return SimulationResult(records=_Records(rows), touchdown=z <= scfg.min_height_cm,
+    return SimulationResult(records=_Records(rows, laws), touchdown=z <= scfg.min_height_cm,
                             aborted=diagnostic is not None, diagnostic=diagnostic,
                             first_hold_iteration=first_hold, final_state=_pose(x, y, z, heading))
 
@@ -338,7 +375,7 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     span = _check_positive("y_range_cm", y_range_cm)
     if not math.isfinite(2.0 * span * (n_samples - 1)):  # the last row's step overflows
         raise InvalidParameterError(f"y_range_cm must keep the sample positions finite, got {span}")
-    limit, (_, law23, law31) = _calibrated(profiles, rf)
+    limit, (_, law23, law31), _ = _calibrated(profiles, rf, None)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import re
 import signal
 
 import pytest
@@ -495,6 +496,13 @@ class TestConeProfile:
     def test_rejects_a_height_list_that_is_not_a_list(self, z_list):
         with pytest.raises(InvalidParameterError,
                            match=rf"^z_list must be a list of heights, got {z_list!r}$"):
+            cone_profile(z_list, 80.0, GEOM7, RF246)
+
+    @pytest.mark.parametrize("z_list", ["100", "", b"d", bytearray(b"d")], ids=repr)
+    def test_rejects_a_string_of_heights(self, z_list):
+        # iterable, but its items are characters, or bytes that would read as heights
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^z_list must be a list of heights, got {re.escape(repr(z_list))}$"):
             cone_profile(z_list, 80.0, GEOM7, RF246)
 
     @settings(deadline=None)

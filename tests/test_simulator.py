@@ -3,6 +3,7 @@ import collections.abc
 import dataclasses
 import io
 import math
+import pickle
 import random
 
 import numpy as np
@@ -498,6 +499,7 @@ class TestSimulateLanding:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(simulator, "_phases", counted("phases", simulator._phases))
         monkeypatch.setattr(simulator, "_sense", counted("sense", simulator._sense))
         monkeypatch.setattr(simulator, "voltage_from_phase",
                             counted("inversion", simulator.voltage_from_phase))
@@ -506,9 +508,14 @@ class TestSimulateLanding:
         result = simulate_landing(start, beacon, GEOM, RF, PROFILES, GCFG, SCFG)
         cycles = result.iterations
         assert result.converged and cycles > 100
-        assert calls["sense"] == cycles
-        assert calls["inversion"] == 3 * cycles
+        # the loop inverts only the cycles not decided in phase, and each of those once
+        assert calls["phases"] == cycles
+        assert calls["inversion"] == 3 * calls["sense"] < 3 * cycles
         assert calls["state"] <= cycles + 1
+        # reading the records inverts each cycle decided in phase, a hold, once
+        holds = sum(r.maneuvers[0].kind is ManeuverKind.HOLD for r in result.records)
+        assert cycles - calls["sense"] <= holds
+        assert calls["inversion"] == 3 * cycles
 
     @pytest.mark.parametrize("mode,per_cycle", [("calibrated", 3), ("ideal-sine", 0),
                                                 ("triangular", 0)])
@@ -525,6 +532,7 @@ class TestSimulateLanding:
         result = simulate_landing(DroneState(Vector3(0.0, 0.0, 200.0)), Vector3(10.0, 20.0, 0.0),
                                   GEOM, RF, PROFILES, GCFG, SimConfig(detector_mode=mode))
         assert result.touchdown and result.iterations > 100
+        list(result.records)  # builds the voltages of the holds decided in phase
         assert len(calls) == per_cycle * result.iterations
 
     def test_randomized_convergence_inside_half_cone(self):
@@ -616,6 +624,15 @@ class TestRecordsBuiltWhenRead:
         with pytest.raises(TypeError):
             records["0"]
 
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_result_pickles_with_its_records(self, read_first):
+        # the records keep the run's laws to build the voltages of holds decided in phase
+        result = self.run(simulate_landing, "converging")
+        if read_first:
+            list(result.records)
+        assert pickle.loads(pickle.dumps(result)) == result == self.run(reference_simulate_landing,
+                                                                         "converging")
+
     def test_result_stays_frozen_and_takes_a_plain_list(self):
         result = self.run(simulate_landing, "converging")
         built = SimulationResult(records=list(result.records), touchdown=True, aborted=False,
@@ -626,6 +643,130 @@ class TestRecordsBuiltWhenRead:
         for field in dataclasses.fields(SimulationResult):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(result, field.name, None)
+
+
+def first_phases(z, phi, heading, r):
+    """The wrapped phases a drone at (0, 0, z) with `heading` senses of a ground beacon at
+    radius r and azimuth phi, as the landing loop computes them."""
+    beacon = ground_point(r, phi)
+    raw = simulator._phases(simulator._body_point(0.0, 0.0, z, heading, beacon), GEOM,
+                            RF.deg_per_cm)
+    return tuple(wrap_angle_deg(th) for th in raw)
+
+
+def box_edge_radius(z, phi, heading, boxes):
+    """The radius along azimuth phi where the first phase leaves its hold box, and that phase."""
+    def outside(r):
+        thetas = first_phases(z, phi, heading, r)
+        return next((th for th, (lo, hi) in zip(thetas, boxes) if not lo <= th <= hi), None)
+
+    inside, out = 0.0, 0.1 * z  # every box is narrower than the largest phase at 0.1 z
+    for _ in range(200):
+        mid = 0.5 * (inside + out)
+        if mid in (inside, out):
+            break
+        if outside(mid) is None:
+            inside = mid
+        else:
+            out = mid
+    return inside, outside(out)
+
+
+#: about one guard band in phase: _HOLD_GUARD_V times the built-ins' slope near v_ref [deg]
+GUARD_DEG = 55.0 * detector._HOLD_GUARD_V
+
+
+class TestHoldsDecidedInPhase:
+    @settings(deadline=None, max_examples=120)
+    @given(z=st.floats(20.0, 150.0), phi=st.floats(-180.0, 180.0),
+           heading=st.floats(-180.0, 180.0), offset=st.floats(-5.0, 5.0),
+           threshold=st.one_of(st.just(0.02), st.floats(0.005, 0.2)))
+    def test_starts_at_a_box_edge_match_the_eager_loop_bit_for_bit(self, z, phi, heading,
+                                                                   offset, threshold):
+        # the start's first phase sits `offset` guard bands inside (< 0) or outside its box
+        gcfg = GuidanceConfig(hold_threshold_v=threshold)
+        boxes = DETECTOR_MODES["calibrated"](PROFILES, RF, threshold)[2]
+        r_edge, theta_out = box_edge_radius(z, phi, heading, boxes)
+        r = r_edge * (1.0 + offset * GUARD_DEG / abs(theta_out))
+        if abs(offset) >= 0.01:  # the first cycle is decided in phase just when r is inside
+            in_boxes = all(lo <= th <= hi for th, (lo, hi) in zip(first_phases(z, phi, heading, r),
+                                                                  boxes))
+            assert in_boxes is (offset < 0.0)
+        args = (DroneState(Vector3(0.0, 0.0, z), heading), ground_point(r, phi),
+                GEOM, RF, PROFILES, gcfg, SCFG)
+        assert (landing_hex_or_error(simulate_landing, *args)
+                == landing_hex_or_error(reference_simulate_landing, *args))
+
+    @pytest.mark.parametrize("pair", ("d12", "d23", "d31"))
+    def test_every_phase_in_a_box_inverts_inside_the_threshold(self, pair):
+        # 1e-9 deg steps across both edges; the guard's proof leaves half of its 1 uV to spare
+        poly, thr = PROFILES[pair], GCFG.hold_threshold_v
+        lo, hi = detector._hold_box(poly, thr)
+        assert -1.2 < lo < -1.0 and 1.0 < hi < 1.2
+        thetas = [edge + j * 1e-9 for edge in (lo, hi) for j in range(-20000, 20001)]
+        inside = [theta for theta in thetas if lo <= theta <= hi]
+        assert len(thetas) == 80002 and len(inside) > 40000
+        worst = max(abs(voltage_from_phase(poly, theta) - poly.v_ref) for theta in inside)
+        assert worst <= thr - 0.5e-6
+
+    def test_only_a_calibrated_run_with_every_box_decides_in_phase(self):
+        assert DETECTOR_MODES["calibrated"](PROFILES, RF, None)[2] is None
+        for mode in ("ideal-sine", "triangular"):
+            assert DETECTOR_MODES[mode](PROFILES, RF, 0.02)[2] is None
+        # v_ref +- 1.5 V leaves every built-in's [v_lo, v_hi]: no pair has a box
+        assert DETECTOR_MODES["calibrated"](PROFILES, RF, 1.5)[2] is None
+        # under a 1 nV threshold a box would end inside out: it holds no phase
+        for lo, hi in DETECTOR_MODES["calibrated"](PROFILES, RF, 1e-9)[2]:
+            assert lo > hi
+
+    @pytest.mark.parametrize("coeffs,v_ref,boxed", [
+        ((0.0, 1e-2, 0.0, 1.0, 0.0, 0.0), 0.0, True),
+        # p' varies 4,000-fold over the cells around v_ref +- thr
+        ((0.0, 1e-6, 0.0, 1.0, 0.0, 0.0), 0.0, False),
+        # 300-fold on v_ref +- thr itself, 950-fold once the cells around it count
+        ((0.0, 1e-3, 0.0, 249.2, 0.0, 0.0), 0.0, False),
+        # at 1e9 V the rounding of p outweighs the guard band
+        ((-1e9, 1.0, 0.0, 0.0, 0.0, 0.0), 1e9, False),
+    ], ids=["gentle", "flat-at-v_ref", "flat-near-the-edge", "far-from-0-V"])
+    def test_a_box_only_where_the_guard_covers_the_synthesis_error(self, coeffs, v_ref, boxed):
+        poly = detector.CalibrationPolynomial(*coeffs, v_ref=v_ref, v_lo=v_ref - 1.0,
+                                              v_hi=v_ref + 1.0, max_err_deg=1.0, pair_id="d12")
+        assert (detector._hold_box(poly, 0.02) is not None) is boxed
+
+    def test_a_box_stays_inside_the_calibrated_range(self):
+        # 5,000 deg/V reaches +-100 deg at +-20 mV: a phase past 80 deg is still ambiguous
+        steep = {pair: detector.CalibrationPolynomial(0.0, 5000.0, 0.0, 0.0, 0.0, 0.0, v_ref=0.0,
+                                                      v_lo=-1.0, v_hi=1.0, max_err_deg=0.0,
+                                                      pair_id=pair)
+                 for pair in ("d12", "d23", "d31")}
+        assert detector._hold_box(steep["d12"], 0.02) == (-80.0, 80.0)
+        inside, out = 0.0, 60.0  # the radius where the largest first phase reaches 85 deg
+        for _ in range(100):
+            mid = 0.5 * (inside + out)
+            inside, out = (mid, out) if max(map(abs, first_phases(100.0, 20.0, 0.0, mid))) < 85.0 \
+                else (inside, mid)
+        args = (DroneState(Vector3(0.0, 0.0, 100.0)), ground_point(inside, 20.0), GEOM, RF,
+                steep, GCFG, SCFG)
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert got[0] == [] and got[4].startswith("iteration 0: ")
+
+    def test_records_invert_each_cycle_once(self, monkeypatch):
+        calls = []
+
+        def counting(poly, theta):
+            calls.append(theta)
+            return voltage_from_phase(poly, theta)
+
+        monkeypatch.setattr(simulator, "voltage_from_phase", counting)
+        result = simulate_landing(fig14_start(), ground_point(100.0, -35.0), GEOM, RF,
+                                  PROFILES, GCFG, SCFG)
+        in_loop = len(calls)
+        first = list(result.records)
+        assert in_loop < len(calls) == 3 * result.iterations
+        assert list(result.records) == first
+        assert result.records[result.first_hold_iteration] == first[result.first_hold_iteration]
+        assert len(calls) == 3 * result.iterations
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

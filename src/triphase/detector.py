@@ -132,10 +132,12 @@ def _roots(coeffs, a, b):
     return roots
 
 
-def _increasing(coeffs, a, b):
-    """Exact test of strict increase on [a, b]: the slope is positive at a, root-free on [a, b]."""
+def _slope_range(coeffs, a, b):
+    """The least and largest p' on [a, b], at a, b and the roots of p''; the least is positive
+    just where p'(a) is and _roots, testing p' at the same points, finds none on [a, b]."""
     slope = _slope(coeffs)
-    return _horner(slope, a) > 0.0 and not _roots(slope, a, b)
+    slopes = [_horner(slope, v) for v in (a, b, *_roots(_slope(slope), a, b))]
+    return min(slopes), max(slopes)
 
 
 @dataclass(frozen=True, init=False)
@@ -163,7 +165,7 @@ class CalibrationPolynomial:
     Construction requires finite numbers, a positive frequency and an interval
     within half the float range, so every sum and difference of two of its
     voltages is finite; it proves strict monotonicity on the validity interval
-    exactly, and checks that the polynomial is near zero at v_ref.
+    exactly, keeping the slope range it finds, and checks v_ref's phase is near 0.
     """
 
     a0: float
@@ -190,7 +192,8 @@ class CalibrationPolynomial:
         if not -_VOLTAGE_BOUND_V <= self.v_lo < self.v_hi <= _VOLTAGE_BOUND_V:
             raise InvalidParameterError(
                 f"need v_lo < v_hi within +-{_VOLTAGE_BOUND_V:.6g} V, got [{self.v_lo}, {self.v_hi}]")
-        if not _increasing(self.coeffs, self.v_lo, self.v_hi):
+        object.__setattr__(self, "_slopes", _slope_range(self.coeffs, self.v_lo, self.v_hi))
+        if not self._slopes[0] > 0.0:
             raise CalibrationRejectedError(
                 f"{self.pair_id}: polynomial not strictly increasing on "
                 f"[{self.v_lo:.3f}, {self.v_hi:.3f}] V")
@@ -285,29 +288,25 @@ def _hold_box(poly: CalibrationPolynomial, threshold_v):
       with v* in a bracket of width <= 2e-9 and returns its midpoint; once 100 Newton steps
       are spent, every step bisects.  A Newton step from v stops at |step| <= 1e-9, and
       p(v) - theta = p'(xi) (v - v*), so |v - v*| <= 1e-9 p'(v) / p'(xi).  In all, the
-      error is at most 1e-9 (1 + s_max / s_min), the extremes of p' over the cells around
-      [v_ref +- thr].
+      error is at most 1e-9 (1 + s_max / s_min), the extremes of p' on [v_lo, v_hi] that the
+      monotonicity proof kept.  v_ref +- thr lies two cells inside [v_lo, v_hi], one for the
+      cell holding v* and one to spare for the table's rounding, so they bound p' there.
     * Horner's p(v), at the box's edges and in _solve, is off by at most 10u sum|a_k||v|^k
-      degrees (Higham 2002, section 5.1), which moves a root by that over s_min; the 1e-14
-      below covers it several times over, and the rounding of v_ref +- thr +- d.
+      degrees (Higham 2002, section 5.1), which moves a root by that over s_min; 1e-14 at
+      the largest |v| in [v_lo, v_hi] covers it and the rounding of v_ref +- thr +- d.
     A pair gets a box only where the two sum to at most d / 2, the rest covering the
-    rounding of that bound, and where [v_ref +- thr] lies in [v_lo, v_hi], so that
-    voltage_from_phase accepts every theta in the box.  The returned v then lies in
-    [v_ref +- thr], and so does the float v - v_ref: rounding is monotone, and +-thr are
-    floats.
+    rounding of that bound: a profile whose slope varies about 500-fold or more across
+    [v_lo, v_hi] gets none.  voltage_from_phase accepts every theta in a box, and the v it
+    returns lies in [v_ref +- thr], and so does the float v - v_ref: rounding is monotone,
+    and +-thr are floats.
     """
-    thr, v_ref = threshold_v, poly.v_ref
-    if not poly.v_lo <= v_ref - thr < v_ref + thr <= poly.v_hi:
-        return None
+    thr, v_ref, v_lo, v_hi = threshold_v, poly.v_ref, poly.v_lo, poly.v_hi
     volts, _ = poly._seed_table
     cell = (volts[-1] - volts[0]) / (SEED_TABLE_POINTS - 1)
-    # every cell holding a root in [v_ref +- thr], and a cell to spare for the table's rounding
-    a, b = v_ref - thr - 2.0 * cell, v_ref + thr + 2.0 * cell
-    slope = _slope(poly.coeffs)
-    slopes = [_horner(slope, v) for v in (a, b, *_roots(_slope(slope), a, b))]
-    s_min, s_max = min(slopes), max(slopes)
-    rounding = 1e-14 * _horner([abs(c) for c in poly.coeffs], max(-a, b))  # sum|a_k||v|^k
-    if not (s_min > 0.0 and 1e-9 * (s_min + s_max) + rounding <= 0.5 * _HOLD_GUARD_V * s_min):
+    s_min, s_max = poly._slopes
+    rounding = 1e-14 * _horner([abs(c) for c in poly.coeffs], max(-v_lo, v_hi))  # sum|a_k||v|^k
+    if not (v_lo + 2.0 * cell <= v_ref - thr < v_ref + thr <= v_hi - 2.0 * cell
+            and 1e-9 * (s_min + s_max) + rounding <= 0.5 * _HOLD_GUARD_V * s_min):
         return None
     return (max(poly.evaluate(v_ref - thr + _HOLD_GUARD_V), -CALIBRATED_RANGE_DEG),
             min(poly.evaluate(v_ref + thr - _HOLD_GUARD_V), CALIBRATED_RANGE_DEG))

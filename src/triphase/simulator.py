@@ -319,29 +319,27 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         if lo12 <= th12 <= hi12 and lo23 <= th23 <= hi23 and lo31 <= th31 <= hi31:
             # each box lies inside the range, and nan fails every test: a hold, decided in phase
             rows.append((x, y, z, heading, thetas, _HOLD_ONLY))
-            z = max(z - scfg.descent_step_cm, scfg.min_height_cm)
-            continue
-        try:
-            volts = _sense(raw, thetas, limit, laws)
-        except PhaseAmbiguityError as exc:
-            diagnostic = f"iteration {len(rows)}: {exc}"
-            break
+        else:
+            try:
+                volts = _sense(raw, thetas, limit, laws)
+            except PhaseAmbiguityError as exc:
+                diagnostic = f"iteration {len(rows)}: {exc}"
+                break
 
-        maneuvers = decide(volts, gcfg)
-        escape = _ESCAPES.get(maneuvers[0].kind, 0)
-        if escape and rows and escape == -_ESCAPES.get(rows[-1][5][0].kind, 0):
-            # opposite escape yaws back to back (a fall-through row starts with a rotate): track
-            maneuvers = tracking_maneuvers(volts, gcfg)
-            escape = 0
-        rows.append((x, y, z, heading, volts, maneuvers))
-        for m in maneuvers:
-            x, y, heading = _moved(x, y, heading, m)
-
-        if escape == 0:  # an escape yaw only reorients: no descent
-            # descend one step, never past the touchdown height
-            z = max(z - scfg.descent_step_cm, scfg.min_height_cm)
-        if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
-            Vector3(x, y, z)
+            maneuvers = decide(volts, gcfg)
+            escape = _ESCAPES.get(maneuvers[0].kind, 0)
+            if escape and rows and escape == -_ESCAPES.get(rows[-1][5][0].kind, 0):
+                # opposite escape yaws back to back (a fall-through row starts with a rotate)
+                maneuvers = tracking_maneuvers(volts, gcfg)
+                escape = 0
+            rows.append((x, y, z, heading, volts, maneuvers))
+            for m in maneuvers:
+                x, y, heading = _moved(x, y, heading, m)
+            if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
+                Vector3(x, y, z)
+            if escape:  # an escape yaw only reorients: no descent
+                continue
+        z = max(z - scfg.descent_step_cm, scfg.min_height_cm)  # one step, never past touchdown
 
     # a hold is always decide's only maneuver, so no escape or fall-through replaced it
     first_hold = next((k for k, row in enumerate(rows) if row[5][0].kind is ManeuverKind.HOLD), None)

@@ -17,7 +17,12 @@ from triphase.detector import (
     builtin_profile_set,
     voltage_from_phase,
 )
-from triphase.errors import InvalidParameterError, PhaseAmbiguityError, TriphaseError
+from triphase.errors import (
+    CalibrationRejectedError,
+    InvalidParameterError,
+    PhaseAmbiguityError,
+    TriphaseError,
+)
 from triphase.geometry import (
     PhaseSolution,
     RFConfig,
@@ -676,6 +681,36 @@ def box_edge_radius(z, phi, heading, boxes):
 GUARD_DEG = 55.0 * detector._HOLD_GUARD_V
 
 
+def profile(coeffs, v_ref=0.0, v_lo=-1.0, v_hi=1.0, max_err_deg=1.0):
+    return detector.CalibrationPolynomial(*coeffs, v_ref=v_ref, v_lo=v_lo, v_hi=v_hi,
+                                          max_err_deg=max_err_deg, pair_id="d12")
+
+
+#: p' runs from 0.01 to 3.01 on [-1, 1]: about 300-fold, the widest of any profile boxed here
+GENTLE = profile((0.0, 1e-2, 0.0, 1.0, 0.0, 0.0))
+
+
+def window_hold_box(poly, thr):
+    """_hold_box with the gate it had before each profile kept its slope range: it found the
+    extremes of p' and the rounding bound on the cells around v_ref +- thr, for each thr."""
+    v_ref = poly.v_ref
+    if not poly.v_lo <= v_ref - thr < v_ref + thr <= poly.v_hi:
+        return None
+    volts, _ = poly._seed_table
+    cell = (volts[-1] - volts[0]) / (detector.SEED_TABLE_POINTS - 1)
+    a, b = v_ref - thr - 2.0 * cell, v_ref + thr + 2.0 * cell
+    slope = detector._slope(poly.coeffs)
+    slopes = [detector._horner(slope, v)
+              for v in (a, b, *detector._roots(detector._slope(slope), a, b))]
+    s_min, s_max = min(slopes), max(slopes)
+    rounding = 1e-14 * detector._horner([abs(c) for c in poly.coeffs], max(-a, b))
+    guard = detector._HOLD_GUARD_V
+    if not (s_min > 0.0 and 1e-9 * (s_min + s_max) + rounding <= 0.5 * guard * s_min):
+        return None
+    return (max(poly.evaluate(v_ref - thr + guard), -CALIBRATED_RANGE_DEG),
+            min(poly.evaluate(v_ref + thr - guard), CALIBRATED_RANGE_DEG))
+
+
 class TestHoldsDecidedInPhase:
     @settings(deadline=None, max_examples=120)
     @given(z=st.floats(20.0, 150.0), phi=st.floats(-180.0, 180.0),
@@ -697,12 +732,14 @@ class TestHoldsDecidedInPhase:
         assert (landing_hex_or_error(simulate_landing, *args)
                 == landing_hex_or_error(reference_simulate_landing, *args))
 
-    @pytest.mark.parametrize("pair", ("d12", "d23", "d31"))
-    def test_every_phase_in_a_box_inverts_inside_the_threshold(self, pair):
+    @pytest.mark.parametrize("poly,scale", [(PROFILES["d12"], 1.0), (PROFILES["d23"], 1.0),
+                                            (PROFILES["d31"], 1.0), (GENTLE, 2e-4)],
+                             ids=["d12", "d23", "d31", "gentle"])
+    def test_every_phase_in_a_box_inverts_inside_the_threshold(self, poly, scale):
         # 1e-9 deg steps across both edges; the guard's proof leaves half of its 1 uV to spare
-        poly, thr = PROFILES[pair], GCFG.hold_threshold_v
+        thr = GCFG.hold_threshold_v
         lo, hi = detector._hold_box(poly, thr)
-        assert -1.2 < lo < -1.0 and 1.0 < hi < 1.2
+        assert -1.2 * scale < lo < -scale and scale < hi < 1.2 * scale
         thetas = [edge + j * 1e-9 for edge in (lo, hi) for j in range(-20000, 20001)]
         inside = [theta for theta in thetas if lo <= theta <= hi]
         assert len(thetas) == 80002 and len(inside) > 40000
@@ -721,17 +758,52 @@ class TestHoldsDecidedInPhase:
 
     @pytest.mark.parametrize("coeffs,v_ref,boxed", [
         ((0.0, 1e-2, 0.0, 1.0, 0.0, 0.0), 0.0, True),
-        # p' varies 4,000-fold over the cells around v_ref +- thr
+        # p' varies 3,000,000-fold on [v_lo, v_hi], 4,000-fold on the cells around v_ref +- thr
         ((0.0, 1e-6, 0.0, 1.0, 0.0, 0.0), 0.0, False),
-        # 300-fold on v_ref +- thr itself, 950-fold once the cells around it count
+        # 750,000-fold on [v_lo, v_hi], 300-fold on v_ref +- thr itself
         ((0.0, 1e-3, 0.0, 249.2, 0.0, 0.0), 0.0, False),
         # at 1e9 V the rounding of p outweighs the guard band
         ((-1e9, 1.0, 0.0, 0.0, 0.0, 0.0), 1e9, False),
-    ], ids=["gentle", "flat-at-v_ref", "flat-near-the-edge", "far-from-0-V"])
+        # p' = 3 (1 - v)^2 + 0.003 varies 1.2-fold near v_ref, but 4,000-fold on [v_lo, v_hi]
+        ((0.0, 3.003, -3.0, 1.0, 0.0, 0.0), 0.0, False),
+    ], ids=["gentle", "flat-at-v_ref", "flat-near-the-edge", "far-from-0-V", "flat-near-v_hi"])
     def test_a_box_only_where_the_guard_covers_the_synthesis_error(self, coeffs, v_ref, boxed):
-        poly = detector.CalibrationPolynomial(*coeffs, v_ref=v_ref, v_lo=v_ref - 1.0,
-                                              v_hi=v_ref + 1.0, max_err_deg=1.0, pair_id="d12")
+        poly = profile(coeffs, v_ref=v_ref, v_lo=v_ref - 1.0, v_hi=v_ref + 1.0)
         assert (detector._hold_box(poly, 0.02) is not None) is boxed
+
+    @settings(deadline=None, max_examples=300)
+    @given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+           v_lo=st.floats(-3.0, 3.0), width=st.floats(1e-3, 3.0), at=st.floats(0.05, 0.95),
+           reach=st.floats(1e-3, 1.0))
+    def test_every_box_is_one_the_per_threshold_window_gave(self, coeffs, v_lo, width, at,
+                                                            reach):
+        # the slope range on [v_lo, v_hi] bounds p' on every window inside it: a box built
+        # from it is one the window's own, narrower range also gave, bit for bit
+        v_ref = v_lo + at * width
+        thr = reach * width * min(at, 1.0 - at)  # up to the distance to the nearer end
+        try:
+            poly = profile(coeffs, v_ref, v_lo, v_lo + width, abs(detector._horner(coeffs, v_ref)))
+        except CalibrationRejectedError:
+            assume(False)
+        box = detector._hold_box(poly, thr)
+        if box is not None:
+            window = window_hold_box(poly, thr)
+            assert window is not None and [x.hex() for x in window] == [x.hex() for x in box]
+
+    def test_a_run_builds_its_boxes_without_a_root_search(self, monkeypatch):
+        calls = []
+        roots = detector._roots
+
+        def counting(*args):
+            calls.append(args)
+            return roots(*args)
+
+        for thr in (0.02, 0.05):  # the first call builds each profile's seed table
+            DETECTOR_MODES["calibrated"](PROFILES, RF, thr)
+        monkeypatch.setattr(detector, "_roots", counting)
+        for thr in (0.02, 0.05):
+            assert DETECTOR_MODES["calibrated"](PROFILES, RF, thr)[2] is not None
+        assert calls == []
 
     def test_a_box_stays_inside_the_calibrated_range(self):
         # 5,000 deg/V reaches +-100 deg at +-20 mV: a phase past 80 deg is still ambiguous

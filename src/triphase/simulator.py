@@ -22,10 +22,10 @@ a cycle runs no inversion and no decide.  Its row keeps the three phases, and
 the records build its voltages with the run's laws when first read.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
-and once per run at `simulate_landing` entry, never inside the loop.  The
-loop's pose is plain floats, finite by construction; one detector law checks
-its theta again: voltage_from_phase in calibrated mode.  The ideal-sine and
-triangular modes run the detector's unchecked cores.
+and once per run at `simulate_landing` entry, never inside the loop.  There
+one bound, _check_reach, makes the loop's pose and phases finite; one detector
+law checks its theta again: voltage_from_phase in calibrated mode.  The
+ideal-sine and triangular modes run the detector's unchecked cores.
 
 Runs are single-threaded and fully deterministic: identical inputs produce
 bit-identical trajectory logs.
@@ -50,6 +50,7 @@ from .detector import (
 from .errors import InvalidParameterError, PhaseAmbiguityError
 from .errors import _check_count, _check_finite, _check_positive
 from .geometry import (
+    _ROUNDING,
     ReceiverGeometry,
     RFConfig,
     Vector3,
@@ -153,7 +154,7 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    records: list
+    records: Sequence[TrajectoryRecord]
     touchdown: bool
     aborted: bool
     diagnostic: str | None
@@ -235,12 +236,21 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
     return Vector3(*_body_point(p.x, p.y, p.z, state.heading_deg, landing))
 
 
-def _sense(raw, thetas, limit, laws):
-    """sense on the three pair phases, raw and wrapped, with a mode's range and its laws."""
+def _check_reach(x, y, z, landing: Vector3, reach, geom: ReceiverGeometry, rf: RFConfig, limit):
+    """Reject a call whose poses within reach [cm] of (x, y) can overflow or not resolve the beacon."""
+    d = geom.spacing_cm
+    far = math.hypot(abs(landing.x - x) + abs(landing.y - y) + reach + d, landing.z - z)
+    # _proven_start's bound on _phases' rounding; a rounded translate moves at most twice its step
+    if not (_ROUNDING * rf.deg_per_cm * (2.0 * far + d) < limit
+            and math.isfinite(max(abs(x), abs(y)) + 2.0 * reach)):  # inf and nan fail too
+        raise InvalidParameterError(f"beacon too far to resolve: up to {far:g} cm from the drone")
+
+
+def _sense(thetas, limit, laws):
+    """sense on the three wrapped pair phases, with a mode's range and its laws."""
     out = []
-    for pair, th, theta, law in zip(PAIR_IDS, raw, thetas, laws):
-        if not abs(theta) <= limit:  # also nan, when the beacon offset overflowed
-            _check_finite("angle", th)
+    for pair, theta, law in zip(PAIR_IDS, thetas, laws):
+        if abs(theta) > limit:
             raise PhaseAmbiguityError(pair, theta)
         out.append(law(theta))
     return _trusted(VoltageTriple, v12=out[0], v23=out[1], v31=out[2])
@@ -252,15 +262,15 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
 
     `profiles` maps pair ids ("d12", "d23", "d31") to their calibration
     polynomials.  Raises PhaseAmbiguityError when any pair leaves the +-80 deg
-    calibrated range.  This entry checks the beacon's side, then the profile
-    set; simulate_landing checks them once per run and calls the unchecked
-    core _sense every cycle, in the mode SimConfig.detector_mode names.
+    calibrated range.  This entry checks the beacon's side, the profile set,
+    then the floats with _check_reach; simulate_landing checks them once per run
+    and calls the unchecked core _sense every cycle, in the mode SimConfig.detector_mode names.
     """
     p = state.position
     q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
     limit, laws, _ = _calibrated(profiles, rf, None)
-    raw = _phases(q, geom, rf.deg_per_cm)
-    return _sense(raw, tuple(map(_wrap, raw)), limit, laws)
+    _check_reach(p.x, p.y, p.z, landing, 0.0, geom, rf, limit)
+    return _sense(tuple(map(_wrap, _phases(q, geom, rf.deg_per_cm))), limit, laws)
 
 
 def _moved(x, y, heading, m: Maneuver):
@@ -308,8 +318,9 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     limit, laws, boxes = DETECTOR_MODES[scfg.detector_mode](profiles, rf, gcfg.hold_threshold_v)
     (lo12, hi12), (lo23, hi23), (lo31, hi31) = boxes or (_NO_BOX,) * 3
     k = rf.deg_per_cm
-    # from here on the pose is floats, finite by construction; each cycle keeps one row
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
+    _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
+                 geom, rf, limit)  # a translate per row at most, and a list holds < 2 ** 63 rows
     rows = []
     diagnostic = None
 
@@ -317,11 +328,11 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         raw = _phases(_body_point(x, y, z, heading, landing), geom, k)
         thetas = th12, th23, th31 = _wrap(raw[0]), _wrap(raw[1]), _wrap(raw[2])
         if lo12 <= th12 <= hi12 and lo23 <= th23 <= hi23 and lo31 <= th31 <= hi31:
-            # each box lies inside the range, and nan fails every test: a hold, decided in phase
+            # each box lies inside the range: a hold, decided in phase
             rows.append((x, y, z, heading, thetas, _HOLD_ONLY))
         else:
             try:
-                volts = _sense(raw, thetas, limit, laws)
+                volts = _sense(thetas, limit, laws)
             except PhaseAmbiguityError as exc:
                 diagnostic = f"iteration {len(rows)}: {exc}"
                 break
@@ -335,8 +346,6 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             rows.append((x, y, z, heading, volts, maneuvers))
             for m in maneuvers:
                 x, y, heading = _moved(x, y, heading, m)
-            if x - x + (y - y):  # nan only after a translate overflowed: let Vector3 name it
-                Vector3(x, y, z)
             if escape:  # an escape yaw only reorients: no descent
                 continue
         z = max(z - scfg.descent_step_cm, scfg.min_height_cm)  # one step, never past touchdown
@@ -366,27 +375,21 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
     The beacon sits at the origin; the drone flies at height z over
     y in [-y_range, +y_range] with heading 0.  The 1-2 pair is exactly
     balanced on this line, so th12 is identically zero.  Rows whose phases
-    leave the calibrated range carry NaN voltages and an ambiguous flag.
+    leave the calibrated range carry NaN voltages and an ambiguous flag.  Floats are
+    checked before the first row, by _check_reach with the last row's 2 y_range (n - 1).
     """
     _check_count("n_samples", n_samples, 2)
     z = _check_positive("z_cm", z_cm)
     span = _check_positive("y_range_cm", y_range_cm)
-    if not math.isfinite(2.0 * span * (n_samples - 1)):  # the last row's step overflows
-        raise InvalidParameterError(f"y_range_cm must keep the sample positions finite, got {span}")
     limit, (_, law23, law31), _ = _calibrated(profiles, rf, None)
+    _check_reach(0.0, 0.0, z, Vector3(0.0, 0.0, 0.0), 2.0 * span * (n_samples - 1), geom, rf, limit)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)
         sol = phase_solution(geom, Vector3(0.0, -y, -z), rf)
         th23, th31 = _wrap(sol.th23), _wrap(sol.th31)
-        if math.isnan(sol.th12 + th23 + th31):  # a distance to an input overflowed
-            raise InvalidParameterError(
-                f"z_cm and y_range_cm must keep the phases finite, got {z} and {span}")
         ambiguous = max(abs(th23), abs(th31)) > limit
-        if ambiguous:
-            v23 = v31 = math.nan
-        else:
-            v23, v31 = law23(th23), law31(th31)
+        v23, v31 = (math.nan, math.nan) if ambiguous else (law23(th23), law31(th31))
         rows.append(TransectRow(y, sol.th12, th23, th31, v23, v31, ambiguous))
     return rows
 

@@ -225,6 +225,14 @@ class TestSimulate:
         # partial log still written (header only)
         assert out.read_text().splitlines()[0].startswith("iter,")
 
+    def test_beacon_too_far_to_resolve_is_usage_error(self, tmp_path, capsys):
+        # it read as centred and converged with a 1e17 cm horizontal error, exiting 0
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--landing-r", "1e17", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: beacon too far to resolve: up to ")
+        assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--landing-phi", "120", "--landing-r", "40", "--start-z", "200"]

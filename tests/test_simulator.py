@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from triphase import detector, simulator
+from triphase import detector, geometry, simulator
 from triphase.detector import (
     CALIBRATED_RANGE_DEG,
     TABLE2_D12,
@@ -111,6 +111,22 @@ def at_frequency(profiles, frequency_hz):
     """The profiles with their frequency set to `frequency_hz`."""
     return {pair: dataclasses.replace(poly, frequency_hz=frequency_hz)
             for pair, poly in profiles.items()}
+
+
+def entry_edge(limit, reach):
+    """The heights (inside, outside), adjacent floats, between which a drone over a beacon at the
+    origin meets the landing path's entry bound, _ROUNDING k (2 hypot(reach + D, z) + D) < limit."""
+    d = GEOM.spacing_cm
+    lo, hi = 1.0, 1e300
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if geometry._ROUNDING * RF.deg_per_cm * (2.0 * math.hypot(reach + d, mid) + d) < limit:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+TOO_FAR = "^beacon too far to resolve: up to "
 
 
 def hex_or_error(fn, *args):
@@ -457,32 +473,67 @@ class TestSimulateLanding:
     @pytest.mark.parametrize("mode", tuple(DETECTOR_MODES))
     @pytest.mark.parametrize("x", [1e308, -1e308], ids=["drone-east", "drone-west"])
     def test_overflowing_beacon_offset_keeps_its_error(self, x, mode):
-        # beacon minus drone overflows to inf and the path differences to nan; the
-        # object-based loop meets the inf sooner, in its body-frame Vector3
+        # beacon minus drone overflows to inf: the entry bound rejects it before any phase
         start, beacon = DroneState(Vector3(x, 0.0, 300.0), 0.0), Vector3(-x, 0.0, 0.0)
-        error = (InvalidParameterError, "angle must be a finite number, got nan")
+        error = (InvalidParameterError, "beacon too far to resolve: up to inf cm from the drone")
         assert landing_hex_or_error(simulate_landing, start, beacon, GEOM, RF, PROFILES, GCFG,
                                     SimConfig(detector_mode=mode)) == error
         assert hex_or_error(sense, start, beacon, GEOM, RF, PROFILES) == error
 
+    @pytest.mark.parametrize("side", ["inside", "outside"])
     @pytest.mark.parametrize("mode", tuple(DETECTOR_MODES))
-    def test_far_drone_over_a_near_beacon_matches_object_based_loop(self, mode):
-        # every distance rounds to 1e308: all phases are 0, and the run holds to touchdown
-        args = (DroneState(Vector3(1e308, 0.0, 300.0), 0.0), Vector3(0.0, 0.0, 0.0),
-                GEOM, RF, PROFILES, GCFG, SimConfig(detector_mode=mode))
+    def test_far_drone_over_a_near_beacon_matches_object_based_loop(self, mode, side):
+        # a drone one float below or above the entry bound's height for a budget of 300 cm:
+        # inside, every phase rounds to about 0 and the run holds to its budget
+        scfg = SimConfig(max_iterations=300, detector_mode=mode)
+        limit = DETECTOR_MODES[mode](PROFILES, RF, None)[0]
+        z = entry_edge(limit, 300 * GCFG.move_step_cm)[side == "outside"]
+        args = (DroneState(Vector3(0.0, 0.0, z), 0.0), Vector3(0.0, 0.0, 0.0),
+                GEOM, RF, PROFILES, GCFG, scfg)
         got = landing_hex_or_error(simulate_landing, *args)
-        assert got == landing_hex_or_error(reference_simulate_landing, *args)
-        assert len(got[0]) == 299 and got[1] == 0
+        if side == "inside":
+            assert got == landing_hex_or_error(reference_simulate_landing, *args)
+            assert len(got[0]) == 300 and got[1] == 0
+        else:
+            assert got == (InvalidParameterError, f"beacon too far to resolve: up to {z:g} cm "
+                                                  "from the drone")
+
+    @pytest.mark.parametrize("side", ["inside", "outside"])
+    def test_sense_and_transect_reject_at_the_same_edge(self, side):
+        # the same bound, with sense's budget of 0 and the transect's 2 y_range (n - 1) = 4 cm
+        z_sense, z_transect = (entry_edge(CALIBRATED_RANGE_DEG, reach)[side == "outside"]
+                               for reach in (0.0, 4.0))
+        sense_args = (DroneState(Vector3(0.0, 0.0, z_sense)), Vector3(0.0, 0.0, 0.0), GEOM, RF,
+                      PROFILES)
+        transect_args = (z_transect, 1.0, GEOM, RF, PROFILES, 3)
+        if side == "inside":  # every phase rounds to about 0
+            assert sense(*sense_args).max_abs < GCFG.hold_threshold_v
+            assert not any(r.ambiguous for r in worst_case_transect(*transect_args))
+            return
+        with pytest.raises(InvalidParameterError, match=TOO_FAR):
+            sense(*sense_args)
+        with pytest.raises(InvalidParameterError, match=TOO_FAR):
+            worst_case_transect(*transect_args)
+
+    def test_a_beacon_too_far_to_resolve_is_rejected(self):
+        # it read as centred: every path difference rounded to 0 and the run held to touchdown
+        beacon = ground_point(1e17, -35.0)
+        with pytest.raises(InvalidParameterError, match=TOO_FAR):
+            simulate_landing(fig14_start(), beacon, GEOM, RF, PROFILES, GCFG, SCFG)
+        with pytest.raises(InvalidParameterError, match=TOO_FAR):
+            sense(fig14_start(), beacon, GEOM, RF, PROFILES)
 
     @pytest.mark.parametrize("mode", tuple(DETECTOR_MODES))
     def test_overflowing_translate_matches_object_based_loop(self, mode):
-        # the first cycle tracks (ROTL, FWD) and the forward step carries x past the float range
+        # the first cycle would track (ROTL, FWD) and carry x past the float range; the entry
+        # bound rejects the move budget first, where the object-based loop fails in Vector3
         args = (DroneState(Vector3(1.7e308, 0.0, 300.0), 20.0), Vector3(1.7e308, 10.0, 0.0),
                 GEOM, RF, PROFILES, GuidanceConfig(move_step_cm=1.7e308),
                 SimConfig(detector_mode=mode))
-        got = landing_hex_or_error(simulate_landing, *args)
-        assert got == landing_hex_or_error(reference_simulate_landing, *args)
-        assert got == (InvalidParameterError, "x must be a finite number, got inf")
+        assert (landing_hex_or_error(reference_simulate_landing, *args)
+                == (InvalidParameterError, "x must be a finite number, got inf"))
+        assert landing_hex_or_error(simulate_landing, *args) == (
+            InvalidParameterError, "beacon too far to resolve: up to inf cm from the drone")
 
     def test_records_hold_floats_whatever_number_types_configure_the_run(self):
         # the records' poses skip the Vector3 and DroneState checks that coerce to float
@@ -953,23 +1004,19 @@ class TestWorstCaseTransect:
         with pytest.raises(InvalidParameterError, match=name):
             worst_case_transect(z_cm, y_range_cm, GEOM, RF, PROFILES)
 
-    @pytest.mark.parametrize("z_cm,y_range_cm,message", [
-        (1000.0, 9e307, "y_range_cm must keep the sample positions finite"),  # 2 * span is inf
-        (1e308, 1e308, "y_range_cm must keep the sample positions finite"),
-        (1.79e308, 8e307, "z_cm and y_range_cm must keep the phases finite"),  # distances are inf
+    @pytest.mark.parametrize("z_cm,y_range_cm", [
+        (1000.0, 9e307),  # 2 * span is inf
+        (1e308, 1e308),
+        (1.79e308, 8e307),  # the distances are inf
     ])
-    def test_rejects_extent_that_overflows(self, z_cm, y_range_cm, message):
-        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+    def test_rejects_extent_that_overflows(self, z_cm, y_range_cm):
+        with pytest.raises(InvalidParameterError, match=TOO_FAR):
             worst_case_transect(z_cm, y_range_cm, GEOM, RF, PROFILES, n_samples=2)
 
     def test_height_at_the_float_limit_keeps_its_rows(self):
-        # far field: every distance is finite and every phase rounds to zero
-        rows = worst_case_transect(1.79e308, 1.0, GEOM, RF, PROFILES, n_samples=3)
-        assert [r.y_cm for r in rows] == [-1.0, 0.0, 1.0]
-        null = sense(DroneState(Vector3(0.0, 0.0, 1000.0)), Vector3(0.0, 0.0, 0.0), GEOM, RF,
-                     PROFILES)
-        assert all((r.th12, r.th23, r.th31, r.v23, r.v31, r.ambiguous)
-                   == (0.0, 0.0, 0.0, null.v23, null.v31, False) for r in rows)
+        # every distance is finite, but its rounding could shift a phase by the whole range
+        with pytest.raises(InvalidParameterError, match=TOO_FAR + "1.79e[+]308 cm"):
+            worst_case_transect(1.79e308, 1.0, GEOM, RF, PROFILES, n_samples=3)
 
     def test_a_phase_at_the_range_edge_is_not_ambiguous(self, monkeypatch):
         edge = PhaseSolution(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -1004,8 +1051,7 @@ class TestWorstCaseTransect:
 
     def test_rejects_a_last_sample_position_that_overflows(self):
         # 2 * span is finite, but the last row's 2 * span * (n_samples - 1) is not
-        with pytest.raises(InvalidParameterError,
-                           match="^y_range_cm must keep the sample positions finite"):
+        with pytest.raises(InvalidParameterError, match=TOO_FAR + "inf cm"):
             worst_case_transect(1000.0, 5e307, GEOM, RF, PROFILES, n_samples=3)
 
     def test_phases_nearly_antisymmetric_in_y(self):

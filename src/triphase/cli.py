@@ -127,7 +127,7 @@ def cmd_simulate(args):
                                detector_mode=args.mode)
     # every mode checks the set at its frequency; a set without d12 fails whatever stands in
     geom, rf = _geometry(args, profiles.get("d12", detector.TABLE2_D12).frequency_hz)
-    simulator.DETECTOR_MODES["calibrated"](profiles, rf, None)
+    simulator._calibrated(profiles, rf)
     start = simulator.DroneState(
         geometry.Vector3(args.start_x, args.start_y, args.start_z), args.heading)
     offset = geometry.landing_point(args.landing_r, args.landing_phi, args.start_z)

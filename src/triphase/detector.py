@@ -276,10 +276,11 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
 
 #: how far inside +-threshold_v the voltages at a hold box's edges lie [V]
 _HOLD_GUARD_V = 1e-6
+_NO_BOX = (math.inf, -math.inf)  # the empty hold box: it holds no phase
 
 
 def _hold_box(poly: CalibrationPolynomial, threshold_v):
-    """Phases [deg] whose synthesized voltage lies within threshold_v of v_ref, or None.
+    """Phases [deg] whose synthesized voltage lies within threshold_v of v_ref, as (lo, hi).
 
     The box is [p(v_ref - thr + d), p(v_ref + thr - d)] within +-80 deg, p = evaluate and
     d = _HOLD_GUARD_V.  For theta in it, v* = p^-1(theta) lies in [v_ref +- (thr - d)], up
@@ -296,9 +297,9 @@ def _hold_box(poly: CalibrationPolynomial, threshold_v):
       the largest |v| in [v_lo, v_hi] covers it and the rounding of v_ref +- thr +- d.
     A pair gets a box only where the two sum to at most d / 2, the rest covering the
     rounding of that bound: a profile whose slope varies about 500-fold or more across
-    [v_lo, v_hi] gets none.  voltage_from_phase accepts every theta in a box, and the v it
-    returns lies in [v_ref +- thr], and so does the float v - v_ref: rounding is monotone,
-    and +-thr are floats.
+    [v_lo, v_hi] gets the empty _NO_BOX, and a threshold under d an inverted, empty box.
+    voltage_from_phase accepts every theta in a box, and the v it returns lies in
+    [v_ref +- thr], and so does the float v - v_ref: rounding is monotone, and +-thr are floats.
     """
     thr, v_ref, v_lo, v_hi = threshold_v, poly.v_ref, poly.v_lo, poly.v_hi
     volts, _ = poly._seed_table
@@ -307,7 +308,7 @@ def _hold_box(poly: CalibrationPolynomial, threshold_v):
     rounding = 1e-14 * _horner([abs(c) for c in poly.coeffs], max(-v_lo, v_hi))  # sum|a_k||v|^k
     if not (v_lo + 2.0 * cell <= v_ref - thr < v_ref + thr <= v_hi - 2.0 * cell
             and 1e-9 * (s_min + s_max) + rounding <= 0.5 * _HOLD_GUARD_V * s_min):
-        return None
+        return _NO_BOX
     return (max(poly.evaluate(v_ref - thr + _HOLD_GUARD_V), -CALIBRATED_RANGE_DEG),
             min(poly.evaluate(v_ref + thr - _HOLD_GUARD_V), CALIBRATED_RANGE_DEG))
 

@@ -130,14 +130,12 @@ def landing_point(r_cm, phi_deg, height_cm) -> Vector3:
 def _phases(q, geom: ReceiverGeometry, k):
     """The phase law: th12, th23, th31 = k * (d1 - d2), k * (d2 - d3), k * (d3 - d1) from the
     point q = (x, y, z), unwrapped; k = rf.deg_per_cm gives degrees, k = 1.0 the path
-    differences [cm] exactly.  Raises DegenerateGeometryError if q coincides with an input.
+    differences [cm] exactly.  q is no input: each caller checks that, or q lies below them.
     """
     p1, p2, p3 = geom.coords
     d1 = math.dist(q, p1)
     d2 = math.dist(q, p2)
     d3 = math.dist(q, p3)
-    if min(d1, d2, d3) <= 0.0:
-        raise DegenerateGeometryError("landing point coincides with a receiver input")
     return k * (d1 - d2), k * (d2 - d3), k * (d3 - d1)
 
 
@@ -148,7 +146,9 @@ def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> Ph
     receiver input.  Phases are left unwrapped; wrap only where a detector
     model needs it.
     """
-    dd12, dd23, dd31 = _phases((landing.x, landing.y, landing.z), geom, 1.0)
+    if (q := (landing.x, landing.y, landing.z)) in geom.coords:  # just where a distance is 0
+        raise DegenerateGeometryError("landing point coincides with a receiver input")
+    dd12, dd23, dd31 = _phases(q, geom, 1.0)
     c_cm = SPEED_OF_LIGHT_MPS * 100.0
     k = rf.deg_per_cm
     return PhaseSolution(

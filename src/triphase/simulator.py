@@ -15,17 +15,18 @@ through to the fine-tracking maneuvers computed from the fresh voltages.
 That mirrors the original maneuver program, whose listing always continues
 from the escape branch into the tracking branch.
 
-A calibrated run decides a hold in phase: each profile is strictly increasing,
+A run decides a hold in phase: each calibration profile is strictly increasing,
 so all three |law(theta)| lie inside the hold threshold wherever the three
 wrapped phases lie inside the pairs' hold boxes (detector._hold_box), and such
-a cycle runs no inversion and no decide.  Its row keeps the three phases, and
-the records build its voltages with the run's laws when first read.
+a cycle runs no inversion and no decide; its row keeps the three phases, and
+the records build its voltages with the run's laws when first read.  A pair
+without a box, as in the ideal-sine and triangular modes, has the empty one.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
-and once per run at `simulate_landing` entry, never inside the loop.  There
-one bound, _check_reach, makes the loop's pose and phases finite; one detector
-law checks its theta again: voltage_from_phase in calibrated mode.  The
-ideal-sine and triangular modes run the detector's unchecked cores.
+and once per run at `simulate_landing` entry, where one bound, _check_reach,
+makes the loop's pose and phases finite.  In the loop only _body_point's
+below-plane test and, in calibrated mode, voltage_from_phase's theta check run;
+the ideal-sine and triangular modes run the detector's unchecked cores.
 
 Runs are single-threaded and fully deterministic: identical inputs produce
 bit-identical trajectory logs.
@@ -42,6 +43,7 @@ from ._textio import write_csv
 from .detector import (
     CALIBRATED_RANGE_DEG,
     PAIR_IDS,
+    _NO_BOX,
     _hold_box,
     _sine,
     _triangular,
@@ -78,10 +80,9 @@ def _centered(poly, theta):
     return voltage_from_phase(poly, theta) - poly.v_ref
 
 
-def _calibrated(profiles, rf: RFConfig, hold_threshold_v):
-    """The calibrated range, the set's three laws and, for a threshold, the three hold
-    boxes (None unless every pair has one), in PAIR_IDS order, after rejecting a set that
-    lacks a pair, mislabels one or was measured off rf's frequency."""
+def _calibrated(profiles, rf: RFConfig):
+    """The calibrated range and the set's three laws, in PAIR_IDS order, after rejecting a set
+    that lacks a pair, mislabels one or was measured off rf's frequency."""
     if profiles is None:
         raise InvalidParameterError("calibrated mode requires calibration profiles")
     for pair in PAIR_IDS:
@@ -91,20 +92,17 @@ def _calibrated(profiles, rf: RFConfig, hold_threshold_v):
         if poly.frequency_hz != rf.frequency_hz:
             raise InvalidParameterError(f"profile {pair} and rf disagree on frequency: "
                                         f"{poly.frequency_hz} Hz vs {rf.frequency_hz} Hz")
-    laws = [partial(_centered, profiles[pair]) for pair in PAIR_IDS]
-    if hold_threshold_v is None:
-        return CALIBRATED_RANGE_DEG, laws, None
-    boxes = [_hold_box(profiles[pair], hold_threshold_v) for pair in PAIR_IDS]
-    return CALIBRATED_RANGE_DEG, laws, None if None in boxes else boxes
+    return CALIBRATED_RANGE_DEG, [partial(_centered, profiles[pair]) for pair in PAIR_IDS]
 
 
-#: detector mode -> f(profiles, rf, hold_threshold_v) giving the mode's non-ambiguous range
-#: [deg], its three laws, in PAIR_IDS order, from a wrapped pair phase to its centered
-#: voltage [V], and the pairs' hold boxes [deg] for the threshold, or None
+#: detector mode -> f(profiles, rf, threshold_v) giving the mode's non-ambiguous range [deg],
+#: its three laws, in PAIR_IDS order, from a wrapped pair phase to its centered voltage [V],
+#: and the pairs' three hold boxes [deg] for the hold threshold, _NO_BOX where a pair has none
 DETECTOR_MODES = {
-    "calibrated": _calibrated,
-    "ideal-sine": lambda profiles, rf, hold_threshold_v: (90.0, (_sine,) * 3, None),
-    "triangular": lambda profiles, rf, hold_threshold_v: (90.0, (_triangular,) * 3, None),
+    "calibrated": lambda profiles, rf, threshold_v: (
+        *_calibrated(profiles, rf), [_hold_box(profiles[p], threshold_v) for p in PAIR_IDS]),
+    "ideal-sine": lambda profiles, rf, threshold_v: (90.0, (_sine,) * 3, (_NO_BOX,) * 3),
+    "triangular": lambda profiles, rf, threshold_v: (90.0, (_triangular,) * 3, (_NO_BOX,) * 3),
 }
 
 
@@ -268,7 +266,7 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     """
     p = state.position
     q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
-    limit, laws, _ = _calibrated(profiles, rf, None)
+    limit, laws = _calibrated(profiles, rf)
     _check_reach(p.x, p.y, p.z, landing, 0.0, geom, rf, limit)
     return _sense(tuple(map(_wrap, _phases(q, geom, rf.deg_per_cm))), limit, laws)
 
@@ -300,9 +298,8 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
 
 #: escape yaw -> its direction; decide commands an escape yaw as the only maneuver
 _ESCAPES = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: +1}
-#: the maneuvers of a cycle decided in phase, and the box of a run without hold boxes
+#: the maneuvers of a cycle decided in phase
 _HOLD_ONLY = (HOLD,)
-_NO_BOX = (math.inf, -math.inf)
 
 
 def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry,
@@ -316,7 +313,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     # the one lookup of a mode; it checks the set also when the start is already at touchdown
     limit, laws, boxes = DETECTOR_MODES[scfg.detector_mode](profiles, rf, gcfg.hold_threshold_v)
-    (lo12, hi12), (lo23, hi23), (lo31, hi31) = boxes or (_NO_BOX,) * 3
+    (lo12, hi12), (lo23, hi23), (lo31, hi31) = boxes
     k = rf.deg_per_cm
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
@@ -372,17 +369,18 @@ def worst_case_transect(z_cm, y_range_cm, geom: ReceiverGeometry, rf: RFConfig,
                         profiles, n_samples=201):
     """Phase shifts and voltages as the drone tracks along the body +Y axis.
 
-    The beacon sits at the origin; the drone flies at height z over
-    y in [-y_range, +y_range] with heading 0.  The 1-2 pair is exactly
-    balanced on this line, so th12 is identically zero.  Rows whose phases
-    leave the calibrated range carry NaN voltages and an ambiguous flag.  Floats are
-    checked before the first row, by _check_reach with the last row's 2 y_range (n - 1).
+    The beacon sits at the origin; the drone flies at height z over y in [-y_range, +y_range]
+    with heading 0.  The 1-2 pair is exactly balanced on this line, so th12 is identically
+    zero.  Rows whose phases leave the calibrated range carry NaN voltages and an ambiguous
+    flag.  Floats are checked before the first row, by _check_reach with the last row's
+    2 y_range (n - 1), n - 1 capped at 2 ** 63 as no list holds more rows.
     """
     _check_count("n_samples", n_samples, 2)
     z = _check_positive("z_cm", z_cm)
     span = _check_positive("y_range_cm", y_range_cm)
-    limit, (_, law23, law31), _ = _calibrated(profiles, rf, None)
-    _check_reach(0.0, 0.0, z, Vector3(0.0, 0.0, 0.0), 2.0 * span * (n_samples - 1), geom, rf, limit)
+    limit, (_, law23, law31) = _calibrated(profiles, rf)
+    _check_reach(0.0, 0.0, z, Vector3(0.0, 0.0, 0.0), 2.0 * span * min(n_samples - 1, 2 ** 63),
+                 geom, rf, limit)
     rows = []
     for k in range(n_samples):
         y = -span + 2.0 * span * k / (n_samples - 1)

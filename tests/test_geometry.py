@@ -271,10 +271,14 @@ class TestPhaseSolution:
             assert b.th23 == pytest.approx(a.th12, abs=1e-9)
             assert b.th31 == pytest.approx(a.th23, abs=1e-9)
 
-    def test_degenerate_point_rejected(self):
+    @pytest.mark.parametrize("point", [
+        GEOM7.p1, GEOM7.p2, GEOM7.p3,
+        Vector3(-0.0, GEOM7.p3.y, -0.0),  # -0.0 == 0.0: the same point
+    ], ids=["p1", "p2", "p3", "p3-negative-zero"])
+    def test_degenerate_point_rejected(self, point):
         from triphase import DegenerateGeometryError
-        with pytest.raises(DegenerateGeometryError):
-            phase_solution(GEOM7, GEOM7.p1, RF245)
+        with pytest.raises(DegenerateGeometryError, match="coincides with a receiver input"):
+            phase_solution(GEOM7, point, RF245)
 
     @given(x=st.floats(-5000.0, 5000.0), y=st.floats(-5000.0, 5000.0),
            z=st.floats(-5000.0, 5000.0), f=FREQ_HZ, d=SPACING_CM)

@@ -486,7 +486,7 @@ class TestSimulateLanding:
         # a drone one float below or above the entry bound's height for a budget of 300 cm:
         # inside, every phase rounds to about 0 and the run holds to its budget
         scfg = SimConfig(max_iterations=300, detector_mode=mode)
-        limit = DETECTOR_MODES[mode](PROFILES, RF, None)[0]
+        limit = DETECTOR_MODES[mode](PROFILES, RF, GCFG.hold_threshold_v)[0]
         z = entry_edge(limit, 300 * GCFG.move_step_cm)[side == "outside"]
         args = (DroneState(Vector3(0.0, 0.0, z), 0.0), Vector3(0.0, 0.0, 0.0),
                 GEOM, RF, PROFILES, GCFG, scfg)
@@ -798,14 +798,38 @@ class TestHoldsDecidedInPhase:
         assert worst <= thr - 0.5e-6
 
     def test_only_a_calibrated_run_with_every_box_decides_in_phase(self):
-        assert DETECTOR_MODES["calibrated"](PROFILES, RF, None)[2] is None
+        # an empty box, lo > hi, holds no phase
         for mode in ("ideal-sine", "triangular"):
-            assert DETECTOR_MODES[mode](PROFILES, RF, 0.02)[2] is None
+            assert all(lo > hi for lo, hi in DETECTOR_MODES[mode](PROFILES, RF, 0.02)[2])
         # v_ref +- 1.5 V leaves every built-in's [v_lo, v_hi]: no pair has a box
-        assert DETECTOR_MODES["calibrated"](PROFILES, RF, 1.5)[2] is None
-        # under a 1 nV threshold a box would end inside out: it holds no phase
-        for lo, hi in DETECTOR_MODES["calibrated"](PROFILES, RF, 1e-9)[2]:
-            assert lo > hi
+        assert all(lo > hi for lo, hi in DETECTOR_MODES["calibrated"](PROFILES, RF, 1.5)[2])
+        # under a 1 nV threshold a box would end inside out
+        assert all(lo > hi for lo, hi in DETECTOR_MODES["calibrated"](PROFILES, RF, 1e-9)[2])
+
+    @pytest.mark.parametrize("threshold,boxless", [(1.2, ["d31"]), (1.25, ["d23", "d31"])],
+                             ids=["d31-boxless", "d23-d31-boxless"])
+    def test_a_set_with_a_boxless_pair_decides_no_cycle_in_phase(self, monkeypatch, threshold,
+                                                                 boxless):
+        # the other pairs' boxes span about +-70 deg and hold every phase of a run that holds to
+        # touchdown, but each cycle still senses and decides
+        boxes = DETECTOR_MODES["calibrated"](PROFILES, RF, threshold)[2]
+        assert [pair for pair, (lo, hi) in zip(detector.PAIR_IDS, boxes) if lo > hi] == boxless
+        assert all(lo < -60.0 and hi > 60.0 for lo, hi in boxes if lo <= hi)
+        calls = []
+        core = simulator._sense
+
+        def counting(thetas, limit, laws):
+            calls.append(thetas)
+            return core(thetas, limit, laws)
+
+        monkeypatch.setattr(simulator, "_sense", counting)
+        args = (fig14_start(), ground_point(1.0, -35.0), GEOM, RF, PROFILES,
+                GuidanceConfig(hold_threshold_v=threshold), SCFG)
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert got[1:4] == (0, True, False) and len(calls) == len(got[0]) == 299
+        assert all(lo <= theta <= hi for thetas in calls
+                   for theta, (lo, hi) in zip(thetas, boxes) if lo <= hi)
 
     @pytest.mark.parametrize("coeffs,v_ref,boxed", [
         ((0.0, 1e-2, 0.0, 1.0, 0.0, 0.0), 0.0, True),
@@ -820,7 +844,8 @@ class TestHoldsDecidedInPhase:
     ], ids=["gentle", "flat-at-v_ref", "flat-near-the-edge", "far-from-0-V", "flat-near-v_hi"])
     def test_a_box_only_where_the_guard_covers_the_synthesis_error(self, coeffs, v_ref, boxed):
         poly = profile(coeffs, v_ref=v_ref, v_lo=v_ref - 1.0, v_hi=v_ref + 1.0)
-        assert (detector._hold_box(poly, 0.02) is not None) is boxed
+        lo, hi = detector._hold_box(poly, 0.02)
+        assert (lo <= hi) is boxed
 
     @settings(deadline=None, max_examples=300)
     @given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
@@ -837,7 +862,7 @@ class TestHoldsDecidedInPhase:
         except CalibrationRejectedError:
             assume(False)
         box = detector._hold_box(poly, thr)
-        if box is not None:
+        if box != detector._NO_BOX:
             window = window_hold_box(poly, thr)
             assert window is not None and [x.hex() for x in window] == [x.hex() for x in box]
 
@@ -1053,6 +1078,13 @@ class TestWorstCaseTransect:
         # 2 * span is finite, but the last row's 2 * span * (n_samples - 1) is not
         with pytest.raises(InvalidParameterError, match=TOO_FAR + "inf cm"):
             worst_case_transect(1000.0, 5e307, GEOM, RF, PROFILES, n_samples=3)
+
+    @pytest.mark.parametrize("n_samples", [2 ** 1023 + 1, 10 ** 400], ids=["float", "past-float"])
+    def test_rejects_a_sample_count_too_large_to_resolve(self, n_samples):
+        # n - 1 as a float would overflow; the entry bound caps it at 2 ** 63, the most rows
+        # a list holds, and 2 y_range 2 ** 63 is still too far to resolve
+        with pytest.raises(InvalidParameterError, match=TOO_FAR):
+            worst_case_transect(1000.0, 1.0, GEOM, RF, PROFILES, n_samples=n_samples)
 
     def test_phases_nearly_antisymmetric_in_y(self):
         # the triangle's fore/aft offset breaks exact oddness by a fraction

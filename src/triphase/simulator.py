@@ -18,9 +18,16 @@ from the escape branch into the tracking branch.
 A run decides a hold in phase: each calibration profile is strictly increasing,
 so all three |law(theta)| lie inside the hold threshold wherever the three
 wrapped phases lie inside the pairs' hold boxes (detector._hold_box), and such
-a cycle runs no inversion and no decide; its row keeps the three phases, and
-the records build its voltages with the run's laws when first read.  A pair
-without a box, as in the ideal-sine and triangular modes, has the empty one.
+a cycle runs no inversion and no decide.  Its row keeps only the pose; the
+records rebuild its phases from it and build its voltages with the run's laws
+when first read.  A pair without a box, as in the ideal-sine and triangular
+modes, has the empty one.
+
+A hold moves only z, so the rest of its run is searched, not sensed cycle by
+cycle (_proven_run): the cycles up to the last one whose phases are proven
+inside the boxes append their rows without sensing, after O(log n) of the
+run's n cycles are sensed.  The loop then tests each later cycle as before, so
+a run ends on the very cycle a cycle-by-cycle loop ends it on.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,
@@ -184,18 +191,23 @@ def _pose(x, y, z, heading):
 class _Records(Sequence):
     """A run's TrajectoryRecords, built when read from the loop's rows; row k is iteration k.
 
-    A row decided in phase holds its three wrapped phases where others hold a VoltageTriple;
-    its first read builds the voltages with the run's laws and stores them in the row."""
+    A row decided in phase holds None where others hold a VoltageTriple.  Its first read
+    senses its pose again, with the loop's functions on the loop's floats, so the phases
+    keep their bits; it builds the voltages with the run's laws and stores them in the row."""
 
-    def __init__(self, rows, laws):
+    def __init__(self, rows, laws, landing, geom, k):
         self._rows = rows
         self._laws = laws
+        self._sensing = landing, geom, k
 
     def _record(self, k):
         x, y, z, heading, v, m = self._rows[k]
-        if type(v) is tuple:
+        if v is None:
+            landing, geom, deg_per_cm = self._sensing
+            th12, th23, th31 = _phases(_body_point(x, y, z, heading, landing), geom, deg_per_cm)
             law12, law23, law31 = self._laws
-            v = _trusted(VoltageTriple, v12=law12(v[0]), v23=law23(v[1]), v31=law31(v[2]))
+            v = _trusted(VoltageTriple, v12=law12(_wrap(th12)), v23=law23(_wrap(th23)),
+                         v31=law31(_wrap(th31)))
             self._rows[k] = x, y, z, heading, v, m
         return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v), tuple(m))
 
@@ -235,13 +247,16 @@ def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
 
 
 def _check_reach(x, y, z, landing: Vector3, reach, geom: ReceiverGeometry, rf: RFConfig, limit):
-    """Reject a call whose poses within reach [cm] of (x, y) can overflow or not resolve the beacon."""
+    """Reject a call whose poses within reach [cm] of (x, y) can overflow or not resolve the
+    beacon; return the bound [deg] on _phases' rounding at every pose below (x, y, z) within reach.
+    """
     d = geom.spacing_cm
     far = math.hypot(abs(landing.x - x) + abs(landing.y - y) + reach + d, landing.z - z)
     # _proven_start's bound on _phases' rounding; a rounded translate moves at most twice its step
-    if not (_ROUNDING * rf.deg_per_cm * (2.0 * far + d) < limit
-            and math.isfinite(max(abs(x), abs(y)) + 2.0 * reach)):  # inf and nan fail too
+    err = _ROUNDING * rf.deg_per_cm * (2.0 * far + d)
+    if not (err < limit and math.isfinite(max(abs(x), abs(y)) + 2.0 * reach)):  # inf, nan fail too
         raise InvalidParameterError(f"beacon too far to resolve: up to {far:g} cm from the drone")
+    return err
 
 
 def _sense(thetas, limit, laws):
@@ -300,6 +315,53 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
 _ESCAPES = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: +1}
 #: the maneuvers of a cycle decided in phase
 _HOLD_ONLY = (HOLD,)
+#: half an ulp of 360, the most the wrap rounds a phase in (-180, 0) by; _proven_run's margin,
+#: 2 (err + this), keeps one for the wrap and one for the rounding of the shrunk boxes' edges
+_WRAP_ROUNDING = 2.0 ** -45
+
+
+def _proven_run(z, step, floor, n, proven):
+    """The heights [cm] of a hold at height z and of the cycles after it, up to the last one
+    found proven to hold in phase too: at most n in all, each one step below the last and
+    above floor, just as the loop's max(z - step, floor) descends while it stays above floor.
+
+    proven(h) tells whether the raw phases at height h lie inside the hold boxes shrunk by
+    margin = 2 (err + _WRAP_ROUNDING), err the run's _check_reach bound; proven(z) holds.
+    Why each height between two proven ones holds in phase: a hold keeps x, y and the
+    heading, so _body_point gives the same (bx, by) floats, and only dz = landing.z - h moves,
+    monotonically toward 0.  With h_i the horizontal distance from (bx, by) to input i, the
+    exact phase of that point is th_ij = k (h_i^2 - h_j^2) / (d_i + d_j): its sign is fixed and
+    |th_ij| only grows as |dz| shrinks, so it lies between its values at the two proven
+    heights, at least margin - err inside the box.  The computed phase is within err of it, so
+    at least 2 _WRAP_ROUNDING inside a box within +-80 deg, where the wrap moves it by at most
+    _WRAP_ROUNDING.  The probes test raw phases, so no wrap can carry one into a box.
+
+    A galloping search (Bentley and Yao 1976) probes 1, 2, 4, ... cycles past z, then bisects
+    between the last proven probe and the first not: about 2 log2(n) probes for n cycles.
+    """
+    heights, good = [z], 0
+    while True:
+        target, h = 2 * good or 1, heights[-1]
+        for _ in range(min(target + 1, n) - len(heights)):
+            h -= step
+            if not h > floor:
+                break
+            heights.append(h)
+        target = min(target, len(heights) - 1)
+        if target == good:  # the run's budget or its touchdown ends the search
+            return heights
+        if not proven(heights[target]):
+            break
+        good = target
+    bad = target
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if proven(heights[mid]):
+            good = mid
+        else:
+            bad = mid
+    del heights[good + 1:]
+    return heights
 
 
 def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry,
@@ -316,8 +378,18 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     (lo12, hi12), (lo23, hi23), (lo31, hi31) = boxes
     k = rf.deg_per_cm
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
-    _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
-                 geom, rf, limit)  # a translate per row at most, and a list holds < 2 ** 63 rows
+    err = _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
+                       geom, rf, limit)  # a translate per row at most; a list holds < 2 ** 63 rows
+    margin = 2.0 * (err + _WRAP_ROUNDING)
+    (in12, out12), (in23, out23), (in31, out31) = [(lo + margin, hi - margin) for lo, hi in boxes]
+
+    def deep(raw):  # the raw phases lie inside the boxes by the margin _proven_run needs
+        th12, th23, th31 = raw
+        return in12 <= th12 <= out12 and in23 <= th23 <= out23 and in31 <= th31 <= out31
+
+    def proven(h):  # the loop's pose, descended to height h, senses phases deep in the boxes
+        return deep(_phases(_body_point(x, y, h, heading, landing), geom, k))
+
     rows = []
     diagnostic = None
 
@@ -325,8 +397,13 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         raw = _phases(_body_point(x, y, z, heading, landing), geom, k)
         thetas = th12, th23, th31 = _wrap(raw[0]), _wrap(raw[1]), _wrap(raw[2])
         if lo12 <= th12 <= hi12 and lo23 <= th23 <= hi23 and lo31 <= th31 <= hi31:
-            # each box lies inside the range: a hold, decided in phase
-            rows.append((x, y, z, heading, thetas, _HOLD_ONLY))
+            # each box lies inside the range: a hold, decided in phase, as are the cycles of
+            # its run that _proven_run proves so
+            heights = (_proven_run(z, scfg.descent_step_cm, scfg.min_height_cm,
+                                   scfg.max_iterations - len(rows), proven)
+                       if deep(raw) else (z,))
+            rows += [(x, y, h, heading, None, _HOLD_ONLY) for h in heights]
+            z = heights[-1]
         else:
             try:
                 volts = _sense(thetas, limit, laws)
@@ -349,8 +426,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
 
     # a hold is always decide's only maneuver, so no escape or fall-through replaced it
     first_hold = next((k for k, row in enumerate(rows) if row[5][0].kind is ManeuverKind.HOLD), None)
-    return SimulationResult(records=_Records(rows, laws), touchdown=z <= scfg.min_height_cm,
-                            aborted=diagnostic is not None, diagnostic=diagnostic,
+    return SimulationResult(records=_Records(rows, laws, landing, geom, k),
+                            touchdown=z <= scfg.min_height_cm, aborted=diagnostic is not None, diagnostic=diagnostic,
                             first_hold_iteration=first_hold, final_state=_pose(x, y, z, heading))
 
 

@@ -433,6 +433,9 @@ class TestOutputDigests:
             "3f175efbe1f00c4806a29b33e542045eb4bd65b70805069e47c6273784f509c2",
         "simulate --mode triangular --landing-r 40 --start-z 200":
             "86b6a3428f216013313dc36d145a756da7e6717988b95852a5419b4b4f15c59d",
+        # a 10 m landing near the paper's cone edge: 999 cycles, 569 of them holds
+        "simulate --start-z 1000 --landing-r 400 --landing-phi 25 --heading 40":
+            "617709bb4a0b696a02d253492b8a05108a99ee6a45793162f2e1957f599cfa21",
         "cone --z-cm 150,537.2 --theta-limit 80 --freq-ghz 2.46":
             "4bc5f55ece3382b981df830c47abe5b74c31c61e54cd1a76ebba20f45dd54928",
         "cone --z-cm 333 --theta-limit 45 --spacing-cm 5 --n-azimuths 36":

@@ -2,6 +2,7 @@ import collections
 import collections.abc
 import dataclasses
 import io
+import itertools
 import math
 import pickle
 import random
@@ -564,8 +565,9 @@ class TestSimulateLanding:
         result = simulate_landing(start, beacon, GEOM, RF, PROFILES, GCFG, SCFG)
         cycles = result.iterations
         assert result.converged and cycles > 100
-        # the loop inverts only the cycles not decided in phase, and each of those once
-        assert calls["phases"] == cycles
+        # the loop inverts only the cycles not decided in phase, and each of those once; it
+        # senses only a few cycles of each hold run
+        assert calls["phases"] < cycles
         assert calls["inversion"] == 3 * calls["sense"] < 3 * cycles
         assert calls["state"] <= cycles + 1
         # reading the records inverts each cycle decided in phase, a hold, once
@@ -915,6 +917,139 @@ class TestHoldsDecidedInPhase:
         assert list(result.records) == first
         assert result.records[result.first_hold_iteration] == first[result.first_hold_iteration]
         assert len(calls) == 3 * result.iterations
+
+
+def descent(z, step, floor, n):
+    """The heights of at most n landing cycles from height z, descended as the eager loop does."""
+    heights = [z]
+    while len(heights) < n and (z := max(z - step, min(z, floor))) > floor:
+        heights.append(z)
+    return heights
+
+
+def hold_runs(records):
+    """The lengths of a landing's runs of consecutive holds."""
+    return [len(list(run)) for held, run in itertools.groupby(
+        records, key=lambda r: r.maneuvers[0].kind is ManeuverKind.HOLD) if held]
+
+
+def sensed_landing(monkeypatch, *args):
+    """The landing's hex view, and the heights at which its loop called _phases."""
+    heights = []
+    core = simulator._phases
+
+    def counting(q, geom, k):
+        heights.append(-q[2])
+        return core(q, geom, k)
+
+    monkeypatch.setattr(simulator, "_phases", counting)
+    result = simulate_landing(*args)
+    sensed = list(heights)
+    monkeypatch.undo()
+    return landing_hex_or_error(lambda: result), sensed
+
+
+VERTICAL_10M = (DroneState(Vector3(0.0, 0.0, 1000.0)), Vector3(0.0, 0.0, 0.0), GEOM, RF, PROFILES,
+                GCFG)
+
+
+class TestHoldRunsSkippedByProof:
+    @settings(deadline=None, max_examples=300)
+    @given(z=st.floats(1.5, 1e4), step=st.floats(1e-3, 50.0), floor=st.floats(0.5, 1.5),
+           n=st.integers(1, 5000), last=st.integers(0, 5000))
+    def test_the_search_returns_the_heights_up_to_the_last_proven_one(self, z, step, floor, n,
+                                                                      last):
+        assume(z > floor)
+        want = descent(z, step, floor, n)
+        edge = want[min(last, len(want) - 1)]
+        probes = []
+
+        def proven(h):
+            probes.append(h)
+            return h >= edge
+
+        got = simulator._proven_run(z, step, floor, n, proven)
+        assert [h.hex() for h in got] == [h.hex() for h in want[:last + 1]]
+        assert set(probes) <= set(want[1:])
+        assert len(probes) <= 2 * math.ceil(math.log2(len(want))) + 2
+
+    def test_a_vertical_descent_senses_logarithmically_many_cycles(self, monkeypatch):
+        args = (*VERTICAL_10M, SCFG)
+        got, sensed = sensed_landing(monkeypatch, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert hold_runs(reference_simulate_landing(*args).records) == [999]
+        assert len(sensed) <= 2 * math.ceil(math.log2(999)) + 4
+
+    @pytest.mark.parametrize("start,beacon", [
+        (DroneState(Vector3(0.0, 0.0, 1000.0), 40.0), ground_point(400.0, 25.0)),
+        (fig14_start(), ground_point(100.0, -35.0)),
+    ], ids=["cone-edge-10m", "reference-3m"])
+    def test_each_hold_run_senses_logarithmically_many_cycles(self, monkeypatch, start, beacon):
+        args = (start, beacon, GEOM, RF, PROFILES, GCFG, SCFG)
+        got, sensed = sensed_landing(monkeypatch, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        result = reference_simulate_landing(*args)
+        runs = hold_runs(result.records)
+        assert len(runs) > 1 and max(runs) > 30
+        bound = sum(2 * math.ceil(math.log2(n)) + 4 for n in runs)
+        assert len(sensed) <= bound + result.iterations - sum(runs)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 300, 513, 998, 999, 1000])
+    def test_a_budget_ending_inside_a_skipped_stretch(self, monkeypatch, budget):
+        args = (*VERTICAL_10M, SimConfig(max_iterations=budget))
+        got, sensed = sensed_landing(monkeypatch, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert len(got[0]) == min(budget, 999) and got[2] is (budget >= 999)
+        assert len(sensed) <= 2 * math.ceil(math.log2(budget)) + 4
+
+    @pytest.mark.parametrize("step,floor", [(1.0, 1.0), (0.37, 1.0), (1.0, 1.3), (0.37, 2.71)])
+    def test_a_touchdown_inside_a_skipped_stretch(self, monkeypatch, step, floor):
+        args = (*VERTICAL_10M, SimConfig(descent_step_cm=step, min_height_cm=floor))
+        got, sensed = sensed_landing(monkeypatch, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        heights = descent(1000.0, step, floor, 10**6)
+        assert len(got[0]) == len(heights) and got[1:4] == (0, True, False)
+        assert got[5][2] == floor.hex()
+        assert len(sensed) <= 2 * math.ceil(math.log2(len(heights))) + 4
+        assert set(sensed) <= set(heights)
+
+    @settings(deadline=None, max_examples=60)
+    @given(z=st.floats(200.0, 1000.0), phi=st.floats(-180.0, 180.0),
+           heading=st.floats(-180.0, 180.0), kind=st.sampled_from(["edge", "past-edge", "far"]),
+           at=st.floats(0.05, 0.95), shift=st.sampled_from([0.0, 3e5, -7e8, 2e11]),
+           step=st.sampled_from([1.0, 0.37, 2.5]))
+    def test_landings_match_the_eager_loop_bit_for_bit(self, z, phi, heading, kind, at, shift,
+                                                       step):
+        # "edge": the beacon's first phase reaches its box edge on the cycle at the fraction
+        # `at` of the descent, "past-edge" one ulp of the radius further out; "far": a beacon
+        # at the fraction `at` of the cone's radius.  `shift` moves the drone and the beacon.
+        scfg = SimConfig(descent_step_cm=step)
+        if kind == "far":
+            r = at * nonambiguous_range(z, phi, 80.0, GEOM, RF)
+        else:
+            heights = descent(z, step, scfg.min_height_cm, 10**6)
+            boxes = DETECTOR_MODES["calibrated"](PROFILES, RF, GCFG.hold_threshold_v)[2]
+            r = box_edge_radius(heights[int(at * len(heights))], phi, heading, boxes)[0]
+            if kind == "past-edge":
+                r = math.nextafter(r, math.inf)
+        beacon = ground_point(r, phi)
+        args = (DroneState(Vector3(shift, -shift, z), heading),
+                Vector3(beacon.x + shift, beacon.y - shift, 0.0), GEOM, RF, PROFILES, GCFG, scfg)
+        assert (landing_hex_or_error(simulate_landing, *args)
+                == landing_hex_or_error(reference_simulate_landing, *args))
+
+    def test_a_hold_whose_phase_wrapped_into_its_box_is_sensed(self):
+        # at 10 GHz k D is 840 deg: d12's raw phase of about -360 deg wraps into its box, and
+        # such a hold is decided in phase but is no anchor for the search, which tests raw phases
+        rf = RFConfig(1e10)
+        profiles = at_frequency(PROFILES, rf.frequency_hz)
+        beacon = ground_point(171.03272076093896, 60.0)
+        args = (DroneState(Vector3(0.0, 0.0, 300.0)), beacon, GEOM, rf, profiles, GCFG, SCFG)
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        raw = simulator._phases(simulator._body_point(0.0, 0.0, 300.0, 0.0, beacon), GEOM,
+                                rf.deg_per_cm)
+        assert abs(raw[0] + 360.0) < 1e-6 and got[0][0][-1] == ("HOLD",)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -15,19 +15,19 @@ through to the fine-tracking maneuvers computed from the fresh voltages.
 That mirrors the original maneuver program, whose listing always continues
 from the escape branch into the tracking branch.
 
-A run decides a hold in phase: each calibration profile is strictly increasing,
-so all three |law(theta)| lie inside the hold threshold wherever the three
-wrapped phases lie inside the pairs' hold boxes (detector._hold_box), and such
-a cycle runs no inversion and no decide.  Its row keeps only the pose; the
-records rebuild its phases from it and build its voltages with the run's laws
-when first read.  A pair without a box, as in the ideal-sine and triangular
-modes, has the empty one.
-
-A hold moves only z, so the rest of its run is searched, not sensed cycle by
-cycle (_proven_run): the cycles up to the last one whose phases are proven
-inside the boxes append their rows without sensing, after O(log n) of the
-run's n cycles are sensed.  The loop then tests each later cycle as before, so
-a run ends on the very cycle a cycle-by-cycle loop ends it on.
+A run decides a hold in phase, with one test: each calibration profile is
+strictly increasing, so all three |law(theta)| lie inside the hold threshold
+wherever the three wrapped phases lie inside the pairs' hold boxes
+(detector._hold_box), and they do wherever the raw phases lie inside the boxes
+shrunk by a margin that covers _phases' rounding and the wrap.  Such a cycle
+runs no inversion and no decide, and as a hold moves only z, the rest of its
+run is searched, not sensed cycle by cycle (_proven_run): the cycles up to the
+last one proven so append their rows after O(log n) of the run's n cycles are
+sensed.  Every other cycle is sensed and decided, a hold near a box edge or
+one whose phase wrapped into its box too, so a run ends on the very cycle a
+cycle-by-cycle loop ends it on.  A row decided in phase keeps only the pose;
+the records sense it again when first read.  A pair without a box, as in the
+ideal-sine and triangular modes, has the empty one.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,
@@ -192,22 +192,19 @@ class _Records(Sequence):
     """A run's TrajectoryRecords, built when read from the loop's rows; row k is iteration k.
 
     A row decided in phase holds None where others hold a VoltageTriple.  Its first read
-    senses its pose again, with the loop's functions on the loop's floats, so the phases
-    keep their bits; it builds the voltages with the run's laws and stores them in the row."""
+    senses its pose again, with the loop's functions on the loop's floats and the run's range
+    and laws, so the voltages keep the bits a sensed cycle gets; it stores them in the row."""
 
-    def __init__(self, rows, laws, landing, geom, k):
+    def __init__(self, rows, limit, laws, landing, geom, k):
         self._rows = rows
-        self._laws = laws
-        self._sensing = landing, geom, k
+        self._sensing = limit, laws, landing, geom, k
 
     def _record(self, k):
         x, y, z, heading, v, m = self._rows[k]
         if v is None:
-            landing, geom, deg_per_cm = self._sensing
-            th12, th23, th31 = _phases(_body_point(x, y, z, heading, landing), geom, deg_per_cm)
-            law12, law23, law31 = self._laws
-            v = _trusted(VoltageTriple, v12=law12(_wrap(th12)), v23=law23(_wrap(th23)),
-                         v31=law31(_wrap(th31)))
+            limit, laws, landing, geom, deg_per_cm = self._sensing
+            raw = _phases(_body_point(x, y, z, heading, landing), geom, deg_per_cm)
+            v = _sense(raw, limit, laws)
             self._rows[k] = x, y, z, heading, v, m
         return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v), tuple(m))
 
@@ -259,10 +256,12 @@ def _check_reach(x, y, z, landing: Vector3, reach, geom: ReceiverGeometry, rf: R
     return err
 
 
-def _sense(thetas, limit, laws):
-    """sense on the three wrapped pair phases, with a mode's range and its laws."""
+def _sense(raw, limit, laws):
+    """sense on the three raw pair phases, with a mode's range and its laws: the one place a
+    phase is wrapped and range-tested and a law turns it into a voltage."""
     out = []
-    for pair, theta, law in zip(PAIR_IDS, thetas, laws):
+    for pair, theta, law in zip(PAIR_IDS, raw, laws):
+        theta = _wrap(theta)
         if abs(theta) > limit:
             raise PhaseAmbiguityError(pair, theta)
         out.append(law(theta))
@@ -276,14 +275,14 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     `profiles` maps pair ids ("d12", "d23", "d31") to their calibration
     polynomials.  Raises PhaseAmbiguityError when any pair leaves the +-80 deg
     calibrated range.  This entry checks the beacon's side, the profile set,
-    then the floats with _check_reach; simulate_landing checks them once per run
-    and calls the unchecked core _sense every cycle, in the mode SimConfig.detector_mode names.
+    then the floats with _check_reach; simulate_landing checks them once per run and calls
+    the unchecked core _sense on each cycle it senses, in the mode SimConfig.detector_mode names.
     """
     p = state.position
     q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
     limit, laws = _calibrated(profiles, rf)
     _check_reach(p.x, p.y, p.z, landing, 0.0, geom, rf, limit)
-    return _sense(tuple(map(_wrap, _phases(q, geom, rf.deg_per_cm))), limit, laws)
+    return _sense(_phases(q, geom, rf.deg_per_cm), limit, laws)
 
 
 def _moved(x, y, heading, m: Maneuver):
@@ -315,7 +314,7 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
 _ESCAPES = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: +1}
 #: the maneuvers of a cycle decided in phase
 _HOLD_ONLY = (HOLD,)
-#: half an ulp of 360, the most the wrap rounds a phase in (-180, 0) by; _proven_run's margin,
+#: half an ulp of 360, the most the wrap rounds a phase in (-180, 0) by; the loop's hold margin,
 #: 2 (err + this), keeps one for the wrap and one for the rounding of the shrunk boxes' edges
 _WRAP_ROUNDING = 2.0 ** -45
 
@@ -375,7 +374,6 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     # the one lookup of a mode; it checks the set also when the start is already at touchdown
     limit, laws, boxes = DETECTOR_MODES[scfg.detector_mode](profiles, rf, gcfg.hold_threshold_v)
-    (lo12, hi12), (lo23, hi23), (lo31, hi31) = boxes
     k = rf.deg_per_cm
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     err = _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
@@ -383,7 +381,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     margin = 2.0 * (err + _WRAP_ROUNDING)
     (in12, out12), (in23, out23), (in31, out31) = [(lo + margin, hi - margin) for lo, hi in boxes]
 
-    def deep(raw):  # the raw phases lie inside the boxes by the margin _proven_run needs
+    def deep(raw):  # the raw phases lie inside the boxes by the margin a proven hold needs
         th12, th23, th31 = raw
         return in12 <= th12 <= out12 and in23 <= th23 <= out23 and in31 <= th31 <= out31
 
@@ -395,18 +393,14 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
 
     while z > scfg.min_height_cm and len(rows) < scfg.max_iterations:
         raw = _phases(_body_point(x, y, z, heading, landing), geom, k)
-        thetas = th12, th23, th31 = _wrap(raw[0]), _wrap(raw[1]), _wrap(raw[2])
-        if lo12 <= th12 <= hi12 and lo23 <= th23 <= hi23 and lo31 <= th31 <= hi31:
-            # each box lies inside the range: a hold, decided in phase, as are the cycles of
-            # its run that _proven_run proves so
-            heights = (_proven_run(z, scfg.descent_step_cm, scfg.min_height_cm,
-                                   scfg.max_iterations - len(rows), proven)
-                       if deep(raw) else (z,))
+        if deep(raw):  # a hold, decided in phase, as are the cycles of its run proven so
+            heights = _proven_run(z, scfg.descent_step_cm, scfg.min_height_cm,
+                                  scfg.max_iterations - len(rows), proven)
             rows += [(x, y, h, heading, None, _HOLD_ONLY) for h in heights]
             z = heights[-1]
         else:
             try:
-                volts = _sense(thetas, limit, laws)
+                volts = _sense(raw, limit, laws)
             except PhaseAmbiguityError as exc:
                 diagnostic = f"iteration {len(rows)}: {exc}"
                 break
@@ -426,7 +420,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
 
     # a hold is always decide's only maneuver, so no escape or fall-through replaced it
     first_hold = next((k for k, row in enumerate(rows) if row[5][0].kind is ManeuverKind.HOLD), None)
-    return SimulationResult(records=_Records(rows, laws, landing, geom, k),
+    return SimulationResult(records=_Records(rows, limit, laws, landing, geom, k),
                             touchdown=z <= scfg.min_height_cm, aborted=diagnostic is not None, diagnostic=diagnostic,
                             first_hold_iteration=first_hold, final_state=_pose(x, y, z, heading))
 

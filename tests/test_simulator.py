@@ -570,9 +570,11 @@ class TestSimulateLanding:
         assert calls["phases"] < cycles
         assert calls["inversion"] == 3 * calls["sense"] < 3 * cycles
         assert calls["state"] <= cycles + 1
-        # reading the records inverts each cycle decided in phase, a hold, once
-        holds = sum(r.maneuvers[0].kind is ManeuverKind.HOLD for r in result.records)
-        assert cycles - calls["sense"] <= holds
+        # reading the records senses and inverts each cycle decided in phase, a hold, once
+        sensed = calls["sense"]
+        records = list(result.records)
+        assert cycles - sensed <= sum(r.maneuvers[0].kind is ManeuverKind.HOLD for r in records)
+        assert calls["sense"] == cycles
         assert calls["inversion"] == 3 * cycles
 
     @pytest.mark.parametrize("mode,per_cycle", [("calibrated", 3), ("ideal-sine", 0),
@@ -820,9 +822,9 @@ class TestHoldsDecidedInPhase:
         calls = []
         core = simulator._sense
 
-        def counting(thetas, limit, laws):
-            calls.append(thetas)
-            return core(thetas, limit, laws)
+        def counting(raw, limit, laws):
+            calls.append(raw)
+            return core(raw, limit, laws)
 
         monkeypatch.setattr(simulator, "_sense", counting)
         args = (fig14_start(), ground_point(1.0, -35.0), GEOM, RF, PROFILES,
@@ -1038,18 +1040,52 @@ class TestHoldRunsSkippedByProof:
         assert (landing_hex_or_error(simulate_landing, *args)
                 == landing_hex_or_error(reference_simulate_landing, *args))
 
-    def test_a_hold_whose_phase_wrapped_into_its_box_is_sensed(self):
-        # at 10 GHz k D is 840 deg: d12's raw phase of about -360 deg wraps into its box, and
-        # such a hold is decided in phase but is no anchor for the search, which tests raw phases
+    def test_a_hold_whose_phase_wrapped_into_its_box_is_sensed(self, monkeypatch):
+        # at 10 GHz k D is 840 deg: d12's raw phase of about -360 deg wraps into its box, but
+        # the loop's one hold test reads raw phases, so such a hold is sensed and decided
         rf = RFConfig(1e10)
         profiles = at_frequency(PROFILES, rf.frequency_hz)
         beacon = ground_point(171.03272076093896, 60.0)
         args = (DroneState(Vector3(0.0, 0.0, 300.0)), beacon, GEOM, rf, profiles, GCFG, SCFG)
+        calls = []
+        core = simulator._sense
+
+        def counting(raw, limit, laws):
+            calls.append(raw)
+            return core(raw, limit, laws)
+
+        monkeypatch.setattr(simulator, "_sense", counting)
+        got = landing_hex_or_error(simulate_landing, *args)
+        monkeypatch.undo()
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert [row[-1] for row in got[0][:2]] == [("HOLD",), ("HOLD",)]
+        # the loop senses rows 0 and 1 first, with d12 about -360 deg and -361 deg raw
+        assert abs(calls[0][0] + 360.0) < 1e-6 and abs(calls[1][0] + 361.0) < 0.1
+        # every row is sensed once, in the loop or in the records, and so is the aborting cycle
+        assert got[3] and len(calls) == len(got[0]) + 1
+
+    def test_the_margin_covers_the_wrap_of_a_phase_near_a_box_edge(self):
+        # profiles of slope 1e-9 deg/V, boxes of about +-2e-11 deg, at 833 kHz: the entry
+        # bound's err is about 1.7e-15 deg, under the 2 ** -45 deg the wrap may round a negative
+        # phase by.  The beacon puts d12's raw phase inside its box by more than 2 err, but
+        # rounding 360 + th12 carries the wrapped phase out of it, to a voltage past the
+        # threshold: the cycle is no hold, and only the margin's 2 _WRAP_ROUNDING keeps the
+        # loop from deciding it one in phase
+        rf = RFConfig(833e3)
+        profiles = {pair: detector.CalibrationPolynomial(
+            0.0, 1e-9, 0.0, 0.0, 0.0, 0.0, v_ref=0.0, v_lo=-1.0, v_hi=1.0, max_err_deg=1.0,
+            pair_id=pair, frequency_hz=rf.frequency_hz) for pair in detector.PAIR_IDS}
+        (lo, _), *_ = DETECTOR_MODES["calibrated"](profiles, rf, GCFG.hold_threshold_v)[2]
+        start, beacon = DroneState(Vector3(0.0, 0.0, 2.0)), Vector3(1.287244311143354e-09, 0.0, 0.0)
+        err = simulator._check_reach(0.0, 0.0, 2.0, beacon, GCFG.move_step_cm, GEOM, rf, 80.0)
+        th12 = simulator._phases(simulator._body_point(0.0, 0.0, 2.0, 0.0, beacon), GEOM,
+                                 rf.deg_per_cm)[0]
+        assert lo + 2.0 * err < th12 < lo + 2.0 * (err + simulator._WRAP_ROUNDING)
+        assert simulator._wrap(th12) < lo
+        args = (start, beacon, GEOM, rf, profiles, GCFG, SimConfig(max_iterations=1))
         got = landing_hex_or_error(simulate_landing, *args)
         assert got == landing_hex_or_error(reference_simulate_landing, *args)
-        raw = simulator._phases(simulator._body_point(0.0, 0.0, 300.0, 0.0, beacon), GEOM,
-                                rf.deg_per_cm)
-        assert abs(raw[0] + 360.0) < 1e-6 and got[0][0][-1] == ("HOLD",)
+        assert got[0][0][-1] != ("HOLD",) and abs(float.fromhex(got[0][0][5])) > 0.02
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -269,48 +269,75 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
     i = bisect.bisect_right(phases, theta_deg, 1, SEED_TABLE_POINTS - 1)
     lo, hi = volts[i - 1], volts[i]
     seed = lo + (theta_deg - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
-    if not math.isfinite(seed):  # the product overflows where phases or voltages are huge
+    # the product overflows where phases or voltages are huge, and rounding may carry the seed
+    # past a cell end straddling 0 V; _solve then starts, and so stays, inside [lo, hi]
+    if not lo <= seed <= hi:
         seed = 0.5 * (lo + hi)
     return _solve(poly.coeffs, theta_deg, lo, hi, seed)
 
 
-#: how far inside +-threshold_v the voltages at a hold box's edges lie [V]
+#: how far the voltages at a pair's edges lie inside or past +-threshold_v and 0 V [V]
 _HOLD_GUARD_V = 1e-6
 _NO_BOX = (math.inf, -math.inf)  # the empty hold box: it holds no phase
+#: the edges of a pair without the proof: the box holds no phase, and no phase lies past
+#: the zero or hold edges
+_NO_EDGES = (_NO_BOX, (-math.inf, math.inf), (-math.inf, math.inf))
 
 
-def _hold_box(poly: CalibrationPolynomial, threshold_v):
-    """Phases [deg] whose synthesized voltage lies within threshold_v of v_ref, as (lo, hi).
+def _edges(poly: CalibrationPolynomial, threshold_v):
+    """The pair's guarded phase edges [deg] for the hold threshold: (box, zero, hold), three
+    (lo, hi) intervals, p = evaluate and d = _HOLD_GUARD_V:
 
-    The box is [p(v_ref - thr + d), p(v_ref + thr - d)] within +-80 deg, p = evaluate and
-    d = _HOLD_GUARD_V.  For theta in it, v* = p^-1(theta) lies in [v_ref +- (thr - d)], up
-    to rounding.  Why d covers the distance from v* to what voltage_from_phase returns:
-    * _solve's bracket and iterates lie in the seed-table cell around v*.  A bisection stops
-      with v* in a bracket of width <= 2e-9 and returns its midpoint; once 100 Newton steps
-      are spent, every step bisects.  A Newton step from v stops at |step| <= 1e-9, and
-      p(v) - theta = p'(xi) (v - v*), so |v - v*| <= 1e-9 p'(v) / p'(xi).  In all, the
-      error is at most 1e-9 (1 + s_max / s_min), the extremes of p' on [v_lo, v_hi] that the
-      monotonicity proof kept.  v_ref +- thr lies two cells inside [v_lo, v_hi], one for the
-      cell holding v* and one to spare for the table's rounding, so they bound p' there.
-    * Horner's p(v), at the box's edges and in _solve, is off by at most 10u sum|a_k||v|^k
-      degrees (Higham 2002, section 5.1), which moves a root by that over s_min; 1e-14 at
-      the largest |v| in [v_lo, v_hi] covers it and the rounding of v_ref +- thr +- d.
-    A pair gets a box only where the two sum to at most d / 2, the rest covering the
-    rounding of that bound: a profile whose slope varies about 500-fold or more across
-    [v_lo, v_hi] gets the empty _NO_BOX, and a threshold under d an inverted, empty box.
-    voltage_from_phase accepts every theta in a box, and the v it returns lies in
-    [v_ref +- thr], and so does the float v - v_ref: rounding is monotone, and +-thr are floats.
+    * box = [p(v_ref - thr + d), p(v_ref + thr - d)] within +-80 deg;
+    * zero = (p(v_ref - d), p(v_ref + d)), the sign edges;
+    * hold = (p(v_ref - thr - d), p(v_ref + thr + d)), the outer edges.
+
+    For theta that voltage_from_phase accepts, the float v - v_ref it returns lies in
+    [-thr, thr] for theta in box; it is >= 0 for theta > zero's hi, < 0 for theta < zero's
+    lo, > thr for theta > hold's hi and < -thr for theta < hold's lo.  Why: v* = p^-1(theta)
+    lies past c = v_ref + s as theta lies past p(c), s being +-(thr - d), +-d or +-(thr + d),
+    up to the rounding below, and d covers the distance from v* to v:
+    * _solve's bracket is theta's seed-table cell, where voltage_from_phase keeps its seed, and
+      every iterate stays in it.  A bisection stops with v* in a bracket of width <= 2e-9 and
+      returns its midpoint; once 100 Newton steps are spent, every step bisects.  A Newton
+      step from v stops at |step| <= 1e-9, and p(v) - theta = p'(xi) (v - v*), so
+      |v - v*| <= 1e-9 p'(v) / p'(xi).  In all, the error is at most 1e-9 (1 + s_max / s_min),
+      the extremes of p' on [v_lo, v_hi] that the monotonicity proof kept, wherever the cell
+      lies in [v_lo, v_hi].  v_ref +- thr lies two cells inside [v_lo, v_hi], one for the
+      cell holding v* and one to spare for the table's rounding and d, so a cell holding a
+      v* within v_ref +- (thr + d) does.  A theta past a zero or hold edge may lie in a cell
+      reaching past v_hi (or v_lo), but then the cell's near end, and v, lie past
+      v_ref + thr + d (or v_ref - thr - d).
+    * Horner's p(v), at the edges and in _solve, is off by at most 10u sum|a_k||v|^k degrees
+      (Higham 2002, section 5.1), which moves a root by that over s_min; 1e-14 at the largest
+      |v| in [v_lo, v_hi] covers it and the rounding of v_ref +- thr +- d.
+    A pair gets edges only where the two sum to at most d / 2, the rest covering the rounding
+    of that bound, and where d < thr, so the box holds a phase: a profile whose slope varies
+    about 500-fold or more across [v_lo, v_hi], or a threshold of d or less, gets _NO_EDGES.
+    So v lies within d / 2 of v*, on c's side of v_ref + s -+ d / 2.  Rounding v - v_ref is
+    monotone, 0 and +-thr are floats, a float difference is 0 only where v = v_ref, and the
+    gate bounds thr by 5e7 V (s_min (v_hi - v_lo) <= 2 sum|a_k||v|^k), so d / 2 is many of
+    thr's ulps: v - v_ref rounds to the side of 0 and +-thr that v lies on.
     """
     thr, v_ref, v_lo, v_hi = threshold_v, poly.v_ref, poly.v_lo, poly.v_hi
     volts, _ = poly._seed_table
     cell = (volts[-1] - volts[0]) / (SEED_TABLE_POINTS - 1)
     s_min, s_max = poly._slopes
     rounding = 1e-14 * _horner([abs(c) for c in poly.coeffs], max(-v_lo, v_hi))  # sum|a_k||v|^k
-    if not (v_lo + 2.0 * cell <= v_ref - thr < v_ref + thr <= v_hi - 2.0 * cell
+    if not (_HOLD_GUARD_V < thr
+            and v_lo + 2.0 * cell <= v_ref - thr < v_ref + thr <= v_hi - 2.0 * cell
             and 1e-9 * (s_min + s_max) + rounding <= 0.5 * _HOLD_GUARD_V * s_min):
-        return _NO_BOX
-    return (max(poly.evaluate(v_ref - thr + _HOLD_GUARD_V), -CALIBRATED_RANGE_DEG),
-            min(poly.evaluate(v_ref + thr - _HOLD_GUARD_V), CALIBRATED_RANGE_DEG))
+        return _NO_EDGES
+    d, p = _HOLD_GUARD_V, poly.evaluate
+    box = (max(p(v_ref - thr + d), -CALIBRATED_RANGE_DEG),
+           min(p(v_ref + thr - d), CALIBRATED_RANGE_DEG))
+    return box, (p(v_ref - d), p(v_ref + d)), (p(v_ref - thr - d), p(v_ref + thr + d))
+
+
+def _hold_box(poly: CalibrationPolynomial, threshold_v):
+    """The pair's hold box [deg] of _edges: phases whose synthesized voltage lies within
+    threshold_v of v_ref, as (lo, hi); _NO_BOX for a pair without edges."""
+    return _edges(poly, threshold_v)[0]
 
 
 def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> CalibrationPolynomial:

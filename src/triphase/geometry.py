@@ -139,6 +139,19 @@ def _phases(q, geom: ReceiverGeometry, k):
     return k * (d1 - d2), k * (d2 - d3), k * (d3 - d1)
 
 
+def _phase_rounding(across, height, geom: ReceiverGeometry, k, limit, finite=True):
+    """The bound [deg] on _phases' rounding at every point within `across` [cm] horizontally
+    and `height` [cm] vertically of the drone: _proven_start's bound at the farthest of them,
+    far = hypot(across + D, height).  Where it reaches limit, rounding alone could move a
+    phase by the limit, and the call is rejected, as it is for a caller's `finite` False."""
+    d = geom.spacing_cm
+    far = math.hypot(across + d, height)
+    err = _ROUNDING * k * (2.0 * far + d)
+    if not (err < limit and finite):  # inf and nan fail too
+        raise InvalidParameterError(f"beacon too far to resolve: up to {far:g} cm from the drone")
+    return err
+
+
 def phase_solution(geom: ReceiverGeometry, landing: Vector3, rf: RFConfig) -> PhaseSolution:
     """Exact near-field path differences, delays and phase shifts for one pose.
 
@@ -163,12 +176,14 @@ def azimuth_sweep(r_cm, z_cm, geom: ReceiverGeometry, rf: RFConfig, n_samples):
 
     Returns a list of (phi_deg, th12, th23, th31) rows on a closed uniform
     grid from -180 to +180 (n_samples >= 3; n_samples = 361 gives a 1-degree
-    grid including phi = 0).
+    grid including phi = 0).  A beacon so far that rounding alone could move a phase by
+    180 deg, where it wraps, is rejected.
     """
     _check_count("n_samples", n_samples, 3)
     r = _check_positive("r_cm", r_cm, zero_ok=True)
     z = _check_positive("z_cm", z_cm)
     k = rf.deg_per_cm
+    _phase_rounding(r, z, geom, k, 180.0)
     rows = []
     step = 360.0 / (n_samples - 1)
     for j in range(n_samples):

@@ -135,16 +135,26 @@ def classify_sector(v: VoltageTriple) -> SectorId:
     return _SECTORS[3, "a" if v.v23 < 0 else "b"]
 
 
+def _plan(cfg: GuidanceConfig, major, v12_positive, v23_positive):
+    """The one maneuver table: the maneuvers of a decision's outcome, for decide, the seam
+    guard's fall-through and the landing loop's decisions in phase.  major is 0 for a hold,
+    else the major sector; the signs v12 >= 0 and v23 >= 0 matter to sector 1 alone."""
+    if major == 1:
+        right = v12_positive != v23_positive
+        return [cfg._maneuvers[ManeuverKind.ROTATE_RIGHT if right else ManeuverKind.ROTATE_LEFT],
+                cfg._maneuvers[ManeuverKind.FORWARD if v23_positive else ManeuverKind.BACKWARD]]
+    if major == 0:
+        return [HOLD]
+    return [cfg._maneuvers[ManeuverKind.YAW_LEFT if major == 2 else ManeuverKind.YAW_RIGHT]]
+
+
 def tracking_maneuvers(v: VoltageTriple, cfg: GuidanceConfig):
     """The sector-1 fine-tracking pair: rotate toward the beacon, then translate.
 
     Rotate right when v12 and v23 disagree in sign (beacon on the right side),
     else left; move forward when v23 is non-negative, else backward.
     """
-    right = (v.v12 >= 0.0) != (v.v23 >= 0.0)
-    rotation = ManeuverKind.ROTATE_RIGHT if right else ManeuverKind.ROTATE_LEFT
-    translation = ManeuverKind.FORWARD if v.v23 >= 0.0 else ManeuverKind.BACKWARD
-    return [cfg._maneuvers[rotation], cfg._maneuvers[translation]]
+    return _plan(cfg, 1, v.v12 >= 0.0, v.v23 >= 0.0)
 
 
 def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
@@ -155,14 +165,8 @@ def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
     re-sense before tracking).  Sector 1 returns the tracking pair.
     """
     cfg = cfg or _DEFAULT_GUIDANCE
-    if v.max_abs <= cfg.hold_threshold_v:
-        return [HOLD]
-    sector = classify_sector(v)
-    if sector.major == 2:
-        return [cfg._maneuvers[ManeuverKind.YAW_LEFT]]
-    if sector.major == 3:
-        return [cfg._maneuvers[ManeuverKind.YAW_RIGHT]]
-    return tracking_maneuvers(v, cfg)
+    major = 0 if v.max_abs <= cfg.hold_threshold_v else classify_sector(v).major
+    return _plan(cfg, major, v.v12 >= 0.0, v.v23 >= 0.0)
 
 
 def trace_line(v: VoltageTriple, sector: SectorId, maneuvers) -> str:

@@ -15,19 +15,27 @@ through to the fine-tracking maneuvers computed from the fresh voltages.
 That mirrors the original maneuver program, whose listing always continues
 from the escape branch into the tracking branch.
 
-A run decides a hold in phase, with one test: each calibration profile is
-strictly increasing, so all three |law(theta)| lie inside the hold threshold
-wherever the three wrapped phases lie inside the pairs' hold boxes
-(detector._hold_box), and they do wherever the raw phases lie inside the boxes
-shrunk by a margin that covers _phases' rounding and the wrap.  Such a cycle
-runs no inversion and no decide, and as a hold moves only z, the rest of its
-run is searched, not sensed cycle by cycle (_proven_run): the cycles up to the
-last one proven so append their rows after O(log n) of the run's n cycles are
-sensed.  Every other cycle is sensed and decided, a hold near a box edge or
-one whose phase wrapped into its box too, so a run ends on the very cycle a
-cycle-by-cycle loop ends it on.  A row decided in phase keeps only the pose;
-the records sense it again when first read.  A pair without a box, as in the
-ideal-sine and triangular modes, has the empty one.
+A calibrated run decides most cycles in phase, without an inversion or decide.
+Each profile is strictly increasing, so each pair's guarded phase edges
+(detector._edges) bound its synthesized voltage: inside its hold box it is
+within the hold threshold, past its zero edges it has a sign, past its outer
+edges it is beyond the threshold.  A cycle whose raw phases lie inside the
+boxes shrunk by a margin that covers _phases' rounding and the wrap is a hold,
+and as a hold moves only z, the rest of its run is searched, not sensed cycle
+by cycle (_proven_run): the cycles up to the last one proven so append their
+rows after O(log n) of the run's n cycles are sensed.  Every other cycle is
+wrapped and range-tested as _sense does it, and _decided asks the edges and
+the seed-table cell that voltage_from_phase would solve in, which brackets
+each centered voltage exactly, for the outcome decide would read: no hold,
+the major sector and the signs of v12 and v23.  Where every test it needs is
+settled, guidance's one maneuver table gives the cycle's maneuvers, the seam
+guard's fall-through included; otherwise the cycle is sensed and decided (a
+hold near a box edge, one whose phase wrapped into its box, a phase out of
+range, which aborts there, or a test inside its guard).  A row decided in
+phase keeps its raw phases, or only its pose for a skipped hold; the records
+sense it when first read.  A pair without the proof has empty edges, and a
+set with such a pair decides no cycle in phase, nor does the ideal-sine or
+triangular mode.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,
@@ -42,6 +50,7 @@ bit-identical trajectory logs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -50,8 +59,10 @@ from ._textio import write_csv
 from .detector import (
     CALIBRATED_RANGE_DEG,
     PAIR_IDS,
+    SEED_TABLE_POINTS,
     _NO_BOX,
-    _hold_box,
+    _NO_EDGES,
+    _edges,
     _sine,
     _triangular,
     voltage_from_phase,
@@ -59,10 +70,10 @@ from .detector import (
 from .errors import InvalidParameterError, PhaseAmbiguityError
 from .errors import _check_count, _check_finite, _check_positive
 from .geometry import (
-    _ROUNDING,
     ReceiverGeometry,
     RFConfig,
     Vector3,
+    _phase_rounding,
     _phases,
     _wrap,
     phase_solution,
@@ -76,6 +87,7 @@ from .guidance import (
     SectorId,
     VoltageTriple,
     classify_sector,
+    _plan,
     decide,
     tracking_maneuvers,
 )
@@ -102,14 +114,26 @@ def _calibrated(profiles, rf: RFConfig):
     return CALIBRATED_RANGE_DEG, [partial(_centered, profiles[pair]) for pair in PAIR_IDS]
 
 
+def _calibrated_mode(profiles, rf, threshold_v):
+    """The calibrated DETECTOR_MODES entry: the set's range and laws, then each pair's hold box
+    and, where every pair has its edges (detector._edges), the pairs' tests for _decided."""
+    limit, laws = _calibrated(profiles, rf)
+    polys = [profiles[pair] for pair in PAIR_IDS]
+    edges = [_edges(poly, threshold_v) for poly in polys]
+    tests = None if _NO_EDGES in edges else [
+        (*poly._seed_table, poly.v_ref, *zero, *hold) for poly, (_, zero, hold) in zip(polys, edges)]
+    return limit, laws, [box for box, _, _ in edges], tests
+
+
 #: detector mode -> f(profiles, rf, threshold_v) giving the mode's non-ambiguous range [deg],
 #: its three laws, in PAIR_IDS order, from a wrapped pair phase to its centered voltage [V],
-#: and the pairs' three hold boxes [deg] for the hold threshold, _NO_BOX where a pair has none
+#: the pairs' three hold boxes [deg] for the hold threshold, _NO_BOX where a pair has none,
+#: and the pairs' tests that decide a cycle in phase, None where some pair has no edges
 DETECTOR_MODES = {
-    "calibrated": lambda profiles, rf, threshold_v: (
-        *_calibrated(profiles, rf), [_hold_box(profiles[p], threshold_v) for p in PAIR_IDS]),
-    "ideal-sine": lambda profiles, rf, threshold_v: (90.0, (_sine,) * 3, (_NO_BOX,) * 3),
-    "triangular": lambda profiles, rf, threshold_v: (90.0, (_triangular,) * 3, (_NO_BOX,) * 3),
+    "calibrated": _calibrated_mode,
+    "ideal-sine": lambda profiles, rf, threshold_v: (90.0, (_sine,) * 3, (_NO_BOX,) * 3, None),
+    "triangular": lambda profiles, rf, threshold_v: (90.0, (_triangular,) * 3, (_NO_BOX,) * 3,
+                                                     None),
 }
 
 
@@ -191,9 +215,10 @@ def _pose(x, y, z, heading):
 class _Records(Sequence):
     """A run's TrajectoryRecords, built when read from the loop's rows; row k is iteration k.
 
-    A row decided in phase holds None where others hold a VoltageTriple.  Its first read
-    senses its pose again, with the loop's functions on the loop's floats and the run's range
-    and laws, so the voltages keep the bits a sensed cycle gets; it stores them in the row."""
+    A row decided in phase holds its raw phases, or None for a hold its run skipped, where
+    others hold a VoltageTriple.  Its first read senses them, those of None computed again
+    from its pose by the loop's functions on the loop's floats, with the run's range and laws,
+    so the voltages keep the bits a sensed cycle gets; it stores them in the row."""
 
     def __init__(self, rows, limit, laws, landing, geom, k):
         self._rows = rows
@@ -201,10 +226,11 @@ class _Records(Sequence):
 
     def _record(self, k):
         x, y, z, heading, v, m = self._rows[k]
-        if v is None:
+        if not isinstance(v, VoltageTriple):
             limit, laws, landing, geom, deg_per_cm = self._sensing
-            raw = _phases(_body_point(x, y, z, heading, landing), geom, deg_per_cm)
-            v = _sense(raw, limit, laws)
+            if v is None:
+                v = _phases(_body_point(x, y, z, heading, landing), geom, deg_per_cm)
+            v = _sense(v, limit, laws)
             self._rows[k] = x, y, z, heading, v, m
         return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v), tuple(m))
 
@@ -247,13 +273,9 @@ def _check_reach(x, y, z, landing: Vector3, reach, geom: ReceiverGeometry, rf: R
     """Reject a call whose poses within reach [cm] of (x, y) can overflow or not resolve the
     beacon; return the bound [deg] on _phases' rounding at every pose below (x, y, z) within reach.
     """
-    d = geom.spacing_cm
-    far = math.hypot(abs(landing.x - x) + abs(landing.y - y) + reach + d, landing.z - z)
-    # _proven_start's bound on _phases' rounding; a rounded translate moves at most twice its step
-    err = _ROUNDING * rf.deg_per_cm * (2.0 * far + d)
-    if not (err < limit and math.isfinite(max(abs(x), abs(y)) + 2.0 * reach)):  # inf, nan fail too
-        raise InvalidParameterError(f"beacon too far to resolve: up to {far:g} cm from the drone")
-    return err
+    # 2 reach: a rounded translate moves at most twice its step
+    return _phase_rounding(abs(landing.x - x) + abs(landing.y - y) + reach, landing.z - z, geom,
+                           rf.deg_per_cm, limit, math.isfinite(max(abs(x), abs(y)) + 2.0 * reach))
 
 
 def _sense(raw, limit, laws):
@@ -319,6 +341,61 @@ _HOLD_ONLY = (HOLD,)
 _WRAP_ROUNDING = 2.0 ** -45
 
 
+def _decided(raw, limit, tests, gcfg: GuidanceConfig, last):
+    """The maneuvers the loop takes for the raw phases, decided in phase: decide's for the
+    voltages _sense(raw, limit, laws) gives, or the seam guard's fall-through where decide's
+    escape yaw is opposite the one of `last`, the previous row's maneuvers.  tests holds each
+    pair's (volts, phases) seed table, v_ref and the zero and hold edges of detector._edges.
+    None where a test cannot tell: a phase out of range or off its table (_sense raises for
+    it), no phase past its hold edges (the cycle may hold), or a major sector or a needed sign
+    inside its cell or guard.
+
+    Why an outcome decided here is decide's: _sense wraps theta as here, and
+    voltage_from_phase solves in the cell [volts[i - 1], volts[i]], i = bisect_right(phases,
+    theta, 1, N - 1).  It seeds _solve inside the cell, and _solve never leaves its bracket:
+    each evaluation moves an end to the iterate, and a Newton step leaving the bracket becomes
+    its midpoint.  So v lies in the cell and, as rounding v - v_ref is monotone, the centered
+    voltage in [volts[i - 1] - v_ref, volts[i] - v_ref], both rounded, and its magnitude in
+    the bracket taken here.  A major sector is decided where the brackets order the
+    magnitudes for each of classify_sector's tests, ties included; a sign where the cell lies
+    on one side of 0 V (an end at 0 V counts as positive) or theta past a zero edge; and "no
+    hold" where some theta lies past a hold edge.
+    """
+    held, cells, signs = True, [], []
+    for theta, (volts, phases, v_ref, zero_lo, zero_hi, hold_lo, hold_hi) in zip(raw, tests):
+        theta = _wrap(theta)
+        if not (abs(theta) <= limit and phases[0] <= theta <= phases[-1]):
+            return None
+        i = bisect_right(phases, theta, 1, SEED_TABLE_POINTS - 1)
+        lo, hi = volts[i - 1] - v_ref, volts[i] - v_ref
+        held = held and hold_lo <= theta <= hold_hi
+        cells.append((lo, hi) if lo >= 0.0 else (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi)))
+        signs.append(True if lo >= 0.0 or theta > zero_hi else
+                     False if hi < 0.0 or theta < zero_lo else None)
+    if held:
+        return None
+    (lo12, hi12), (lo23, hi23), (lo31, hi31) = cells
+    if hi12 <= lo23 and hi12 <= lo31:
+        major = 1
+    elif lo12 > hi23 or lo12 > hi31:
+        if hi23 < lo31:
+            major = 2
+        elif lo23 >= hi31:
+            major = 3
+        else:
+            return None
+    else:
+        return None
+    if major != 1:
+        maneuvers = _plan(gcfg, major, None, None)
+        if _ESCAPES[maneuvers[0].kind] != -_ESCAPES.get(last[0].kind, 0):
+            return maneuvers
+    s12, s23, _ = signs
+    if s12 is None or s23 is None:
+        return None
+    return _plan(gcfg, 1, s12, s23)
+
+
 def _proven_run(z, step, floor, n, proven):
     """The heights [cm] of a hold at height z and of the cycles after it, up to the last one
     found proven to hold in phase too: at most n in all, each one step below the last and
@@ -373,7 +450,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     # the one lookup of a mode; it checks the set also when the start is already at touchdown
-    limit, laws, boxes = DETECTOR_MODES[scfg.detector_mode](profiles, rf, gcfg.hold_threshold_v)
+    limit, laws, boxes, tests = DETECTOR_MODES[scfg.detector_mode](profiles, rf,
+                                                                   gcfg.hold_threshold_v)
     k = rf.deg_per_cm
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     err = _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
@@ -399,22 +477,23 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             rows += [(x, y, h, heading, None, _HOLD_ONLY) for h in heights]
             z = heights[-1]
         else:
-            try:
-                volts = _sense(raw, limit, laws)
-            except PhaseAmbiguityError as exc:
-                diagnostic = f"iteration {len(rows)}: {exc}"
-                break
-
-            maneuvers = decide(volts, gcfg)
-            escape = _ESCAPES.get(maneuvers[0].kind, 0)
-            if escape and rows and escape == -_ESCAPES.get(rows[-1][5][0].kind, 0):
-                # opposite escape yaws back to back (a fall-through row starts with a rotate)
-                maneuvers = tracking_maneuvers(volts, gcfg)
-                escape = 0
-            rows.append((x, y, z, heading, volts, maneuvers))
+            last = rows[-1][5] if rows else _HOLD_ONLY  # a fall-through row starts with a rotate
+            v = raw
+            maneuvers = None if tests is None else _decided(raw, limit, tests, gcfg, last)
+            if maneuvers is None:  # not decided in phase: sense and decide
+                try:
+                    v = _sense(raw, limit, laws)
+                except PhaseAmbiguityError as exc:
+                    diagnostic = f"iteration {len(rows)}: {exc}"
+                    break
+                maneuvers = decide(v, gcfg)
+                escape = _ESCAPES.get(maneuvers[0].kind, 0)
+                if escape and escape == -_ESCAPES.get(last[0].kind, 0):  # opposite escape yaws
+                    maneuvers = tracking_maneuvers(v, gcfg)
+            rows.append((x, y, z, heading, v, maneuvers))
             for m in maneuvers:
                 x, y, heading = _moved(x, y, heading, m)
-            if escape:  # an escape yaw only reorients: no descent
+            if maneuvers[0].kind in _ESCAPES:  # an escape yaw only reorients: no descent
                 continue
         z = max(z - scfg.descent_step_cm, scfg.min_height_cm)  # one step, never past touchdown
 

@@ -233,6 +233,14 @@ class TestSimulate:
         assert captured.err.startswith("error: beacon too far to resolve: up to ")
         assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
+    def test_sweep_of_a_beacon_too_far_to_resolve_is_usage_error(self, tmp_path, capsys):
+        # it printed 0.000000 for every phase and exited 0
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--r-cm", "1e17", "--n", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: beacon too far to resolve: up to 1e+17 cm from the drone\n"
+        assert captured.out == "" and not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--landing-phi", "120", "--landing-r", "40", "--start-z", "200"]

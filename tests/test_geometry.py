@@ -325,6 +325,22 @@ class TestAzimuthSweep:
         with pytest.raises(InvalidParameterError, match=f"^{name} "):
             azimuth_sweep(r_cm, z_cm, GEOM7, RF245, 37)
 
+    def test_rejects_a_beacon_too_far_to_resolve(self):
+        # the radius where the landing path's entry bound, _ROUNDING k (2 hypot(r + D, z) + D),
+        # reaches the 180 deg wrap: rounding alone could move a phase across it
+        d, k, z = GEOM7.spacing_cm, RF245.deg_per_cm, 100.0
+        lo, hi = 0.0, 1e300
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if geometry._ROUNDING * k * (2.0 * math.hypot(mid + d, z) + d) < 180.0:
+                lo = mid
+            else:
+                hi = mid
+        assert 1e8 < lo < 1e17
+        assert len(azimuth_sweep(lo, z, GEOM7, RF245, 3)) == 3
+        for r in (hi, 1e17, 1.7e308):
+            with pytest.raises(InvalidParameterError, match="^beacon too far to resolve: up to "):
+                azimuth_sweep(r, z, GEOM7, RF245, 3)
+
     @given(r=st.floats(0.0, 5000.0), z=st.floats(0.5, 5000.0), n=st.integers(3, 40),
            f=FREQ_HZ, d=SPACING_CM)
     def test_matches_reference_bit_for_bit(self, r, z, n, f, d):

@@ -1,3 +1,4 @@
+import bisect
 import collections
 import collections.abc
 import dataclasses
@@ -570,10 +571,8 @@ class TestSimulateLanding:
         assert calls["phases"] < cycles
         assert calls["inversion"] == 3 * calls["sense"] < 3 * cycles
         assert calls["state"] <= cycles + 1
-        # reading the records senses and inverts each cycle decided in phase, a hold, once
-        sensed = calls["sense"]
-        records = list(result.records)
-        assert cycles - sensed <= sum(r.maneuvers[0].kind is ManeuverKind.HOLD for r in records)
+        # reading the records senses and inverts each cycle decided in phase once
+        list(result.records)
         assert calls["sense"] == cycles
         assert calls["inversion"] == 3 * cycles
 
@@ -1086,6 +1085,218 @@ class TestHoldRunsSkippedByProof:
         got = landing_hex_or_error(simulate_landing, *args)
         assert got == landing_hex_or_error(reference_simulate_landing, *args)
         assert got[0][0][-1] != ("HOLD",) and abs(float.fromhex(got[0][0][5])) > 0.02
+
+
+def sensed_maneuvers(raw, limit, laws, gcfg, before):
+    """The maneuvers the loop takes for raw phases it senses: decide's, then the seam guard's
+    fall-through where they are the escape yaw opposite `before`, the previous row's."""
+    v = simulator._sense(raw, limit, laws)
+    maneuvers = decide(v, gcfg)
+    escape = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: 1}.get(maneuvers[0].kind, 0)
+    return tracking_maneuvers(v, gcfg) if escape and escape == -before else maneuvers
+
+
+def in_phase_and_sensed(raw, before=0, gcfg=GCFG, profiles=PROFILES):
+    """The loop's decision in phase for the raw phases, None or maneuvers, and the sensed one,
+    after a row whose escape is `before`: -1 for a left yaw, +1 for a right one, 0 for none."""
+    limit, laws, _, tests = DETECTOR_MODES["calibrated"](profiles, RF, gcfg.hold_threshold_v)
+    last = [{-1: Maneuver(ManeuverKind.YAW_LEFT, 60.0), 0: Maneuver(ManeuverKind.HOLD),
+             1: Maneuver(ManeuverKind.YAW_RIGHT, 60.0)}[before]]
+    return (simulator._decided(raw, limit, tests, gcfg, last),
+            sensed_maneuvers(raw, limit, laws, gcfg, before))
+
+
+def ulps(x, n):
+    """The 2 n + 1 floats from n ulps below x to n ulps above it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def wrapped_ulps(theta, n):
+    """The 2 n + 1 wrapped phases nearest theta in (-180, 180], each its own wrap: a negative
+    phase wraps through 360 + theta, so those are the floats 360 + theta rounds to, less 360."""
+    if theta >= 0.0:
+        return ulps(theta, n)
+    return [turn - 360.0 for turn in ulps(theta + 360.0, n)]
+
+
+def with_phase(raw, j, theta):
+    return tuple(theta if k == j else th for k, th in enumerate(raw))
+
+
+#: a set whose d23 and d31 are d12's polynomial: equal phases give equal voltages
+TWINS = {pair: dataclasses.replace(TABLE2_D12, pair_id=pair) for pair in detector.PAIR_IDS}
+
+
+class TestTrackingDecidedInPhase:
+    @pytest.mark.parametrize("start,beacon", [
+        (DroneState(Vector3(0.0, 0.0, 1000.0), 40.0), ground_point(400.0, 25.0)),
+        (fig14_start(), ground_point(100.0, -35.0)),
+    ], ids=["cone-edge-10m", "reference-3m"])
+    def test_the_reference_landings_sense_no_cycle_in_the_loop(self, monkeypatch, start, beacon):
+        calls = []
+        core = simulator._sense
+
+        def counting(raw, limit, laws):
+            calls.append(raw)
+            return core(raw, limit, laws)
+
+        monkeypatch.setattr(simulator, "_sense", counting)
+        result = simulate_landing(start, beacon, GEOM, RF, PROFILES, GCFG, SCFG)
+        assert result.converged and result.iterations > 200 and calls == []
+        records = list(result.records)
+        assert len(calls) == result.iterations
+        assert any(r.maneuvers[0].kind is not ManeuverKind.HOLD for r in records)
+
+    @settings(deadline=None, max_examples=500)
+    @given(thetas=st.tuples(*[st.one_of(st.floats(-80.0, 80.0), st.floats(-2.0, 2.0))] * 3),
+           turns=st.tuples(*[st.integers(-2, 2)] * 3), before=st.sampled_from([-1, 0, 1]),
+           threshold=st.sampled_from([0.005, 0.02, 0.2]))
+    def test_a_decision_in_phase_is_the_sensed_one(self, thetas, turns, before, threshold):
+        raw = tuple(th + 360.0 * n for th, n in zip(thetas, turns))
+        got, want = in_phase_and_sensed(raw, before, GuidanceConfig(hold_threshold_v=threshold))
+        assert got is None or got == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(thetas=st.tuples(*[st.floats(-1.02, 1.02)] * 3), before=st.sampled_from([-1, 0, 1]))
+    def test_a_decision_in_phase_is_the_sensed_one_on_cells_across_0_volts(self, thetas,
+                                                                           before):
+        # GENTLE's v_ref is 0 V, so the cell around it straddles 0 V and rounds to both sides
+        gentle = {pair: dataclasses.replace(GENTLE, pair_id=pair, frequency_hz=RF.frequency_hz)
+                  for pair in detector.PAIR_IDS}
+        got, want = in_phase_and_sensed(thetas, before, profiles=gentle)
+        assert got is None or got == want
+
+    def test_most_tracking_cycles_decide_in_phase(self):
+        rng = random.Random(20261020)
+        decided = 0
+        for _ in range(2000):
+            raw = tuple(rng.uniform(-80.0, 80.0) for _ in range(3))
+            got, want = in_phase_and_sensed(raw, rng.choice([-1, 0, 1]))
+            assert got is None or got == want
+            decided += got is not None
+        assert decided > 1900
+
+    @pytest.mark.parametrize("poly", [PROFILES["d12"], PROFILES["d23"], PROFILES["d31"], GENTLE],
+                             ids=["d12", "d23", "d31", "gentle"])
+    def test_every_phase_past_an_edge_inverts_past_its_voltage(self, poly):
+        # 1e-9 deg steps out from each zero and hold edge; the guard's proof leaves half of
+        # its 1 uV to spare
+        thr = GCFG.hold_threshold_v
+        _, (zero_lo, zero_hi), (hold_lo, hold_hi) = detector._edges(poly, thr)
+        for edge, outward, past in ((zero_lo, -1.0, 0.0), (zero_hi, 1.0, 0.0),
+                                    (hold_lo, -1.0, thr), (hold_hi, 1.0, thr)):
+            least = min(outward * (voltage_from_phase(poly, edge + outward * j * 1e-9) - poly.v_ref)
+                        for j in range(1, 5001))
+            assert least >= past + 0.5e-6
+
+    @pytest.mark.parametrize("j,companions,before", [
+        (0, (0.0, 30.0, -30.0), 0),  # sector 1: tracking reads v12's sign
+        (1, (30.0, 0.0, -30.0), 1),  # sector 2 after a right escape: the fall-through reads v23's
+    ], ids=["v12", "v23"])
+    def test_a_sign_is_decided_just_past_its_guarded_edges(self, j, companions, before):
+        pair = detector.PAIR_IDS[j]
+        poly = PROFILES[pair]
+        _, (zero_lo, zero_hi), _ = detector._edges(poly, GCFG.hold_threshold_v)
+        volts, phases = poly._seed_table
+        i = bisect.bisect_right(phases, zero_hi, 1, detector.SEED_TABLE_POINTS - 1)
+        assert volts[i - 1] < poly.v_ref < volts[i] and phases[i - 1] < zero_lo < zero_hi < phases[i]
+        # inside the edges, those of no guard at p(v_ref) included, the sign is not decided
+        inside = [*wrapped_ulps(zero_lo, 4), *wrapped_ulps(poly.evaluate(poly.v_ref), 64),
+                  *wrapped_ulps(zero_hi, 4)]
+        for theta in [th for th in inside if zero_lo <= th <= zero_hi]:
+            assert in_phase_and_sensed(with_phase(companions, j, theta), before)[0] is None
+        past = [th for th in inside if not zero_lo <= th <= zero_hi]
+        assert len(past) >= 8
+        for theta in past:
+            got, want = in_phase_and_sensed(with_phase(companions, j, theta), before)
+            assert got == want and [m.kind for m in got][1:] == [
+                ManeuverKind.FORWARD if j == 0 or theta > zero_hi else ManeuverKind.BACKWARD]
+
+    @pytest.mark.parametrize("threshold", [0.02, 0.05])
+    @pytest.mark.parametrize("j", [0, 1, 2], ids=detector.PAIR_IDS)
+    def test_no_hold_is_decided_just_past_the_guarded_outer_edges(self, j, threshold):
+        gcfg = GuidanceConfig(hold_threshold_v=threshold)
+        poly = PROFILES[detector.PAIR_IDS[j]]
+        edges = [detector._edges(PROFILES[pair], threshold) for pair in detector.PAIR_IDS]
+        hold_lo, hold_hi = edges[j][2]
+        # companions inside their hold edges, chosen so that the rest decides once phase j
+        # lies past its edges
+        grid = [[lo + (hi - lo) * t / 24.0 for t in range(1, 24)] for _, _, (lo, hi) in edges]
+        candidates = (raw for raw in itertools.product(*grid)
+                      if all(in_phase_and_sensed(with_phase(raw, j, past), 0, gcfg)[0]
+                             for past in (hold_lo - 1e-3, hold_hi + 1e-3)))
+        companions = next(candidates)
+        v_ref, thr = poly.v_ref, threshold
+        # inside the edges, the unguarded p(v_ref +- thr) included, a hold is not ruled out
+        near = [*wrapped_ulps(hold_lo, 4), *wrapped_ulps(poly.evaluate(v_ref - thr), 64),
+                *wrapped_ulps(poly.evaluate(v_ref + thr), 64), *wrapped_ulps(hold_hi, 4)]
+        for theta in [th for th in near if hold_lo <= th <= hold_hi]:
+            assert in_phase_and_sensed(with_phase(companions, j, theta), 0, gcfg)[0] is None
+        past = [th for th in near if not hold_lo <= th <= hold_hi]
+        assert len(past) >= 8
+        for theta in past:
+            got, want = in_phase_and_sensed(with_phase(companions, j, theta), 0, gcfg)
+            assert got == want and got[0].kind is not ManeuverKind.HOLD
+
+    @pytest.mark.parametrize("j", [0, 1, 2], ids=detector.PAIR_IDS)
+    def test_decisions_at_cell_boundaries_are_the_sensed_ones(self, j):
+        # each phase one ulp either side of every eighth table phase, against companions
+        # near each of them
+        _, phases = PROFILES[detector.PAIR_IDS[j]]._seed_table
+        decided = 0
+        for i in range(1, detector.SEED_TABLE_POINTS - 1, 8):
+            for theta in wrapped_ulps(phases[i], 1):
+                for companion in (-40.0, -0.5, 3.0, theta, 60.0):
+                    for before in (-1, 0, 1):
+                        raw = with_phase((companion, -companion, companion), j, theta)
+                        got, want = in_phase_and_sensed(raw, before)
+                        assert got is None or got == want
+                        decided += got is not None
+        assert decided > 400
+
+    @pytest.mark.parametrize("i", [130, 180, 220])
+    def test_magnitudes_tied_at_a_cell_end_decide_as_classify_sector_does(self, i):
+        # with TWINS a phase one ulp under a table phase and one on it share the cell end
+        # between them: |v12| <= |v23| ties to sector 1, |v23| >= |v31| to sector 3
+        _, phases = TWINS["d12"]._seed_table
+        under, on, far = math.nextafter(phases[i], -math.inf), phases[i], 75.0
+        for raw, major in (((under, on, far), 1), ((far, on, under), 3)):
+            for before in (-1, 0, 1):
+                got, want = in_phase_and_sensed(raw, before, profiles=TWINS)
+                assert got is not None and got == want
+            v = simulator._sense(raw, 80.0, DETECTOR_MODES["calibrated"](TWINS, RF, 0.02)[1])
+            assert classify_sector(v).major == major
+        # equal phases give equal magnitudes, which no bracket orders
+        for raw in ((on, on, far), (far, on, on), (under, under, under)):
+            assert in_phase_and_sensed(raw, profiles=TWINS)[0] is None
+
+    @pytest.mark.parametrize("mode,threshold", [
+        ("calibrated", 1.2), ("calibrated", 1.5), ("calibrated", 1e-6), ("calibrated", 1e-9),
+        ("ideal-sine", 0.02), ("triangular", 0.02),
+    ], ids=["d31-boxless", "boxless", "1-uV", "1-nV", "ideal-sine", "triangular"])
+    def test_a_set_without_every_pair_s_edges_decides_nothing_in_phase(self, mode, threshold):
+        assert DETECTOR_MODES[mode](PROFILES, RF, threshold)[3] is None
+
+    @pytest.mark.parametrize("threshold", [5e-7, 1e-6])
+    def test_under_the_guard_every_cycle_is_sensed(self, monkeypatch, threshold):
+        calls = []
+        core = simulator._sense
+
+        def counting(raw, limit, laws):
+            calls.append(raw)
+            return core(raw, limit, laws)
+
+        args = (fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES,
+                GuidanceConfig(hold_threshold_v=threshold), SimConfig(max_iterations=150))
+        monkeypatch.setattr(simulator, "_sense", counting)
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert len(calls) == len(got[0]) == 150
+        monkeypatch.undo()
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from triphase.detector import ideal_sine_voltage
 from triphase.errors import InvalidParameterError
@@ -21,8 +21,10 @@ from triphase.guidance import (
     classify_sector,
     decide,
     trace_line,
+    tracking_maneuvers,
 )
 
+import sector_oracle as oracle
 from sector_oracle import expected_sector_from_azimuth, phases
 
 CFG = GuidanceConfig()
@@ -117,6 +119,39 @@ class TestDecide:
                 continue
             assert classify_sector(scaled) == classify_sector(v)
             assert decide(scaled, CFG) == decide(v, CFG)
+
+
+def ulp_step(x, steps):
+    """x moved `steps` ulps up (> 0) or down (< 0)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def guidance_cases(draw):
+    """A config and a voltage triple rich in the rule's edge cases: ties between pairs, +-0.0,
+    +-threshold and the one-ulp neighbours of each."""
+    thr = draw(st.sampled_from([0.02, 0.5, 1e-6]) | st.floats(1e-9, 10.0))
+    steps = draw(st.sampled_from([1.0, 2.5]))
+    cfg = GuidanceConfig(hold_threshold_v=thr, rotate_step_deg=steps, move_step_cm=steps)
+    value = st.sampled_from([0.0, thr]) | st.floats(-2.0, 2.0) | st.floats(-1e300, 1e300)
+    values = draw(st.tuples(value, value, value))
+    picks = draw(st.tuples(*[st.integers(0, 2)] * 3))  # a pair may take another's value: a tie
+    signs = draw(st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))  # -1.0 * 0.0 is -0.0
+    ulps = draw(st.tuples(*[st.integers(-1, 1)] * 3))
+    return cfg, VoltageTriple(*(ulp_step(sign * values[pick], n)
+                                for pick, sign, n in zip(picks, signs, ulps)))
+
+
+class TestOracleRule:
+    @settings(max_examples=500)
+    @given(case=guidance_cases())
+    def test_decide_and_classify_sector_read_as_the_written_out_rule(self, case):
+        cfg, v = case
+        assert classify_sector(v) == oracle.classify_sector(v)
+        assert decide(v, cfg) == oracle.decide(v, cfg)
+        assert tracking_maneuvers(v, cfg) == oracle.tracking_maneuvers(v, cfg)
 
 
 class TestExpectedSector:

@@ -41,7 +41,6 @@ from triphase.guidance import (
     VoltageTriple,
     classify_sector,
     decide,
-    tracking_maneuvers,
 )
 from triphase.simulator import (
     DETECTOR_MODES,
@@ -57,6 +56,7 @@ from triphase.simulator import (
     write_trajectory_csv,
 )
 
+import sector_oracle as oracle
 from sector_oracle import phases, wrap_angle_deg
 
 GEOM = receiver_points(7.0)
@@ -191,16 +191,9 @@ def reference_simulate_landing(start, landing, geom, rf, profiles, gcfg, scfg):
             aborted = True
             diagnostic = f"iteration {iteration}: {exc}"
             break
-        maneuvers = decide(volts, gcfg)
-        escape = 0
-        if len(maneuvers) == 1 and maneuvers[0].kind is ManeuverKind.YAW_LEFT:
-            escape = -1
-        elif len(maneuvers) == 1 and maneuvers[0].kind is ManeuverKind.YAW_RIGHT:
-            escape = +1
-        if escape != 0 and escape == -last_escape:
-            maneuvers = tracking_maneuvers(volts, gcfg)
-            escape = 0
-        records.append(TrajectoryRecord(iteration, state, volts, classify_sector(volts),
+        maneuvers = oracle.guided(volts, gcfg, last_escape)
+        escape = oracle.escape_of(maneuvers)
+        records.append(TrajectoryRecord(iteration, state, volts, oracle.classify_sector(volts),
                                         tuple(maneuvers)))
         for m in maneuvers:
             state = reference_apply_maneuver(state, m)
@@ -1090,10 +1083,7 @@ class TestHoldRunsSkippedByProof:
 def sensed_maneuvers(raw, limit, laws, gcfg, before):
     """The maneuvers the loop takes for raw phases it senses: decide's, then the seam guard's
     fall-through where they are the escape yaw opposite `before`, the previous row's."""
-    v = simulator._sense(raw, limit, laws)
-    maneuvers = decide(v, gcfg)
-    escape = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: 1}.get(maneuvers[0].kind, 0)
-    return tracking_maneuvers(v, gcfg) if escape and escape == -before else maneuvers
+    return oracle.guided(simulator._sense(raw, limit, laws), gcfg, before)
 
 
 def in_phase_and_sensed(raw, before=0, gcfg=GCFG, profiles=PROFILES):

@@ -334,12 +334,6 @@ def _edges(poly: CalibrationPolynomial, threshold_v):
     return box, (p(v_ref - d), p(v_ref + d)), (p(v_ref - thr - d), p(v_ref + thr + d))
 
 
-def _hold_box(poly: CalibrationPolynomial, threshold_v):
-    """The pair's hold box [deg] of _edges: phases whose synthesized voltage lies within
-    threshold_v of v_ref, as (lo, hi); _NO_BOX for a pair without edges."""
-    return _edges(poly, threshold_v)[0]
-
-
 def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> CalibrationPolynomial:
     """Least-squares polynomial (voltage -> phase) from measurement samples.
 

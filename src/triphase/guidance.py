@@ -36,8 +36,9 @@ class SectorId:
         return f"{self.major}{self.sub}"
 
 
-#: the six sectors, built once; classify_sector returns these shared objects
-_SECTORS = {key: SectorId(*key) for key in _VALID_SECTORS}
+#: major -> its sectors, built once, where the pair its sub reads is >= 0 and where it is < 0
+_SUBSECTORS = {1: (SectorId(1, "a"), SectorId(1, "b")), 2: (SectorId(2, "a"), SectorId(2, "b")),
+               3: (SectorId(3, "b"), SectorId(3, "a"))}
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,10 @@ class Maneuver:
 
 
 HOLD = Maneuver(ManeuverKind.HOLD)
+_HOLD_ONLY = (HOLD,)  # a hold's maneuvers; as the previous row's, they name no escape yaw
+#: escape sector -> its escape yaw and the opposite one, which the seam guard answers
+_ESCAPE_YAWS = {2: (ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT),
+                3: (ManeuverKind.YAW_RIGHT, ManeuverKind.YAW_LEFT)}
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,64 @@ class GuidanceConfig:
 _DEFAULT_GUIDANCE = GuidanceConfig()  # decide's and simulate_landing's when given none
 
 
+def _sector(lo12, hi12, lo23, hi23, lo31, hi31):
+    """classify_sector on the centered-voltage intervals [lo12, hi12], ... [V], as _rule reads
+    them: the sector of every triple in them, or None where an interval straddles a test."""
+    # |v| lies in [least, most], least 0 where the interval straddles 0 V; both nan for nan
+    most12 = hi12 if hi12 >= -lo12 else -lo12
+    least12 = 0.0 if lo12 < 0.0 <= hi12 else lo12 if lo12 >= 0.0 else -hi12
+    most23 = hi23 if hi23 >= -lo23 else -lo23
+    least23 = 0.0 if lo23 < 0.0 <= hi23 else lo23 if lo23 >= 0.0 else -hi23
+    most31 = hi31 if hi31 >= -lo31 else -lo31
+    least31 = 0.0 if lo31 < 0.0 <= hi31 else lo31 if lo31 >= 0.0 else -hi31
+    if most12 <= least23 and most12 <= least31:
+        major, lo, hi = 1, lo23, hi23
+    elif least12 > most23 or least12 > most31:
+        if most23 < least31:
+            major, lo, hi = 2, lo31, hi31
+        elif least23 >= most31:
+            major, lo, hi = 3, lo23, hi23
+        else:
+            return None
+    else:
+        return None
+    positive, negative = _SUBSECTORS[major]
+    return positive if lo >= 0.0 else negative if hi < 0.0 else None
+
+
+def _tracking(cfg: GuidanceConfig, v12_positive, v23_positive):
+    """tracking_maneuvers on the signs v12 >= 0 and v23 >= 0."""
+    right = v12_positive != v23_positive
+    return [cfg._maneuvers[ManeuverKind.ROTATE_RIGHT if right else ManeuverKind.ROTATE_LEFT],
+            cfg._maneuvers[ManeuverKind.FORWARD if v23_positive else ManeuverKind.BACKWARD]]
+
+
+def _rule(cfg: GuidanceConfig, v12, v23, v31, last):
+    """The guidance rule, written once, on three centered-voltage intervals (lo, hi) [V]: the
+    maneuvers decide gives for every triple in them after a row whose maneuvers were `last`,
+    or None where an interval straddles a test they need ([v, v] straddles none, nan bounds
+    settle none).  A hold is decided on exact voltages only: in phase, the landing loop's hold
+    test decides holds.  The seam guard answers an escape yaw opposite last's with tracking:
+    the beacon sits on the seam between two escape zones, where yawing would ping-pong
+    forever, and the original maneuver program continues from its escape branch into its
+    tracking branch.
+    """
+    (lo12, hi12), (lo23, hi23), (lo31, hi31) = v12, v23, v31
+    thr = cfg.hold_threshold_v
+    if not (lo12 > thr or hi12 < -thr or lo23 > thr or hi23 < -thr or lo31 > thr or hi31 < -thr):
+        return [HOLD] if lo12 == hi12 and lo23 == hi23 and lo31 == hi31 else None
+    sector = _sector(lo12, hi12, lo23, hi23, lo31, hi31)
+    if sector is None:
+        return None
+    if sector.major != 1:
+        escape, opposite = _ESCAPE_YAWS[sector.major]
+        if last[0].kind is not opposite:
+            return [cfg._maneuvers[escape]]
+    if lo12 < 0.0 <= hi12 or lo23 < 0.0 <= hi23:  # a sign tracking reads straddles 0 V
+        return None
+    return _tracking(cfg, lo12 >= 0.0, lo23 >= 0.0)
+
+
 def classify_sector(v: VoltageTriple) -> SectorId:
     """Locate the landing point's sector from the voltage magnitudes and signs.
 
@@ -127,25 +190,7 @@ def classify_sector(v: VoltageTriple) -> SectorId:
     forward (v23 >= 0), 2b lies opposite input 1 (v31 < 0), 3a points at
     input 2 (v23 < 0).  Subs for majors 2/3 are diagnostic only.
     """
-    a12, a23, a31 = abs(v.v12), abs(v.v23), abs(v.v31)
-    if a12 <= a23 and a12 <= a31:
-        return _SECTORS[1, "a" if v.v23 >= 0.0 else "b"]
-    if a23 < a31:
-        return _SECTORS[2, "b" if v.v31 < 0 else "a"]
-    return _SECTORS[3, "a" if v.v23 < 0 else "b"]
-
-
-def _plan(cfg: GuidanceConfig, major, v12_positive, v23_positive):
-    """The one maneuver table: the maneuvers of a decision's outcome, for decide, the seam
-    guard's fall-through and the landing loop's decisions in phase.  major is 0 for a hold,
-    else the major sector; the signs v12 >= 0 and v23 >= 0 matter to sector 1 alone."""
-    if major == 1:
-        right = v12_positive != v23_positive
-        return [cfg._maneuvers[ManeuverKind.ROTATE_RIGHT if right else ManeuverKind.ROTATE_LEFT],
-                cfg._maneuvers[ManeuverKind.FORWARD if v23_positive else ManeuverKind.BACKWARD]]
-    if major == 0:
-        return [HOLD]
-    return [cfg._maneuvers[ManeuverKind.YAW_LEFT if major == 2 else ManeuverKind.YAW_RIGHT]]
+    return _sector(v.v12, v.v12, v.v23, v.v23, v.v31, v.v31)
 
 
 def tracking_maneuvers(v: VoltageTriple, cfg: GuidanceConfig):
@@ -154,7 +199,7 @@ def tracking_maneuvers(v: VoltageTriple, cfg: GuidanceConfig):
     Rotate right when v12 and v23 disagree in sign (beacon on the right side),
     else left; move forward when v23 is non-negative, else backward.
     """
-    return _plan(cfg, 1, v.v12 >= 0.0, v.v23 >= 0.0)
+    return _tracking(cfg, v.v12 >= 0.0, v.v23 >= 0.0)
 
 
 def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
@@ -164,9 +209,8 @@ def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
     sector-2/3 reading returns a single 60-degree escape yaw (the drone must
     re-sense before tracking).  Sector 1 returns the tracking pair.
     """
-    cfg = cfg or _DEFAULT_GUIDANCE
-    major = 0 if v.max_abs <= cfg.hold_threshold_v else classify_sector(v).major
-    return _plan(cfg, major, v.v12 >= 0.0, v.v23 >= 0.0)
+    return _rule(cfg or _DEFAULT_GUIDANCE, (v.v12, v.v12), (v.v23, v.v23), (v.v31, v.v31),
+                 _HOLD_ONLY)
 
 
 def trace_line(v: VoltageTriple, sector: SectorId, maneuvers) -> str:

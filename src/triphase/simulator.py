@@ -8,34 +8,13 @@ is a reorientation and does not descend).  The loop ends at the minimum height
 or when the iteration budget runs out; a phase-ambiguity event aborts with a
 diagnostic and the partial log.
 
-One guard exists beyond the plain decision rules: when two consecutive cycles
-request opposite 60-degree escape yaws (the beacon sits on the seam between
-two escape zones, so pure yawing would ping-pong forever), the cycle falls
-through to the fine-tracking maneuvers computed from the fresh voltages.
-That mirrors the original maneuver program, whose listing always continues
-from the escape branch into the tracking branch.
-
-A calibrated run decides most cycles in phase, without an inversion or decide.
-Each profile is strictly increasing, so each pair's guarded phase edges
-(detector._edges) bound its synthesized voltage: inside its hold box it is
-within the hold threshold, past its zero edges it has a sign, past its outer
-edges it is beyond the threshold.  A cycle whose raw phases lie inside the
-boxes shrunk by a margin that covers _phases' rounding and the wrap is a hold,
-and as a hold moves only z, the rest of its run is searched, not sensed cycle
-by cycle (_proven_run): the cycles up to the last one proven so append their
-rows after O(log n) of the run's n cycles are sensed.  Every other cycle is
-wrapped and range-tested as _sense does it, and _decided asks the edges and
-the seed-table cell that voltage_from_phase would solve in, which brackets
-each centered voltage exactly, for the outcome decide would read: no hold,
-the major sector and the signs of v12 and v23.  Where every test it needs is
-settled, guidance's one maneuver table gives the cycle's maneuvers, the seam
-guard's fall-through included; otherwise the cycle is sensed and decided (a
-hold near a box edge, one whose phase wrapped into its box, a phase out of
-range, which aborts there, or a test inside its guard).  A row decided in
-phase keeps its raw phases, or only its pose for a skipped hold; the records
-sense it when first read.  A pair without the proof has empty edges, and a
-set with such a pair decides no cycle in phase, nor does the ideal-sine or
-triangular mode.
+A run decides most cycles in phase, without an inversion.  A cycle whose raw
+phases lie inside the pairs' hold boxes (detector._edges), shrunk by a margin
+that covers _phases' rounding and the wrap, is a hold, and as a hold moves only
+z, the rest of its run is searched, not sensed cycle by cycle (_proven_run).
+For every other cycle guidance's one rule, its seam guard included, decides on
+each pair's interval holding its voltage (_cells, _point), or, where it cannot,
+on the sensed voltages.  The records sense a row decided in phase when read.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,
@@ -61,7 +40,6 @@ from .detector import (
     PAIR_IDS,
     SEED_TABLE_POINTS,
     _NO_BOX,
-    _NO_EDGES,
     _edges,
     _sine,
     _triangular,
@@ -78,16 +56,16 @@ from .geometry import (
     _wrap,
     phase_solution,
 )
-from .guidance import (
+from .guidance import (  # decide and tracking_maneuvers: the benchmark's tracer wraps them here
     _DEFAULT_GUIDANCE,
-    HOLD,
+    _HOLD_ONLY,
     GuidanceConfig,
     Maneuver,
     ManeuverKind,
     SectorId,
     VoltageTriple,
+    _rule,
     classify_sector,
-    _plan,
     decide,
     tracking_maneuvers,
 )
@@ -114,26 +92,71 @@ def _calibrated(profiles, rf: RFConfig):
     return CALIBRATED_RANGE_DEG, [partial(_centered, profiles[pair]) for pair in PAIR_IDS]
 
 
+def _point(law, limit, theta):
+    """An ideal law's interval source: the voltage _sense gives for a raw pair phase theta as
+    (v, v) [V], or, where _sense raises, (nan, nan), which settles none of the rule's tests."""
+    theta = _wrap(theta)
+    if abs(theta) > limit:
+        return math.nan, math.nan
+    v = law(theta)
+    return v, v
+
+
+def _cells(poly, limit, threshold_v, edges):
+    """A calibrated pair's interval source, as _point's, but a seed-table cell tightened by the
+    pair's edges for the threshold (detector._edges).  Why it holds the voltage: _sense wraps
+    theta as here, and voltage_from_phase solves in the cell [volts[i - 1], volts[i]],
+    i = bisect_right(phases, theta, 1, N - 1).  It seeds _solve inside the cell, and _solve
+    never leaves its bracket: each evaluation moves an end to the iterate, and a Newton step
+    leaving the bracket becomes its midpoint.  So v lies in the cell and, rounding being
+    monotone, v - v_ref between the cell's ends less v_ref.  Past a sign edge it is >= 0 or
+    < 0, past an outer edge > thr or < -thr (_edges): the interval ends there at 0, the float
+    below 0 or the float past +-thr.
+    """
+    volts, phases = poly._seed_table
+    v_ref, cells = poly.v_ref, SEED_TABLE_POINTS - 1
+    first, final = max(phases[0], -limit), min(phases[-1], limit)
+    _, (zero_lo, zero_hi), (hold_lo, hold_hi) = edges
+    past, negative = math.nextafter(threshold_v, math.inf), -math.ulp(0.0)  # past thr, below 0
+
+    def interval(theta):
+        theta = _wrap(theta)
+        if not first <= theta <= final:
+            return math.nan, math.nan
+        i = bisect_right(phases, theta, 1, cells)
+        lo, hi = volts[i - 1] - v_ref, volts[i] - v_ref
+        if theta > zero_hi:  # v >= 0, and v > thr past the outer edge
+            bound = past if theta > hold_hi else 0.0
+            return (lo if lo > bound else bound), hi
+        if theta < zero_lo:  # v < 0, and v < -thr past the outer edge
+            bound = -past if theta < hold_lo else negative
+            return lo, (hi if hi < bound else bound)
+        return lo, hi
+
+    return interval
+
+
 def _calibrated_mode(profiles, rf, threshold_v):
-    """The calibrated DETECTOR_MODES entry: the set's range and laws, then each pair's hold box
-    and, where every pair has its edges (detector._edges), the pairs' tests for _decided."""
+    """The calibrated DETECTOR_MODES entry; each pair's box and source read its edges."""
     limit, laws = _calibrated(profiles, rf)
-    polys = [profiles[pair] for pair in PAIR_IDS]
-    edges = [_edges(poly, threshold_v) for poly in polys]
-    tests = None if _NO_EDGES in edges else [
-        (*poly._seed_table, poly.v_ref, *zero, *hold) for poly, (_, zero, hold) in zip(polys, edges)]
-    return limit, laws, [box for box, _, _ in edges], tests
+    edges = [_edges(profiles[pair], threshold_v) for pair in PAIR_IDS]
+    return (limit, laws, [box for box, _, _ in edges],
+            [_cells(profiles[pair], limit, threshold_v, e) for pair, e in zip(PAIR_IDS, edges)])
+
+
+def _ideal_mode(law, profiles, rf, threshold_v):
+    """An ideal law's DETECTOR_MODES entry: it reads no profile set and has no hold box."""
+    return 90.0, (law,) * 3, (_NO_BOX,) * 3, (partial(_point, law, 90.0),) * 3
 
 
 #: detector mode -> f(profiles, rf, threshold_v) giving the mode's non-ambiguous range [deg],
 #: its three laws, in PAIR_IDS order, from a wrapped pair phase to its centered voltage [V],
 #: the pairs' three hold boxes [deg] for the hold threshold, _NO_BOX where a pair has none,
-#: and the pairs' tests that decide a cycle in phase, None where some pair has no edges
+#: and the pairs' three interval sources for guidance's rule (_point, _cells)
 DETECTOR_MODES = {
     "calibrated": _calibrated_mode,
-    "ideal-sine": lambda profiles, rf, threshold_v: (90.0, (_sine,) * 3, (_NO_BOX,) * 3, None),
-    "triangular": lambda profiles, rf, threshold_v: (90.0, (_triangular,) * 3, (_NO_BOX,) * 3,
-                                                     None),
+    "ideal-sine": partial(_ideal_mode, _sine),
+    "triangular": partial(_ideal_mode, _triangular),
 }
 
 
@@ -332,68 +355,9 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
     return DroneState(Vector3(x, y, state.position.z), heading)
 
 
-#: escape yaw -> its direction; decide commands an escape yaw as the only maneuver
-_ESCAPES = {ManeuverKind.YAW_LEFT: -1, ManeuverKind.YAW_RIGHT: +1}
-#: the maneuvers of a cycle decided in phase
-_HOLD_ONLY = (HOLD,)
 #: half an ulp of 360, the most the wrap rounds a phase in (-180, 0) by; the loop's hold margin,
 #: 2 (err + this), keeps one for the wrap and one for the rounding of the shrunk boxes' edges
 _WRAP_ROUNDING = 2.0 ** -45
-
-
-def _decided(raw, limit, tests, gcfg: GuidanceConfig, last):
-    """The maneuvers the loop takes for the raw phases, decided in phase: decide's for the
-    voltages _sense(raw, limit, laws) gives, or the seam guard's fall-through where decide's
-    escape yaw is opposite the one of `last`, the previous row's maneuvers.  tests holds each
-    pair's (volts, phases) seed table, v_ref and the zero and hold edges of detector._edges.
-    None where a test cannot tell: a phase out of range or off its table (_sense raises for
-    it), no phase past its hold edges (the cycle may hold), or a major sector or a needed sign
-    inside its cell or guard.
-
-    Why an outcome decided here is decide's: _sense wraps theta as here, and
-    voltage_from_phase solves in the cell [volts[i - 1], volts[i]], i = bisect_right(phases,
-    theta, 1, N - 1).  It seeds _solve inside the cell, and _solve never leaves its bracket:
-    each evaluation moves an end to the iterate, and a Newton step leaving the bracket becomes
-    its midpoint.  So v lies in the cell and, as rounding v - v_ref is monotone, the centered
-    voltage in [volts[i - 1] - v_ref, volts[i] - v_ref], both rounded, and its magnitude in
-    the bracket taken here.  A major sector is decided where the brackets order the
-    magnitudes for each of classify_sector's tests, ties included; a sign where the cell lies
-    on one side of 0 V (an end at 0 V counts as positive) or theta past a zero edge; and "no
-    hold" where some theta lies past a hold edge.
-    """
-    held, cells, signs = True, [], []
-    for theta, (volts, phases, v_ref, zero_lo, zero_hi, hold_lo, hold_hi) in zip(raw, tests):
-        theta = _wrap(theta)
-        if not (abs(theta) <= limit and phases[0] <= theta <= phases[-1]):
-            return None
-        i = bisect_right(phases, theta, 1, SEED_TABLE_POINTS - 1)
-        lo, hi = volts[i - 1] - v_ref, volts[i] - v_ref
-        held = held and hold_lo <= theta <= hold_hi
-        cells.append((lo, hi) if lo >= 0.0 else (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi)))
-        signs.append(True if lo >= 0.0 or theta > zero_hi else
-                     False if hi < 0.0 or theta < zero_lo else None)
-    if held:
-        return None
-    (lo12, hi12), (lo23, hi23), (lo31, hi31) = cells
-    if hi12 <= lo23 and hi12 <= lo31:
-        major = 1
-    elif lo12 > hi23 or lo12 > hi31:
-        if hi23 < lo31:
-            major = 2
-        elif lo23 >= hi31:
-            major = 3
-        else:
-            return None
-    else:
-        return None
-    if major != 1:
-        maneuvers = _plan(gcfg, major, None, None)
-        if _ESCAPES[maneuvers[0].kind] != -_ESCAPES.get(last[0].kind, 0):
-            return maneuvers
-    s12, s23, _ = signs
-    if s12 is None or s23 is None:
-        return None
-    return _plan(gcfg, 1, s12, s23)
 
 
 def _proven_run(z, step, floor, n, proven):
@@ -450,8 +414,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     # the one lookup of a mode; it checks the set also when the start is already at touchdown
-    limit, laws, boxes, tests = DETECTOR_MODES[scfg.detector_mode](profiles, rf,
-                                                                   gcfg.hold_threshold_v)
+    limit, laws, boxes, (src12, src23, src31) = DETECTOR_MODES[scfg.detector_mode](
+        profiles, rf, gcfg.hold_threshold_v)
     k = rf.deg_per_cm
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     err = _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
@@ -477,24 +441,21 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             rows += [(x, y, h, heading, None, _HOLD_ONLY) for h in heights]
             z = heights[-1]
         else:
-            last = rows[-1][5] if rows else _HOLD_ONLY  # a fall-through row starts with a rotate
+            last = rows[-1][5] if rows else _HOLD_ONLY
             v = raw
-            maneuvers = None if tests is None else _decided(raw, limit, tests, gcfg, last)
-            if maneuvers is None:  # not decided in phase: sense and decide
+            maneuvers = _rule(gcfg, src12(raw[0]), src23(raw[1]), src31(raw[2]), last)
+            if maneuvers is None:  # an interval straddles a test: sense, and decide on the voltages
                 try:
                     v = _sense(raw, limit, laws)
                 except PhaseAmbiguityError as exc:
                     diagnostic = f"iteration {len(rows)}: {exc}"
                     break
-                maneuvers = decide(v, gcfg)
-                escape = _ESCAPES.get(maneuvers[0].kind, 0)
-                if escape and escape == -_ESCAPES.get(last[0].kind, 0):  # opposite escape yaws
-                    maneuvers = tracking_maneuvers(v, gcfg)
+                maneuvers = _rule(gcfg, (v.v12, v.v12), (v.v23, v.v23), (v.v31, v.v31), last)
             rows.append((x, y, z, heading, v, maneuvers))
             for m in maneuvers:
                 x, y, heading = _moved(x, y, heading, m)
-            if maneuvers[0].kind in _ESCAPES:  # an escape yaw only reorients: no descent
-                continue
+            if maneuvers[0].kind in (ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT):
+                continue  # an escape yaw only reorients: no descent
         z = max(z - scfg.descent_step_cm, scfg.min_height_cm)  # one step, never past touchdown
 
     # a hold is always decide's only maneuver, so no escape or fall-through replaced it

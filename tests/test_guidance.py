@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triphase import guidance
 from triphase.detector import ideal_sine_voltage
 from triphase.errors import InvalidParameterError
 from triphase.geometry import (
@@ -144,14 +145,34 @@ def guidance_cases(draw):
                                 for pick, sign, n in zip(picks, signs, ulps)))
 
 
+#: a previous row's maneuvers -> its escape, as sector_oracle.escape_of reads it
+PREVIOUS = {(Maneuver(ManeuverKind.YAW_LEFT, 60.0),): -1, (Maneuver(ManeuverKind.HOLD),): 0,
+            (Maneuver(ManeuverKind.ROTATE_LEFT, 1.0), Maneuver(ManeuverKind.FORWARD, 1.0)): 0,
+            (Maneuver(ManeuverKind.YAW_RIGHT, 60.0),): 1}
+
+
 class TestOracleRule:
     @settings(max_examples=500)
-    @given(case=guidance_cases())
-    def test_decide_and_classify_sector_read_as_the_written_out_rule(self, case):
+    @given(case=guidance_cases(), last=st.sampled_from(list(PREVIOUS)))
+    def test_decide_and_classify_sector_read_as_the_written_out_rule(self, case, last):
         cfg, v = case
         assert classify_sector(v) == oracle.classify_sector(v)
         assert decide(v, cfg) == oracle.decide(v, cfg)
         assert tracking_maneuvers(v, cfg) == oracle.tracking_maneuvers(v, cfg)
+        # the loop's rule on the exact voltages, after each kind of previous row
+        exact = [(x, x) for x in v.as_tuple]
+        assert guidance._rule(cfg, *exact, last) == oracle.guided(v, cfg, PREVIOUS[last])
+
+    @pytest.mark.parametrize("j", [0, 1, 2], ids=["v12", "v23", "v31"])
+    def test_a_pair_with_nan_bounds_leaves_the_cycle_undecided(self, j):
+        # a phase sensing would raise for: whatever the other pairs read, v12 = 0 included, which
+        # alone makes sector 1, the rule decides nothing, so the cycle is sensed and aborts
+        for others in ((0.0, 0.5), (0.0, -0.5), (0.5, 0.0), (-0.0, 0.01), (0.9, -0.3)):
+            intervals = [(x, x) for x in others]
+            intervals.insert(j, (math.nan, math.nan))
+            assert guidance._sector(*(x for pair in intervals for x in pair)) is None
+            for last in PREVIOUS:
+                assert guidance._rule(CFG, *intervals, last) is None
 
 
 class TestExpectedSector:

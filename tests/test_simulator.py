@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from triphase import detector, geometry, simulator
+from triphase import detector, geometry, guidance, simulator
 from triphase.detector import (
     CALIBRATED_RANGE_DEG,
     TABLE2_D12,
@@ -738,7 +738,7 @@ GENTLE = profile((0.0, 1e-2, 0.0, 1.0, 0.0, 0.0))
 
 
 def window_hold_box(poly, thr):
-    """_hold_box with the gate it had before each profile kept its slope range: it found the
+    """_edges' hold box with the gate it had before each profile kept its slope range: it found the
     extremes of p' and the rounding bound on the cells around v_ref +- thr, for each thr."""
     v_ref = poly.v_ref
     if not poly.v_lo <= v_ref - thr < v_ref + thr <= poly.v_hi:
@@ -785,7 +785,7 @@ class TestHoldsDecidedInPhase:
     def test_every_phase_in_a_box_inverts_inside_the_threshold(self, poly, scale):
         # 1e-9 deg steps across both edges; the guard's proof leaves half of its 1 uV to spare
         thr = GCFG.hold_threshold_v
-        lo, hi = detector._hold_box(poly, thr)
+        lo, hi = detector._edges(poly, thr)[0]
         assert -1.2 * scale < lo < -scale and scale < hi < 1.2 * scale
         thetas = [edge + j * 1e-9 for edge in (lo, hi) for j in range(-20000, 20001)]
         inside = [theta for theta in thetas if lo <= theta <= hi]
@@ -840,7 +840,7 @@ class TestHoldsDecidedInPhase:
     ], ids=["gentle", "flat-at-v_ref", "flat-near-the-edge", "far-from-0-V", "flat-near-v_hi"])
     def test_a_box_only_where_the_guard_covers_the_synthesis_error(self, coeffs, v_ref, boxed):
         poly = profile(coeffs, v_ref=v_ref, v_lo=v_ref - 1.0, v_hi=v_ref + 1.0)
-        lo, hi = detector._hold_box(poly, 0.02)
+        lo, hi = detector._edges(poly, 0.02)[0]
         assert (lo <= hi) is boxed
 
     @settings(deadline=None, max_examples=300)
@@ -857,7 +857,7 @@ class TestHoldsDecidedInPhase:
             poly = profile(coeffs, v_ref, v_lo, v_lo + width, abs(detector._horner(coeffs, v_ref)))
         except CalibrationRejectedError:
             assume(False)
-        box = detector._hold_box(poly, thr)
+        box = detector._edges(poly, thr)[0]
         if box != detector._NO_BOX:
             window = window_hold_box(poly, thr)
             assert window is not None and [x.hex() for x in window] == [x.hex() for x in box]
@@ -883,7 +883,7 @@ class TestHoldsDecidedInPhase:
                                                       v_lo=-1.0, v_hi=1.0, max_err_deg=0.0,
                                                       pair_id=pair)
                  for pair in ("d12", "d23", "d31")}
-        assert detector._hold_box(steep["d12"], 0.02) == (-80.0, 80.0)
+        assert detector._edges(steep["d12"], 0.02)[0] == (-80.0, 80.0)
         inside, out = 0.0, 60.0  # the radius where the largest first phase reaches 85 deg
         for _ in range(100):
             mid = 0.5 * (inside + out)
@@ -891,6 +891,36 @@ class TestHoldsDecidedInPhase:
                 else (inside, mid)
         args = (DroneState(Vector3(0.0, 0.0, 100.0)), ground_point(inside, 20.0), GEOM, RF,
                 steep, GCFG, SCFG)
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert got[0] == [] and got[4].startswith("iteration 0: ")
+
+    def test_a_phase_past_the_range_aborts_where_its_cell_would_decide(self):
+        # 100 deg/V on [-1, 1] V: the seed table spans +-100 deg, so a phase of 85 deg has a
+        # cell, 0.85 V from v_ref, and the other two pairs' cells order the magnitudes; the
+        # cycle still aborts there, as sensing does
+        wide = {pair: detector.CalibrationPolynomial(0.0, 100.0, 0.0, 0.0, 0.0, 0.0, v_ref=0.0,
+                                                     v_lo=-1.0, v_hi=1.0, max_err_deg=0.0,
+                                                     pair_id=pair)
+                for pair in ("d12", "d23", "d31")}
+        sources = DETECTOR_MODES["calibrated"](wide, RF, GCFG.hold_threshold_v)[3]
+        assert all(math.isnan(bound) for source in sources for bound in source(80.5))
+        inside, out = 0.0, 300.0  # the radius where the largest first phase reaches 85 deg
+        for _ in range(100):
+            mid = 0.5 * (inside + out)
+            inside, out = (mid, out) if max(map(abs, first_phases(100.0, 20.0, 0.0, mid))) < 85.0 \
+                else (inside, mid)
+        args = (DroneState(Vector3(0.0, 0.0, 100.0)), ground_point(inside, 20.0), GEOM, RF,
+                wide, GCFG, SCFG)
+        volts, table = wide["d12"]._seed_table  # the three pairs share it; v_ref is 0 V
+
+        def cell(theta):
+            i = bisect.bisect_right(table, theta, 1, detector.SEED_TABLE_POINTS - 1)
+            return volts[i - 1], volts[i]
+
+        phases = first_phases(100.0, 20.0, 0.0, inside)
+        assert max(map(abs, phases)) > 80.0
+        assert guidance._rule(GCFG, *map(cell, phases), [Maneuver(ManeuverKind.HOLD)]) is not None
         got = landing_hex_or_error(simulate_landing, *args)
         assert got == landing_hex_or_error(reference_simulate_landing, *args)
         assert got[0] == [] and got[4].startswith("iteration 0: ")
@@ -1086,13 +1116,13 @@ def sensed_maneuvers(raw, limit, laws, gcfg, before):
     return oracle.guided(simulator._sense(raw, limit, laws), gcfg, before)
 
 
-def in_phase_and_sensed(raw, before=0, gcfg=GCFG, profiles=PROFILES):
+def in_phase_and_sensed(raw, before=0, gcfg=GCFG, profiles=PROFILES, mode="calibrated"):
     """The loop's decision in phase for the raw phases, None or maneuvers, and the sensed one,
     after a row whose escape is `before`: -1 for a left yaw, +1 for a right one, 0 for none."""
-    limit, laws, _, tests = DETECTOR_MODES["calibrated"](profiles, RF, gcfg.hold_threshold_v)
+    limit, laws, _, sources = DETECTOR_MODES[mode](profiles, RF, gcfg.hold_threshold_v)
     last = [{-1: Maneuver(ManeuverKind.YAW_LEFT, 60.0), 0: Maneuver(ManeuverKind.HOLD),
              1: Maneuver(ManeuverKind.YAW_RIGHT, 60.0)}[before]]
-    return (simulator._decided(raw, limit, tests, gcfg, last),
+    return (guidance._rule(gcfg, *(source(theta) for source, theta in zip(sources, raw)), last),
             sensed_maneuvers(raw, limit, laws, gcfg, before))
 
 
@@ -1268,11 +1298,32 @@ class TestTrackingDecidedInPhase:
         ("calibrated", 1.2), ("calibrated", 1.5), ("calibrated", 1e-6), ("calibrated", 1e-9),
         ("ideal-sine", 0.02), ("triangular", 0.02),
     ], ids=["d31-boxless", "boxless", "1-uV", "1-nV", "ideal-sine", "triangular"])
-    def test_a_set_without_every_pair_s_edges_decides_nothing_in_phase(self, mode, threshold):
-        assert DETECTOR_MODES[mode](PROFILES, RF, threshold)[3] is None
+    def test_every_mode_s_decision_in_phase_is_the_sensed_one(self, mode, threshold):
+        # the pairs without edges, where v_ref +- thr leaves [v_lo, v_hi] or thr <= 1 uV,
+        # decide on their cells alone, and the ideal laws on their exact voltages
+        gcfg = GuidanceConfig(hold_threshold_v=threshold)
+        rng = random.Random(20261021)
+        decided = tracked = 0
+        for _ in range(500):
+            raw = tuple(rng.uniform(-80.0, 80.0) + 360.0 * rng.randint(-1, 1) for _ in range(3))
+            got, want = in_phase_and_sensed(raw, rng.choice([-1, 0, 1]), gcfg, mode=mode)
+            assert got is None or got == want
+            decided += got is not None
+            tracked += want[0].kind is not ManeuverKind.HOLD
+        if mode == "calibrated":  # a hold is decided on exact voltages alone
+            assert decided >= 0.9 * tracked
+        else:
+            assert decided == 500
 
     @pytest.mark.parametrize("threshold", [5e-7, 1e-6])
-    def test_under_the_guard_every_cycle_is_sensed(self, monkeypatch, threshold):
+    def test_under_the_guard_the_cells_decide_as_the_sensed_loop(self, threshold):
+        args = (fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES,
+                GuidanceConfig(hold_threshold_v=threshold), SimConfig(max_iterations=150))
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+
+    @pytest.mark.parametrize("mode", ["ideal-sine", "triangular"])
+    def test_an_ideal_landing_senses_no_cycle_in_the_loop(self, monkeypatch, mode):
         calls = []
         core = simulator._sense
 
@@ -1280,13 +1331,15 @@ class TestTrackingDecidedInPhase:
             calls.append(raw)
             return core(raw, limit, laws)
 
-        args = (fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES,
-                GuidanceConfig(hold_threshold_v=threshold), SimConfig(max_iterations=150))
+        args = (DroneState(Vector3(0.0, 0.0, 200.0)), ground_point(40.0, -35.0), GEOM, RF,
+                PROFILES, GCFG, SimConfig(detector_mode=mode))
         monkeypatch.setattr(simulator, "_sense", counting)
-        got = landing_hex_or_error(simulate_landing, *args)
-        assert len(calls) == len(got[0]) == 150
+        result = simulate_landing(*args)
+        assert result.converged and result.iterations > 100 and calls == []
+        assert any(r.maneuvers[0].kind is not ManeuverKind.HOLD for r in result.records)
         monkeypatch.undo()
-        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert (landing_hex_or_error(simulate_landing, *args)
+                == landing_hex_or_error(reference_simulate_landing, *args))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

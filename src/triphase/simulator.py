@@ -441,7 +441,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
             rows += [(x, y, h, heading, None, _HOLD_ONLY) for h in heights]
             z = heights[-1]
         else:
-            last = rows[-1][5] if rows else _HOLD_ONLY
+            last = rows[-1][5] if rows else _HOLD_ONLY  # a fall-through row starts with a rotate
             v = raw
             maneuvers = _rule(gcfg, src12(raw[0]), src23(raw[1]), src31(raw[2]), last)
             if maneuvers is None:  # an interval straddles a test: sense, and decide on the voltages

@@ -96,10 +96,9 @@ class Maneuver:
 
 
 HOLD = Maneuver(ManeuverKind.HOLD)
-_HOLD_ONLY = (HOLD,)  # a hold's maneuvers; as the previous row's, they name no escape yaw
+_HOLD, _YAW_LEFT, _YAW_RIGHT = 0, 1, 2  # the rule's outcomes (GuidanceConfig._outcomes)
 #: escape sector -> its escape yaw and the opposite one, which the seam guard answers
-_ESCAPE_YAWS = {2: (ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT),
-                3: (ManeuverKind.YAW_RIGHT, ManeuverKind.YAW_LEFT)}
+_ESCAPE_YAWS = {2: (_YAW_LEFT, _YAW_RIGHT), 3: (_YAW_RIGHT, _YAW_LEFT)}
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,19 @@ class GuidanceConfig:
             object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
 
     @cached_property
-    def _maneuvers(self):
-        """Every move this config commands, built once and shared: kind -> Maneuver."""
-        sizes = ((ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT, ESCAPE_YAW_DEG),
-                 (ManeuverKind.ROTATE_LEFT, ManeuverKind.ROTATE_RIGHT, self.rotate_step_deg),
-                 (ManeuverKind.FORWARD, ManeuverKind.BACKWARD, self.move_step_cm))
-        return {kind: Maneuver(kind, step) for *kinds, step in sizes for kind in kinds}
+    def _outcomes(self):
+        """The rule's seven outcomes, built once: index -> (maneuvers, turn, translate).  The
+        maneuvers are shared; the move is signed: turn [deg] clockwise, then translate [cm] along
+        the turned heading, None for an escape, which does not descend.  0 holds, 1 and 2 yaw
+        left and right, 3 to 6 are the tracking pairs, 3 + 2 * right + backward (_tracking)."""
+        yaw, turn, move = ESCAPE_YAW_DEG, self.rotate_step_deg, self.move_step_cm
+        rotl, rotr = (Maneuver(ManeuverKind.ROTATE_LEFT, turn),
+                      Maneuver(ManeuverKind.ROTATE_RIGHT, turn))
+        fwd, bwd = Maneuver(ManeuverKind.FORWARD, move), Maneuver(ManeuverKind.BACKWARD, move)
+        return (((HOLD,), 0.0, 0.0), ((Maneuver(ManeuverKind.YAW_LEFT, yaw),), -yaw, None),
+                ((Maneuver(ManeuverKind.YAW_RIGHT, yaw),), yaw, None),
+                ((rotl, fwd), -turn, move), ((rotl, bwd), -turn, -move),
+                ((rotr, fwd), turn, move), ((rotr, bwd), turn, -move))
 
 
 _DEFAULT_GUIDANCE = GuidanceConfig()  # decide's and simulate_landing's when given none
@@ -149,37 +155,35 @@ def _sector(lo12, hi12, lo23, hi23, lo31, hi31):
     return positive if lo >= 0.0 else negative if hi < 0.0 else None
 
 
-def _tracking(cfg: GuidanceConfig, v12_positive, v23_positive):
-    """tracking_maneuvers on the signs v12 >= 0 and v23 >= 0."""
-    right = v12_positive != v23_positive
-    return [cfg._maneuvers[ManeuverKind.ROTATE_RIGHT if right else ManeuverKind.ROTATE_LEFT],
-            cfg._maneuvers[ManeuverKind.FORWARD if v23_positive else ManeuverKind.BACKWARD]]
+def _tracking(v12_positive, v23_positive):
+    """tracking_maneuvers' outcome on the signs v12 >= 0 and v23 >= 0: 3 + 2 * right + backward."""
+    return (5 if v12_positive != v23_positive else 3) + (not v23_positive)
 
 
 def _rule(cfg: GuidanceConfig, v12, v23, v31, last):
     """The guidance rule, written once, on three centered-voltage intervals (lo, hi) [V]: the
-    maneuvers decide gives for every triple in them after a row whose maneuvers were `last`,
-    or None where an interval straddles a test they need ([v, v] straddles none, nan bounds
-    settle none).  A hold is decided on exact voltages only: in phase, the landing loop's hold
-    test decides holds.  The seam guard answers an escape yaw opposite last's with tracking:
-    the beacon sits on the seam between two escape zones, where yawing would ping-pong
-    forever, and the original maneuver program continues from its escape branch into its
-    tracking branch.
+    outcome (GuidanceConfig._outcomes) decide gives for every triple in them after a row whose
+    outcome was `last`, or None where an interval straddles a test it needs ([v, v] straddles
+    none, nan bounds settle none).  A hold is decided on exact voltages only: in phase, the
+    landing loop's hold test decides holds.  The seam guard answers an escape yaw opposite
+    last's with tracking: the beacon sits on the seam between two escape zones, where yawing
+    would ping-pong forever, and the original maneuver program continues from its escape
+    branch into its tracking branch.
     """
     (lo12, hi12), (lo23, hi23), (lo31, hi31) = v12, v23, v31
     thr = cfg.hold_threshold_v
     if not (lo12 > thr or hi12 < -thr or lo23 > thr or hi23 < -thr or lo31 > thr or hi31 < -thr):
-        return [HOLD] if lo12 == hi12 and lo23 == hi23 and lo31 == hi31 else None
+        return _HOLD if lo12 == hi12 and lo23 == hi23 and lo31 == hi31 else None
     sector = _sector(lo12, hi12, lo23, hi23, lo31, hi31)
     if sector is None:
         return None
     if sector.major != 1:
         escape, opposite = _ESCAPE_YAWS[sector.major]
-        if last[0].kind is not opposite:
-            return [cfg._maneuvers[escape]]
+        if last != opposite:
+            return escape
     if lo12 < 0.0 <= hi12 or lo23 < 0.0 <= hi23:  # a sign tracking reads straddles 0 V
         return None
-    return _tracking(cfg, lo12 >= 0.0, lo23 >= 0.0)
+    return _tracking(lo12 >= 0.0, lo23 >= 0.0)
 
 
 def classify_sector(v: VoltageTriple) -> SectorId:
@@ -199,7 +203,7 @@ def tracking_maneuvers(v: VoltageTriple, cfg: GuidanceConfig):
     Rotate right when v12 and v23 disagree in sign (beacon on the right side),
     else left; move forward when v23 is non-negative, else backward.
     """
-    return _tracking(cfg, v.v12 >= 0.0, v.v23 >= 0.0)
+    return list(cfg._outcomes[_tracking(v.v12 >= 0.0, v.v23 >= 0.0)][0])
 
 
 def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
@@ -209,8 +213,9 @@ def decide(v: VoltageTriple, cfg: GuidanceConfig | None = None):
     sector-2/3 reading returns a single 60-degree escape yaw (the drone must
     re-sense before tracking).  Sector 1 returns the tracking pair.
     """
-    return _rule(cfg or _DEFAULT_GUIDANCE, (v.v12, v.v12), (v.v23, v.v23), (v.v31, v.v31),
-                 _HOLD_ONLY)
+    cfg = cfg or _DEFAULT_GUIDANCE
+    outcome = _rule(cfg, (v.v12, v.v12), (v.v23, v.v23), (v.v31, v.v31), _HOLD)
+    return list(cfg._outcomes[outcome][0])
 
 
 def trace_line(v: VoltageTriple, sector: SectorId, maneuvers) -> str:

@@ -2,11 +2,13 @@
 
 Each cycle senses the beacon through the full chain (world pose -> body-frame
 geometry -> pair phase shifts -> centered voltages of one DETECTOR_MODES
-entry, calibrated by default), asks the guidance rules for maneuvers, applies
-them, and descends one step after every tracking-or-hold cycle (an escape yaw
-is a reorientation and does not descend).  The loop ends at the minimum height
-or when the iteration budget runs out; a phase-ambiguity event aborts with a
-diagnostic and the partial log.
+entry, calibrated by default), asks guidance's rule for its outcome index,
+applies that outcome's move from the config's table (GuidanceConfig._outcomes),
+and descends one step after every tracking-or-hold cycle (an escape yaw is a
+reorientation and does not descend).  A row keeps the outcome index, and the
+loop carries its heading's cosine and sine, computed again only when it turns.
+The loop ends at the minimum height or when the iteration budget runs out; a
+phase-ambiguity event aborts with a diagnostic and the partial log.
 
 A run decides most cycles in phase, without an inversion.  A cycle whose raw
 phases lie inside the pairs' hold boxes (detector._edges), shrunk by a margin
@@ -58,7 +60,7 @@ from .geometry import (
 )
 from .guidance import (  # decide and tracking_maneuvers: the benchmark's tracer wraps them here
     _DEFAULT_GUIDANCE,
-    _HOLD_ONLY,
+    _HOLD,
     GuidanceConfig,
     Maneuver,
     ManeuverKind,
@@ -241,21 +243,23 @@ class _Records(Sequence):
     A row decided in phase holds its raw phases, or None for a hold its run skipped, where
     others hold a VoltageTriple.  Its first read senses them, those of None computed again
     from its pose by the loop's functions on the loop's floats, with the run's range and laws,
-    so the voltages keep the bits a sensed cycle gets; it stores them in the row."""
+    so the voltages keep the bits a sensed cycle gets; it stores them in the row.  A row's
+    outcome index reads its maneuvers from the run's outcomes (GuidanceConfig._outcomes)."""
 
-    def __init__(self, rows, limit, laws, landing, geom, k):
-        self._rows = rows
+    def __init__(self, rows, outcomes, limit, laws, landing, geom, k):
+        self._rows, self._outcomes = rows, outcomes
         self._sensing = limit, laws, landing, geom, k
 
     def _record(self, k):
-        x, y, z, heading, v, m = self._rows[k]
+        x, y, z, heading, v, outcome = self._rows[k]
         if not isinstance(v, VoltageTriple):
             limit, laws, landing, geom, deg_per_cm = self._sensing
             if v is None:
-                v = _phases(_body_point(x, y, z, heading, landing), geom, deg_per_cm)
+                v = _phases(_body_point(x, y, z, *_trig(heading), landing), geom, deg_per_cm)
             v = _sense(v, limit, laws)
-            self._rows[k] = x, y, z, heading, v, m
-        return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v), tuple(m))
+            self._rows[k] = x, y, z, heading, v, outcome
+        return TrajectoryRecord(k, _pose(x, y, z, heading), v, classify_sector(v),
+                                self._outcomes[outcome][0])
 
     def __len__(self):
         return len(self._rows)
@@ -274,22 +278,27 @@ class _Records(Sequence):
         return repr(list(self))
 
 
-def _body_point(x, y, z, heading, landing: Vector3):
-    """The landing point in the body frame of the pose (x, y, z, heading) as a float tuple."""
+def _trig(heading):
+    """(cos, sin) of a heading [deg], computed here alone: every pose reads the loop's bits."""
+    h = math.radians(heading)
+    return math.cos(h), math.sin(h)
+
+
+def _body_point(x, y, z, cos_h, sin_h, landing: Vector3):
+    """The landing point as a float tuple in the body frame of the pose at (x, y, z) whose
+    heading's cosine and sine are cos_h and sin_h (_trig)."""
     dx = landing.x - x
     dy = landing.y - y
     dz = landing.z - z
     if dz >= 0.0:  # the one home of the below-plane rule; sense relies on it
         raise InvalidParameterError("landing point must lie below the drone plane")
-    h = math.radians(heading)
-    cos_h, sin_h = math.cos(h), math.sin(h)
     return dx * cos_h - dy * sin_h, dy * cos_h + dx * sin_h, dz
 
 
 def landing_body_frame(state: DroneState, landing: Vector3) -> Vector3:
     """Express the landing point in the drone body frame (beacon must be below)."""
     p = state.position
-    return Vector3(*_body_point(p.x, p.y, p.z, state.heading_deg, landing))
+    return Vector3(*_body_point(p.x, p.y, p.z, *_trig(state.heading_deg), landing))
 
 
 def _check_reach(x, y, z, landing: Vector3, reach, geom: ReceiverGeometry, rf: RFConfig, limit):
@@ -324,24 +333,10 @@ def sense(state: DroneState, landing: Vector3, geom: ReceiverGeometry, rf: RFCon
     the unchecked core _sense on each cycle it senses, in the mode SimConfig.detector_mode names.
     """
     p = state.position
-    q = _body_point(p.x, p.y, p.z, state.heading_deg, landing)  # raises for a beacon above
+    q = _body_point(p.x, p.y, p.z, *_trig(state.heading_deg), landing)  # raises for a beacon above
     limit, laws = _calibrated(profiles, rf)
     _check_reach(p.x, p.y, p.z, landing, 0.0, geom, rf, limit)
     return _sense(_phases(q, geom, rf.deg_per_cm), limit, laws)
-
-
-def _moved(x, y, heading, m: Maneuver):
-    """(x, y, heading) after one maneuver; a turn returns the heading wrapped."""
-    kind = m.kind
-    if kind is ManeuverKind.HOLD:
-        return x, y, heading
-    if kind in (ManeuverKind.YAW_LEFT, ManeuverKind.ROTATE_LEFT):
-        return x, y, _wrap(heading - m.magnitude)
-    if kind in (ManeuverKind.YAW_RIGHT, ManeuverKind.ROTATE_RIGHT):
-        return x, y, _wrap(heading + m.magnitude)
-    h = math.radians(heading)
-    step = m.magnitude if kind is ManeuverKind.FORWARD else -m.magnitude
-    return x + step * math.sin(h), y + step * math.cos(h), heading
 
 
 def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
@@ -351,8 +346,17 @@ def apply_maneuver(state: DroneState, m: Maneuver) -> DroneState:
     body azimuth grows by the turn magnitude); forward/backward translate
     along the world-frame body +Y direction.  Hold is the identity.
     """
-    x, y, heading = _moved(state.position.x, state.position.y, state.heading_deg, m)
-    return DroneState(Vector3(x, y, state.position.z), heading)
+    p, heading, kind = state.position, state.heading_deg, m.kind
+    x, y = p.x, p.y
+    if kind in (ManeuverKind.YAW_LEFT, ManeuverKind.ROTATE_LEFT):
+        heading = _wrap(heading - m.magnitude)
+    elif kind in (ManeuverKind.YAW_RIGHT, ManeuverKind.ROTATE_RIGHT):
+        heading = _wrap(heading + m.magnitude)
+    elif kind is not ManeuverKind.HOLD:
+        cos_h, sin_h = _trig(heading)
+        step = m.magnitude if kind is ManeuverKind.FORWARD else -m.magnitude
+        x, y = x + step * sin_h, y + step * cos_h
+    return DroneState(Vector3(x, y, p.z), heading)
 
 
 #: half an ulp of 360, the most the wrap rounds a phase in (-180, 0) by; the loop's hold margin,
@@ -416,8 +420,9 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     # the one lookup of a mode; it checks the set also when the start is already at touchdown
     limit, laws, boxes, (src12, src23, src31) = DETECTOR_MODES[scfg.detector_mode](
         profiles, rf, gcfg.hold_threshold_v)
-    k = rf.deg_per_cm
+    k, outcomes = rf.deg_per_cm, gcfg._outcomes
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
+    cos_h, sin_h = _trig(heading)
     err = _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
                        geom, rf, limit)  # a translate per row at most; a list holds < 2 ** 63 rows
     margin = 2.0 * (err + _WRAP_ROUNDING)
@@ -428,39 +433,43 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         return in12 <= th12 <= out12 and in23 <= th23 <= out23 and in31 <= th31 <= out31
 
     def proven(h):  # the loop's pose, descended to height h, senses phases deep in the boxes
-        return deep(_phases(_body_point(x, y, h, heading, landing), geom, k))
+        return deep(_phases(_body_point(x, y, h, cos_h, sin_h, landing), geom, k))
 
     rows = []
     diagnostic = None
 
     while z > scfg.min_height_cm and len(rows) < scfg.max_iterations:
-        raw = _phases(_body_point(x, y, z, heading, landing), geom, k)
+        raw = _phases(_body_point(x, y, z, cos_h, sin_h, landing), geom, k)
         if deep(raw):  # a hold, decided in phase, as are the cycles of its run proven so
             heights = _proven_run(z, scfg.descent_step_cm, scfg.min_height_cm,
                                   scfg.max_iterations - len(rows), proven)
-            rows += [(x, y, h, heading, None, _HOLD_ONLY) for h in heights]
+            rows += [(x, y, h, heading, None, _HOLD) for h in heights]
             z = heights[-1]
         else:
-            last = rows[-1][5] if rows else _HOLD_ONLY  # a fall-through row starts with a rotate
+            last = rows[-1][5] if rows else _HOLD  # a fall-through row's outcome is tracking's
             v = raw
-            maneuvers = _rule(gcfg, src12(raw[0]), src23(raw[1]), src31(raw[2]), last)
-            if maneuvers is None:  # an interval straddles a test: sense, and decide on the voltages
+            outcome = _rule(gcfg, src12(raw[0]), src23(raw[1]), src31(raw[2]), last)
+            if outcome is None:  # an interval straddles a test: sense, and decide on the voltages
                 try:
                     v = _sense(raw, limit, laws)
                 except PhaseAmbiguityError as exc:
                     diagnostic = f"iteration {len(rows)}: {exc}"
                     break
-                maneuvers = _rule(gcfg, (v.v12, v.v12), (v.v23, v.v23), (v.v31, v.v31), last)
-            rows.append((x, y, z, heading, v, maneuvers))
-            for m in maneuvers:
-                x, y, heading = _moved(x, y, heading, m)
-            if maneuvers[0].kind in (ManeuverKind.YAW_LEFT, ManeuverKind.YAW_RIGHT):
+                outcome = _rule(gcfg, (v.v12, v.v12), (v.v23, v.v23), (v.v31, v.v31), last)
+            rows.append((x, y, z, heading, v, outcome))
+            _, turn, step = outcomes[outcome]
+            if turn:  # as apply_maneuver turns: heading + turn has the bits of heading - magnitude
+                heading = _wrap(heading + turn)
+                cos_h, sin_h = _trig(heading)
+            if step:
+                x, y = x + step * sin_h, y + step * cos_h
+            elif step is None:
                 continue  # an escape yaw only reorients: no descent
         z = max(z - scfg.descent_step_cm, scfg.min_height_cm)  # one step, never past touchdown
 
     # a hold is always decide's only maneuver, so no escape or fall-through replaced it
-    first_hold = next((k for k, row in enumerate(rows) if row[5][0].kind is ManeuverKind.HOLD), None)
-    return SimulationResult(records=_Records(rows, limit, laws, landing, geom, k),
+    first_hold = next((k for k, row in enumerate(rows) if row[5] == _HOLD), None)
+    return SimulationResult(records=_Records(rows, outcomes, limit, laws, landing, geom, k),
                             touchdown=z <= scfg.min_height_cm, aborted=diagnostic is not None, diagnostic=diagnostic,
                             first_hold_iteration=first_hold, final_state=_pose(x, y, z, heading))
 

@@ -444,6 +444,9 @@ class TestOutputDigests:
         # a 10 m landing near the paper's cone edge: 999 cycles, 569 of them holds
         "simulate --start-z 1000 --landing-r 400 --landing-phi 25 --heading 40":
             "617709bb4a0b696a02d253492b8a05108a99ee6a45793162f2e1957f599cfa21",
+        # guidance steps other than 1: 300 cycles, one escape yaw, first hold at 200
+        "simulate --rotate-step 2.5 --move-step 0.5 --hold-threshold 0.03":
+            "27fd1a67900dcf7f7f4ad511d4ee7cbcc639aa5c342dff5f31caa9df86daa9d4",
         "cone --z-cm 150,537.2 --theta-limit 80 --freq-ghz 2.46":
             "4bc5f55ece3382b981df830c47abe5b74c31c61e54cd1a76ebba20f45dd54928",
         "cone --z-cm 333 --theta-limit 45 --spacing-cm 5 --n-azimuths 36":

@@ -365,6 +365,32 @@ class TestApplyManeuver:
     def test_heading_wraps_into_the_half_open_circle(self, heading, wrapped):
         assert DroneState(Vector3(0.0, 0.0, 100.0), heading).heading_deg == wrapped
 
+    @settings(max_examples=300)
+    @given(gcfg=st.builds(GuidanceConfig, st.just(0.02),
+                          st.sampled_from([0.5, 0.7, 1.0, 2.5, 60.0, 180.0, 360.0])
+                          | st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)),
+           heading=st.sampled_from([180.0, -180.0, 179.5, -179.5, math.nextafter(180.0, 0.0),
+                                    -0.0, 0.0]) | st.floats(-720.0, 720.0),
+           x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6))
+    def test_each_outcome_s_move_is_its_maneuvers_applied_bit_for_bit(self, gcfg, heading, x, y):
+        state = DroneState(Vector3(x, y, 100.0), heading)
+        for maneuvers, turn, step in gcfg._outcomes:
+            # the landing loop's move: the turn, the heading's cosine and sine, the translate
+            px, py, h = state.position.x, state.position.y, state.heading_deg
+            cos_h, sin_h = simulator._trig(h)
+            if turn:
+                h = simulator._wrap(h + turn)
+                cos_h, sin_h = simulator._trig(h)
+            if step:
+                px, py = px + step * sin_h, py + step * cos_h
+            want = state
+            for m in maneuvers:
+                want = apply_maneuver(want, m)
+            assert (px.hex(), py.hex(), h.hex()) == (
+                want.position.x.hex(), want.position.y.hex(), want.heading_deg.hex())
+            # only an escape yaw leaves the loop's descent out
+            assert (step is None) == (maneuvers in ((YAW_LEFT,), (YAW_RIGHT,)))
+
 
 class TestSimulateLanding:
     def test_reference_scenario_sequence_and_convergence(self):
@@ -446,6 +472,16 @@ class TestSimulateLanding:
         assert any(decide(r.voltages, GCFG) != list(r.maneuvers) for r in records)
         assert (landing_hex_or_error(simulate_landing, *args)
                 == landing_hex_or_error(reference_simulate_landing, *args))
+
+    def test_guidance_steps_other_than_1_match_object_based_loop_bit_for_bit(self):
+        # each config builds its own outcome table: this run takes all seven outcomes
+        args = (fig14_start(), ground_point(100.0, -35.0), GEOM, RF, PROFILES,
+                GuidanceConfig(rotate_step_deg=0.7, move_step_cm=1.5), SCFG)
+        got = landing_hex_or_error(simulate_landing, *args)
+        assert got == landing_hex_or_error(reference_simulate_landing, *args)
+        assert {tokens for *_, tokens in got[0]} == {
+            ("HOLD",), ("YAWL60",), ("YAWR60",), ("ROTL0.7", "FWD1.5"), ("ROTL0.7", "BWD1.5"),
+            ("ROTR0.7", "FWD1.5"), ("ROTR0.7", "BWD1.5")}
 
     @settings(deadline=None, max_examples=150)
     @given(x=st.floats(-300.0, 300.0), y=st.floats(-300.0, 300.0), z=st.floats(1.0, 400.0),
@@ -697,12 +733,22 @@ class TestRecordsBuiltWhenRead:
                 setattr(result, field.name, None)
 
 
+HOLD = Maneuver(ManeuverKind.HOLD)
+YAW_LEFT, YAW_RIGHT = Maneuver(ManeuverKind.YAW_LEFT, 60.0), Maneuver(ManeuverKind.YAW_RIGHT, 60.0)
+
+
+def outcome_of(gcfg, maneuvers):
+    """The outcome whose maneuvers in gcfg's table (GuidanceConfig._outcomes) are `maneuvers`:
+    the loop's row keeps it where it once kept the maneuvers."""
+    return [m for m, _, _ in gcfg._outcomes].index(tuple(maneuvers))
+
+
 def first_phases(z, phi, heading, r):
     """The wrapped phases a drone at (0, 0, z) with `heading` senses of a ground beacon at
     radius r and azimuth phi, as the landing loop computes them."""
     beacon = ground_point(r, phi)
-    raw = simulator._phases(simulator._body_point(0.0, 0.0, z, heading, beacon), GEOM,
-                            RF.deg_per_cm)
+    raw = simulator._phases(simulator._body_point(0.0, 0.0, z, *simulator._trig(heading), beacon),
+                            GEOM, RF.deg_per_cm)
     return tuple(wrap_angle_deg(th) for th in raw)
 
 
@@ -920,7 +966,7 @@ class TestHoldsDecidedInPhase:
 
         phases = first_phases(100.0, 20.0, 0.0, inside)
         assert max(map(abs, phases)) > 80.0
-        assert guidance._rule(GCFG, *map(cell, phases), [Maneuver(ManeuverKind.HOLD)]) is not None
+        assert guidance._rule(GCFG, *map(cell, phases), outcome_of(GCFG, [HOLD])) is not None
         got = landing_hex_or_error(simulate_landing, *args)
         assert got == landing_hex_or_error(reference_simulate_landing, *args)
         assert got[0] == [] and got[4].startswith("iteration 0: ")
@@ -1100,8 +1146,8 @@ class TestHoldRunsSkippedByProof:
         (lo, _), *_ = DETECTOR_MODES["calibrated"](profiles, rf, GCFG.hold_threshold_v)[2]
         start, beacon = DroneState(Vector3(0.0, 0.0, 2.0)), Vector3(1.287244311143354e-09, 0.0, 0.0)
         err = simulator._check_reach(0.0, 0.0, 2.0, beacon, GCFG.move_step_cm, GEOM, rf, 80.0)
-        th12 = simulator._phases(simulator._body_point(0.0, 0.0, 2.0, 0.0, beacon), GEOM,
-                                 rf.deg_per_cm)[0]
+        q = simulator._body_point(0.0, 0.0, 2.0, *simulator._trig(0.0), beacon)
+        th12 = simulator._phases(q, GEOM, rf.deg_per_cm)[0]
         assert lo + 2.0 * err < th12 < lo + 2.0 * (err + simulator._WRAP_ROUNDING)
         assert simulator._wrap(th12) < lo
         args = (start, beacon, GEOM, rf, profiles, GCFG, SimConfig(max_iterations=1))
@@ -1120,9 +1166,9 @@ def in_phase_and_sensed(raw, before=0, gcfg=GCFG, profiles=PROFILES, mode="calib
     """The loop's decision in phase for the raw phases, None or maneuvers, and the sensed one,
     after a row whose escape is `before`: -1 for a left yaw, +1 for a right one, 0 for none."""
     limit, laws, _, sources = DETECTOR_MODES[mode](profiles, RF, gcfg.hold_threshold_v)
-    last = [{-1: Maneuver(ManeuverKind.YAW_LEFT, 60.0), 0: Maneuver(ManeuverKind.HOLD),
-             1: Maneuver(ManeuverKind.YAW_RIGHT, 60.0)}[before]]
-    return (guidance._rule(gcfg, *(source(theta) for source, theta in zip(sources, raw)), last),
+    last = outcome_of(gcfg, {-1: [YAW_LEFT], 0: [HOLD], 1: [YAW_RIGHT]}[before])
+    outcome = guidance._rule(gcfg, *(source(theta) for source, theta in zip(sources, raw)), last)
+    return (None if outcome is None else list(gcfg._outcomes[outcome][0]),
             sensed_maneuvers(raw, limit, laws, gcfg, before))
 
 

@@ -1,5 +1,6 @@
 """Test oracles for the guidance sectors and the phase shifts, kept out of the package."""
 
+import bisect
 import math
 
 from triphase.errors import InvalidParameterError
@@ -91,3 +92,30 @@ def guided(v, cfg, before):
     maneuvers = decide(v, cfg)
     escape = escape_of(maneuvers)
     return tracking_maneuvers(v, cfg) if escape and escape == -before else maneuvers
+
+
+# A calibrated pair's interval source as the landing loop's first in-phase decisions read it,
+# written out once, branch by branch, apart from the library's table.
+
+def cells(poly, limit, thr, edges, theta):
+    """The (lo, hi) [V] that holds poly's centered voltage at the raw phase theta: theta's
+    seed-table cell less v_ref, tightened past the sign edges to >= 0 or < 0 and past the
+    outer edges to > thr or < -thr (detector._edges), or (nan, nan) off the table or past
+    +-limit, after the wrap."""
+    volts, phases = poly._seed_table
+    v_ref, n = poly.v_ref, len(phases)
+    first, final = max(phases[0], -limit), min(phases[-1], limit)
+    _, (zero_lo, zero_hi), (hold_lo, hold_hi) = edges
+    past, negative = math.nextafter(thr, math.inf), -math.ulp(0.0)  # past thr, below 0
+    theta = wrap_angle_deg(theta)
+    if not first <= theta <= final:
+        return math.nan, math.nan
+    i = bisect.bisect_right(phases, theta, 1, n - 1)
+    lo, hi = volts[i - 1] - v_ref, volts[i] - v_ref
+    if theta > zero_hi:
+        bound = past if theta > hold_hi else 0.0
+        return (lo if lo > bound else bound), hi
+    if theta < zero_lo:
+        bound = -past if theta < hold_lo else negative
+        return lo, (hi if hi < bound else bound)
+    return lo, hi

@@ -447,6 +447,9 @@ class TestOutputDigests:
         # guidance steps other than 1: 300 cycles, one escape yaw, first hold at 200
         "simulate --rotate-step 2.5 --move-step 0.5 --hold-threshold 0.03":
             "27fd1a67900dcf7f7f4ad511d4ee7cbcc639aa5c342dff5f31caa9df86daa9d4",
+        # a threshold without guarded edges (detector._NO_EDGES): 300 cycles, never converges
+        "simulate --hold-threshold 1e-6":
+            "0352607a645caa233f6d667050bc6a95e7c6e2bb67d14b98717ec1e23bac1c56",
         "cone --z-cm 150,537.2 --theta-limit 80 --freq-ghz 2.46":
             "4bc5f55ece3382b981df830c47abe5b74c31c61e54cd1a76ebba20f45dd54928",
         "cone --z-cm 333 --theta-limit 45 --spacing-cm 5 --n-azimuths 36":
@@ -469,6 +472,15 @@ class TestOutputDigests:
         # the parser is built once per process; each call must see only its own arguments
         for command in ("cone --z-cm 333 --theta-limit 45 --spacing-cm 5 --n-azimuths 36",
                         "sweep", "cone"):
+            out = tmp_path / "out.csv"
+            assert main(command.split() + ["--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
+
+    def test_no_interval_source_carries_over_between_thresholds(self, tmp_path):
+        # the built-in profiles live as long as the process, and with them whatever a run
+        # builds for each hold threshold
+        for command in ("simulate --rotate-step 2.5 --move-step 0.5 --hold-threshold 0.03",
+                        "simulate", "simulate --hold-threshold 1e-6", "simulate"):
             out = tmp_path / "out.csv"
             assert main(command.split() + ["--out", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]

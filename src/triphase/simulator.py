@@ -15,8 +15,8 @@ phases lie inside the pairs' hold boxes (detector._edges), shrunk by a margin
 that covers _phases' rounding and the wrap, is a hold, and as a hold moves only
 z, the rest of its run is searched, not sensed cycle by cycle (_proven_run).
 For every other cycle guidance's one rule, its seam guard included, decides on
-each pair's interval holding its voltage (_cells, _point), or, where it cannot,
-on the sensed voltages.  The records sense a row decided in phase when read.
+each pair's interval holding its voltage (_point, or a calibrated pair's table, built once
+per profile and threshold by _table), or, where it cannot, on the sensed voltages.  The records sense a row decided in phase when read.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,
@@ -104,25 +104,39 @@ def _point(law, limit, theta):
     return v, v
 
 
-def _cells(poly, limit, threshold_v, edges):
-    """A calibrated pair's interval source, as _point's, but a seed-table cell tightened by the
-    pair's edges for the threshold (detector._edges).  Why it holds the voltage: _sense wraps
-    theta as here, and voltage_from_phase solves in the cell [volts[i - 1], volts[i]],
-    i = bisect_right(phases, theta, 1, N - 1).  It seeds _solve inside the cell, and _solve
-    never leaves its bracket: each evaluation moves an end to the iterate, and a Newton step
-    leaving the bracket becomes its midpoint.  So v lies in the cell and, rounding being
-    monotone, v - v_ref between the cell's ends less v_ref.  Past a sign edge it is >= 0 or
-    < 0, past an outer edge > thr or < -thr (_edges): the interval ends there at 0, the float
-    below 0 or the float past +-thr.
+def _lookup(breaks, intervals, theta):
+    """A calibrated pair's interval source, as _point's, read from its table (_table)."""
+    return intervals[bisect_right(breaks, _wrap(theta))]
+
+
+def _table(poly, limit, threshold_v):
+    """The pair's hold box and interval source for the threshold, built on the first call and
+    kept on poly, as poly keeps its seed table, keyed by (limit, threshold_v): on the instance,
+    as profiles that compare equal may differ in the sign of a zero.
+
+    The source gives theta's seed-table cell, tightened by the pair's edges (detector._edges).
+    Why it holds the voltage: _sense wraps theta as _lookup does, and voltage_from_phase
+    solves in the cell [volts[i - 1], volts[i]], i = bisect_right(phases, theta, 1, N - 1).
+    It seeds _solve inside the cell, and _solve never leaves its bracket: each evaluation
+    moves an end to the iterate, and a Newton step leaving the bracket becomes its midpoint.
+    So v lies in the cell and, rounding being monotone, v - v_ref between the cell's ends less
+    v_ref.  Past a sign edge it is >= 0 or < 0, past an outer edge > thr or < -thr: the
+    interval ends there at 0, the float below 0 or the float past +-thr.
+
+    Each test of interval switches at a break: a table phase inside the bracket, a lower
+    edge, first, or the float above an upper edge or final.  So interval is constant from one
+    break up to the next, and the table keeps its value at the lower one.
     """
+    tables = poly.__dict__.setdefault("_tables", {})
+    if (limit, threshold_v) in tables:
+        return tables[limit, threshold_v]
     volts, phases = poly._seed_table
     v_ref, cells = poly.v_ref, SEED_TABLE_POINTS - 1
     first, final = max(phases[0], -limit), min(phases[-1], limit)
-    _, (zero_lo, zero_hi), (hold_lo, hold_hi) = edges
+    box, (zero_lo, zero_hi), (hold_lo, hold_hi) = _edges(poly, threshold_v)
     past, negative = math.nextafter(threshold_v, math.inf), -math.ulp(0.0)  # past thr, below 0
 
     def interval(theta):
-        theta = _wrap(theta)
         if not first <= theta <= final:
             return math.nan, math.nan
         i = bisect_right(phases, theta, 1, cells)
@@ -135,15 +149,19 @@ def _cells(poly, limit, threshold_v, edges):
             return lo, (hi if hi < bound else bound)
         return lo, hi
 
-    return interval
+    breaks = sorted([*phases[1:-1], zero_lo, hold_lo, first,
+                     *(math.nextafter(end, math.inf) for end in (zero_hi, hold_hi, final))])
+    # below the first break lies no phase from first to final
+    source = partial(_lookup, breaks, [(math.nan, math.nan), *map(interval, breaks)])
+    tables[limit, threshold_v] = box, source
+    return box, source
 
 
 def _calibrated_mode(profiles, rf, threshold_v):
-    """The calibrated DETECTOR_MODES entry; each pair's box and source read its edges."""
+    """The calibrated DETECTOR_MODES entry; each pair's box and source are its table's."""
     limit, laws = _calibrated(profiles, rf)
-    edges = [_edges(profiles[pair], threshold_v) for pair in PAIR_IDS]
-    return (limit, laws, [box for box, _, _ in edges],
-            [_cells(profiles[pair], limit, threshold_v, e) for pair, e in zip(PAIR_IDS, edges)])
+    boxes, sources = zip(*(_table(profiles[pair], limit, threshold_v) for pair in PAIR_IDS))
+    return limit, laws, boxes, sources
 
 
 def _ideal_mode(law, profiles, rf, threshold_v):
@@ -154,7 +172,7 @@ def _ideal_mode(law, profiles, rf, threshold_v):
 #: detector mode -> f(profiles, rf, threshold_v) giving the mode's non-ambiguous range [deg],
 #: its three laws, in PAIR_IDS order, from a wrapped pair phase to its centered voltage [V],
 #: the pairs' three hold boxes [deg] for the hold threshold, _NO_BOX where a pair has none,
-#: and the pairs' three interval sources for guidance's rule (_point, _cells)
+#: and the pairs' three interval sources for guidance's rule (_point, _lookup)
 DETECTOR_MODES = {
     "calibrated": _calibrated_mode,
     "ideal-sine": partial(_ideal_mode, _sine),
@@ -372,8 +390,9 @@ def _proven_run(z, step, floor, n, proven):
     proven(h) tells whether the raw phases at height h lie inside the hold boxes shrunk by
     margin = 2 (err + _WRAP_ROUNDING), err the run's _check_reach bound; proven(z) holds.
     Why each height between two proven ones holds in phase: a hold keeps x, y and the
-    heading, so _body_point gives the same (bx, by) floats, and only dz = landing.z - h moves,
-    monotonically toward 0.  With h_i the horizontal distance from (bx, by) to input i, the
+    heading, so _body_point gives the same (bx, by) floats, which the loop's probes reuse, and
+    only dz = landing.z - h moves, monotonically toward 0 (h > floor >= landing.z, so never
+    past it).  With h_i the horizontal distance from (bx, by) to input i, the
     exact phase of that point is th_ij = k (h_i^2 - h_j^2) / (d_i + d_j): its sign is fixed and
     |th_ij| only grows as |dz| shrinks, so it lies between its values at the two proven
     heights, at least margin - err inside the box.  The computed phase is within err of it, so
@@ -415,7 +434,8 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     """Run the sense-decide-act loop until touchdown, abort, or budget exhaustion."""
     gcfg = gcfg or _DEFAULT_GUIDANCE
     scfg = scfg or SimConfig()
-    if landing.z > scfg.min_height_cm:  # the loop would descend past the beacon
+    descent, floor, budget = scfg.descent_step_cm, scfg.min_height_cm, scfg.max_iterations
+    if landing.z > floor:  # the loop would descend past the beacon
         raise InvalidParameterError(f"landing z must be <= min_height_cm, got {landing.z}")
     # the one lookup of a mode; it checks the set also when the start is already at touchdown
     limit, laws, boxes, (src12, src23, src31) = DETECTOR_MODES[scfg.detector_mode](
@@ -423,7 +443,7 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
     k, outcomes = rf.deg_per_cm, gcfg._outcomes
     x, y, z, heading = start.position.x, start.position.y, start.position.z, start.heading_deg
     cos_h, sin_h = _trig(heading)
-    err = _check_reach(x, y, z, landing, min(scfg.max_iterations, 2 ** 63) * gcfg.move_step_cm,
+    err = _check_reach(x, y, z, landing, min(budget, 2 ** 63) * gcfg.move_step_cm,
                        geom, rf, limit)  # a translate per row at most; a list holds < 2 ** 63 rows
     margin = 2.0 * (err + _WRAP_ROUNDING)
     (in12, out12), (in23, out23), (in31, out31) = [(lo + margin, hi - margin) for lo, hi in boxes]
@@ -432,17 +452,18 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         th12, th23, th31 = raw
         return in12 <= th12 <= out12 and in23 <= th23 <= out23 and in31 <= th31 <= out31
 
-    def proven(h):  # the loop's pose, descended to height h, senses phases deep in the boxes
-        return deep(_phases(_body_point(x, y, h, cos_h, sin_h, landing), geom, k))
+    def proven(h):  # the hold's pose, descended to height h, senses phases deep in the boxes
+        return deep(_phases((bx, by, landing.z - h), geom, k))  # _body_point's floats at h
 
     rows = []
     diagnostic = None
 
-    while z > scfg.min_height_cm and len(rows) < scfg.max_iterations:
-        raw = _phases(_body_point(x, y, z, cos_h, sin_h, landing), geom, k)
+    while z > floor and len(rows) < budget:
+        q = _body_point(x, y, z, cos_h, sin_h, landing)
+        raw = _phases(q, geom, k)
         if deep(raw):  # a hold, decided in phase, as are the cycles of its run proven so
-            heights = _proven_run(z, scfg.descent_step_cm, scfg.min_height_cm,
-                                  scfg.max_iterations - len(rows), proven)
+            bx, by, _ = q
+            heights = _proven_run(z, descent, floor, budget - len(rows), proven)
             rows += [(x, y, h, heading, None, _HOLD) for h in heights]
             z = heights[-1]
         else:
@@ -465,12 +486,12 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
                 x, y = x + step * sin_h, y + step * cos_h
             elif step is None:
                 continue  # an escape yaw only reorients: no descent
-        z = max(z - scfg.descent_step_cm, scfg.min_height_cm)  # one step, never past touchdown
+        z = max(z - descent, floor)  # one step, never past touchdown
 
     # a hold is always decide's only maneuver, so no escape or fall-through replaced it
     first_hold = next((k for k, row in enumerate(rows) if row[5] == _HOLD), None)
     return SimulationResult(records=_Records(rows, outcomes, limit, laws, landing, geom, k),
-                            touchdown=z <= scfg.min_height_cm, aborted=diagnostic is not None, diagnostic=diagnostic,
+                            touchdown=z <= floor, aborted=diagnostic is not None, diagnostic=diagnostic,
                             first_hold_iteration=first_hold, final_state=_pose(x, y, z, heading))
 
 

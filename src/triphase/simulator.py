@@ -15,8 +15,9 @@ phases lie inside the pairs' hold boxes (detector._edges), shrunk by a margin
 that covers _phases' rounding and the wrap, is a hold, and as a hold moves only
 z, the rest of its run is searched, not sensed cycle by cycle (_proven_run).
 For every other cycle guidance's one rule, its seam guard included, decides on
-each pair's interval holding its voltage (_point, or a calibrated pair's table, built once
-per profile and threshold by _table), or, where it cannot, on the sensed voltages.  The records sense a row decided in phase when read.
+each pair's interval holding its voltage (_point, or a calibrated pair's table, which
+_table builds once per profile and threshold), or, where it cannot, on the sensed
+voltages.  The records sense a row decided in phase when read.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,

@@ -15,9 +15,8 @@ phases lie inside the pairs' hold boxes (detector._edges), shrunk by a margin
 that covers _phases' rounding and the wrap, is a hold, and as a hold moves only
 z, the rest of its run is searched, not sensed cycle by cycle (_proven_run).
 For every other cycle guidance's one rule, its seam guard included, decides on
-each pair's interval holding its voltage (_point, or a calibrated pair's table, which
-_table builds once per profile and threshold), or, where it cannot, on the sensed
-voltages.  The records sense a row decided in phase when read.
+each pair's interval holding its voltage (_point, or a calibrated pair's _table), or,
+where it cannot, on the sensed voltages.  The records sense a row decided in phase when read.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,
@@ -32,7 +31,7 @@ bit-identical trajectory logs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -105,57 +104,64 @@ def _point(law, limit, theta):
     return v, v
 
 
+class _Tables(dict):
+    """A profile's interval tables (_table): they pickle as none, so a loaded one builds its own."""
+
+    def __reduce__(self):
+        return _Tables, ()
+
+
 def _lookup(breaks, intervals, theta):
     """A calibrated pair's interval source, as _point's, read from its table (_table)."""
     return intervals[bisect_right(breaks, _wrap(theta))]
 
 
 def _table(poly, limit, threshold_v):
-    """The pair's hold box and interval source for the threshold, built on the first call and
-    kept on poly, as poly keeps its seed table, keyed by (limit, threshold_v): on the instance,
-    as profiles that compare equal may differ in the sign of a zero.
-
-    The source gives theta's seed-table cell, tightened by the pair's edges (detector._edges).
-    Why it holds the voltage: _sense wraps theta as _lookup does, and voltage_from_phase
-    solves in the cell [volts[i - 1], volts[i]], i = bisect_right(phases, theta, 1, N - 1).
-    It seeds _solve inside the cell, and _solve never leaves its bracket: each evaluation
-    moves an end to the iterate, and a Newton step leaving the bracket becomes its midpoint.
-    So v lies in the cell and, rounding being monotone, v - v_ref between the cell's ends less
-    v_ref.  Past a sign edge it is >= 0 or < 0, past an outer edge > thr or < -thr: the
-    interval ends there at 0, the float below 0 or the float past +-thr.
-
-    Each test of interval switches at a break: a table phase inside the bracket, a lower
-    edge, first, or the float above an upper edge or final.  So interval is constant from one
-    break up to the next, and the table keeps its value at the lower one.
+    """The pair's hold box and interval source for the threshold, kept on poly (_Tables) for the
+    last range and threshold beside the range's cells; per instance, as equal profiles may
+    differ in a zero's sign.  The cells: from each break (first, the inner table phases, the
+    float above final), theta's seed-table cell [volts[i - 1], volts[i]] less v_ref, i =
+    bisect_right(phases, theta, 1, N - 1), or (nan, nan) off [first, final].  For theta wrapped
+    as _lookup wraps it, voltage_from_phase seeds _solve in that cell, which _solve never leaves
+    (an evaluation moves an end to the iterate; a Newton step leaving it becomes its midpoint),
+    so by monotone rounding v - v_ref lies in it.  Past a sign edge (detector._edges) v is >= 0
+    or < 0, past an outer edge > thr or < -thr.  The edges ascend, outer, sign, sign, outer, and
+    (an upper one at the float above it) split the cells; as neither i nor the volts descend, a
+    bound moves one run of ends next to its edge.
     """
-    tables = poly.__dict__.setdefault("_tables", {})
+    tables = poly.__dict__.get("_tables", {})
     if (limit, threshold_v) in tables:
         return tables[limit, threshold_v]
-    volts, phases = poly._seed_table
-    v_ref, cells = poly.v_ref, SEED_TABLE_POINTS - 1
-    first, final = max(phases[0], -limit), min(phases[-1], limit)
+    if limit not in tables:
+        volts, phases = poly._seed_table
+        first, top = max(phases[0], -limit), math.nextafter(min(phases[-1], limit), math.inf)
+        inner, ends = sorted(phases[1:-1]), [v - poly.v_ref for v in volts]
+        a, b = bisect_right(inner, first), bisect_left(inner, top)
+        breaks = [first, *inner[a:b], top]
+        cells = (zip(ends[a:b + 1], ends[a + 1:b + 2]) if inner == phases[1:-1] else  # ascending
+                 ((ends[i - 1], ends[i]) for i in
+                  map(partial(bisect_right, phases, lo=1, hi=SEED_TABLE_POINTS - 1), breaks[:-1])))
+        tables = {limit: (breaks, [(math.nan, math.nan), *cells, (math.nan, math.nan)])}
+    breaks, intervals = map(list, tables[limit])
     box, (zero_lo, zero_hi), (hold_lo, hold_hi) = _edges(poly, threshold_v)
-    past, negative = math.nextafter(threshold_v, math.inf), -math.ulp(0.0)  # past thr, below 0
-
-    def interval(theta):
-        if not first <= theta <= final:
-            return math.nan, math.nan
-        i = bisect_right(phases, theta, 1, cells)
-        lo, hi = volts[i - 1] - v_ref, volts[i] - v_ref
-        if theta > zero_hi:  # v >= 0, and v > thr past the outer edge
-            bound = past if theta > hold_hi else 0.0
-            return (lo if lo > bound else bound), hi
-        if theta < zero_lo:  # v < 0, and v < -thr past the outer edge
-            bound = -past if theta < hold_lo else negative
-            return lo, (hi if hi < bound else bound)
-        return lo, hi
-
-    breaks = sorted([*phases[1:-1], zero_lo, hold_lo, first,
-                     *(math.nextafter(end, math.inf) for end in (zero_hi, hold_hi, final))])
-    # below the first break lies no phase from first to final
-    source = partial(_lookup, breaks, [(math.nan, math.nan), *map(interval, breaks)])
-    tables[limit, threshold_v] = box, source
-    return box, source
+    cuts = [min(max(edge, breaks[0]), breaks[-1]) for edge in (
+        zero_lo, hold_lo, math.nextafter(zero_hi, math.inf), math.nextafter(hold_hi, math.inf))]
+    for cut in cuts:
+        k = bisect_right(breaks, cut)  # intervals[k] holds from breaks[k - 1] up to the cut
+        breaks.insert(k, cut)
+        intervals.insert(k + 1, intervals[k])
+    below, below_hold, above, above_hold, end = (  # the sub-cells from each cut, and past final
+        bisect_left(breaks, cut) + 1 for cut in [*cuts, breaks[-1]])
+    past = math.nextafter(threshold_v, math.inf)
+    for bound, i, j in ((0.0, above, above_hold), (past, above_hold, end)):
+        j = bisect_right(intervals, bound, i, j, key=lambda iv: iv[0])
+        intervals[i:j] = [(bound, hi) for _, hi in intervals[i:j]]
+    for bound, i, j in ((-past, 1, below_hold), (-math.ulp(0.0), below_hold, below)):
+        i = bisect_left(intervals, bound, i, j, key=lambda iv: iv[1])
+        intervals[i:j] = [(lo, bound) for lo, _ in intervals[i:j]]
+    table = box, partial(_lookup, breaks, intervals)
+    poly.__dict__["_tables"] = _Tables({limit: tables[limit], (limit, threshold_v): table})
+    return table
 
 
 def _calibrated_mode(profiles, rf, threshold_v):
@@ -391,9 +397,8 @@ def _proven_run(z, step, floor, n, proven):
     proven(h) tells whether the raw phases at height h lie inside the hold boxes shrunk by
     margin = 2 (err + _WRAP_ROUNDING), err the run's _check_reach bound; proven(z) holds.
     Why each height between two proven ones holds in phase: a hold keeps x, y and the
-    heading, so _body_point gives the same (bx, by) floats, which the loop's probes reuse, and
-    only dz = landing.z - h moves, monotonically toward 0 (h > floor >= landing.z, so never
-    past it).  With h_i the horizontal distance from (bx, by) to input i, the
+    heading, so _body_point gives the same (bx, by) floats, and only dz = landing.z - h moves,
+    monotonically toward 0.  With h_i the horizontal distance from (bx, by) to input i, the
     exact phase of that point is th_ij = k (h_i^2 - h_j^2) / (d_i + d_j): its sign is fixed and
     |th_ij| only grows as |dz| shrinks, so it lies between its values at the two proven
     heights, at least margin - err inside the box.  The computed phase is within err of it, so
@@ -454,16 +459,14 @@ def simulate_landing(start: DroneState, landing: Vector3, geom: ReceiverGeometry
         return in12 <= th12 <= out12 and in23 <= th23 <= out23 and in31 <= th31 <= out31
 
     def proven(h):  # the hold's pose, descended to height h, senses phases deep in the boxes
-        return deep(_phases((bx, by, landing.z - h), geom, k))  # _body_point's floats at h
+        return deep(_phases((q[0], q[1], landing.z - h), geom, k))  # _body_point's at h > floor
 
     rows = []
     diagnostic = None
 
     while z > floor and len(rows) < budget:
-        q = _body_point(x, y, z, cos_h, sin_h, landing)
-        raw = _phases(q, geom, k)
+        raw = _phases(q := _body_point(x, y, z, cos_h, sin_h, landing), geom, k)
         if deep(raw):  # a hold, decided in phase, as are the cycles of its run proven so
-            bx, by, _ = q
             heights = _proven_run(z, descent, floor, budget - len(rows), proven)
             rows += [(x, y, h, heading, None, _HOLD) for h in heights]
             z = heights[-1]

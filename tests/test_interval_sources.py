@@ -153,3 +153,26 @@ def test_equal_profiles_each_get_their_own_sources():
     for thr in (0.02, 0.03):
         assert_sources_match(twins, thr, lambda poly, limit: special_phases(poly, limit, thr))
 
+
+def test_a_table_whose_phases_do_not_ascend_gives_the_oracle_s_interval():
+    # rounding may leave a seed table's phases out of order or tied; bisect still picks a cell
+    profiles = {pair: dataclasses.replace(poly) for pair, poly in builtin_profile_set().items()}
+    for poly in profiles.values():
+        volts, phases = poly._seed_table
+        phases = list(phases)
+        phases[100], phases[101], phases[150] = phases[101], phases[100], phases[149]
+        poly.__dict__["_seed_table"] = volts, phases
+    for thr in (0.02, 1e-6):
+        assert_sources_match(profiles, thr, lambda poly, limit: special_phases(poly, limit, thr))
+
+
+def test_a_profile_keeps_one_table_and_pickles_none():
+    profiles = {pair: dataclasses.replace(poly) for pair, poly in builtin_profile_set().items()}
+    poly = profiles["d12"]
+    DETECTOR_MODES["calibrated"](profiles, RF, 0.02)
+    size = len(pickle.dumps(poly))
+    for thr in (0.03, 1e-6, 1.5):
+        DETECTOR_MODES["calibrated"](profiles, RF, thr)
+        assert len(poly.__dict__["_tables"]) == 2  # the range's cells and the last table
+    assert len(pickle.dumps(poly)) == size  # whatever the tables hold, they pickle as none
+    assert not pickle.loads(pickle.dumps(poly)).__dict__["_tables"]

@@ -166,13 +166,43 @@ def test_a_table_whose_phases_do_not_ascend_gives_the_oracle_s_interval():
         assert_sources_match(profiles, thr, lambda poly, limit: special_phases(poly, limit, thr))
 
 
-def test_a_profile_keeps_one_table_and_pickles_none():
+def test_a_new_threshold_leaves_the_sources_handed_out_intact():
+    # a profile keeps the table for one threshold; a new one replaces it, never edits it
     profiles = {pair: dataclasses.replace(poly) for pair, poly in builtin_profile_set().items()}
-    poly = profiles["d12"]
-    DETECTOR_MODES["calibrated"](profiles, RF, 0.02)
-    size = len(pickle.dumps(poly))
-    for thr in (0.03, 1e-6, 1.5):
+    limit, _, _, sources = DETECTOR_MODES["calibrated"](profiles, RF, 0.02)
+    for thr in (0.03, 1e-6):
         DETECTOR_MODES["calibrated"](profiles, RF, thr)
-        assert len(poly.__dict__["_tables"]) == 2  # the range's cells and the last table
-    assert len(pickle.dumps(poly)) == size  # whatever the tables hold, they pickle as none
-    assert not pickle.loads(pickle.dumps(poly)).__dict__["_tables"]
+    for pair, source in zip(PAIR_IDS, sources):
+        poly = profiles[pair]
+        edges = detector._edges(poly, 0.02)
+        for theta in special_phases(poly, limit, 0.02):
+            want = oracle.cells(poly, limit, 0.02, edges, theta)
+            assert hexes(source(theta)) == hexes(want), (pair, theta.hex())
+    again = DETECTOR_MODES["calibrated"](profiles, RF, 1e-6)[3]
+    assert all(a is b for a, b in zip(again, DETECTOR_MODES["calibrated"](profiles, RF, 1e-6)[3]))
+
+
+def seed_hexes(poly):
+    return [[x.hex() for x in column] for column in poly._seed_table]
+
+
+def test_a_profile_pickles_as_its_fields_whatever_it_ran():
+    # a profile pickles as a fresh copy of it does, and loading constructs it again, so nothing
+    # it derived crosses a pickle: a loaded profile proves and builds its own
+    profiles = {pair: dataclasses.replace(poly) for pair, poly in builtin_profile_set().items()}
+    start, beacon = DroneState(Vector3(0.0, 0.0, 300.0)), Vector3(-57.4, 81.9, 0.0)
+    for thr in (0.02, 0.03, 1e-6, 1.5):
+        simulate_landing(start, beacon, GEOM, RF, profiles, GuidanceConfig(hold_threshold_v=thr))
+    for poly in profiles.values():
+        fresh = dataclasses.replace(poly)
+        loaded = pickle.loads(pickle.dumps(poly))
+        assert pickle.dumps(poly) == pickle.dumps(fresh)
+        assert loaded == poly and loaded.__dict__.keys() == fresh.__dict__.keys()
+    # a seed table edited in memory, as the test of unordered phases edits it, stays behind
+    poly = dataclasses.replace(profiles["d12"])
+    volts, phases = poly._seed_table
+    phases = list(phases)
+    phases[100], phases[101], phases[150] = phases[101], phases[100], phases[149]
+    poly.__dict__["_seed_table"] = volts, phases
+    loaded = pickle.loads(pickle.dumps(poly))
+    assert seed_hexes(loaded) == seed_hexes(dataclasses.replace(poly)) != seed_hexes(poly)

@@ -11,19 +11,20 @@ Three models map a pair phase shift to a DC voltage:
 
 The calibrated polynomials are the simulator's default model.  Their strict
 monotonicity is proven exactly, so forward voltage synthesis has one root to
-find, by a safeguarded Newton-bisection seeded from a per-profile table.
+find, by a safeguarded Newton-bisection seeded from a per-profile table.  Its
+cells, split at a hold threshold's guarded edges, are the landing loop's interval sources (_table).
 Only fit_calibration imports numpy, so the landing path starts without it.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from ._textio import read_text, text_stream
 from .errors import (
@@ -165,7 +166,8 @@ class CalibrationPolynomial:
     Construction requires finite numbers, a positive frequency and an interval
     within half the float range, so every sum and difference of two of its
     voltages is finite; it proves strict monotonicity on the validity interval
-    exactly, keeping the slope range it finds, and checks v_ref's phase is near 0.
+    exactly, keeping the slope range it finds, and checks v_ref's phase is near 0.  It
+    pickles as its fields: loading one proves it again, and rebuilds what it derived.
     """
 
     a0: float
@@ -203,6 +205,9 @@ class CalibrationPolynomial:
                 f"{self.pair_id}: phase at v_ref is {ref_phase:+.3f} deg, "
                 f"exceeds max_err {self.max_err_deg:g} deg")
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
     @cached_property
     def coeffs(self):
         return (self.a0, self.a1, self.a2, self.a3, self.a4, self.a5)
@@ -224,6 +229,26 @@ class CalibrationPolynomial:
         step = (hi - lo) / (SEED_TABLE_POINTS - 1)
         volts = [lo + k * step for k in range(SEED_TABLE_POINTS - 1)] + [hi]
         return volts, [self.evaluate(v) for v in volts]
+
+    @cached_property
+    def _cells(self):
+        """The threshold-free (breaks, intervals) of _table: from each break (first, the inner
+        table phases, the float above final; the end phases within +-80 deg), theta's seed-table
+        cell [volts[i - 1], volts[i]] less v_ref, i = bisect_right(phases, theta, 1, N - 1), or
+        (nan, nan) off [first, final].  For theta wrapped as _lookup wraps it, voltage_from_phase
+        seeds _solve in that cell, which _solve never leaves (an evaluation moves an end to the
+        iterate; a Newton step leaving it becomes its midpoint), so by monotone rounding
+        v - v_ref lies in it.  A table rounding left out of order is bisected break by break."""
+        volts, phases = self._seed_table
+        first = max(phases[0], -CALIBRATED_RANGE_DEG)
+        top = math.nextafter(min(phases[-1], CALIBRATED_RANGE_DEG), math.inf)
+        inner, ends = sorted(phases[1:-1]), [v - self.v_ref for v in volts]
+        a, b = bisect_right(inner, first), bisect_left(inner, top)
+        breaks = [first, *inner[a:b], top]
+        cells = (zip(ends[a:b + 1], ends[a + 1:b + 2]) if inner == phases[1:-1] else  # ascending
+                 ((ends[i - 1], ends[i]) for i in
+                  map(partial(bisect_right, phases, lo=1, hi=SEED_TABLE_POINTS - 1), breaks[:-1])))
+        return breaks, [(math.nan, math.nan), *cells, (math.nan, math.nan)]
 
 
 def phase_from_voltage(poly: CalibrationPolynomial, v) -> float:
@@ -266,7 +291,7 @@ def voltage_from_phase(poly: CalibrationPolynomial, theta_deg) -> float:
         raise CalibrationRejectedError(
             f"{poly.pair_id}: polynomial does not reach {theta_deg:+.2f} deg monotonically within "
             f"{BRACKET_EXTENSION_V * 1000:.0f} mV of {v_end:.3f} V; cannot synthesize voltage")
-    i = bisect.bisect_right(phases, theta_deg, 1, SEED_TABLE_POINTS - 1)
+    i = bisect_right(phases, theta_deg, 1, SEED_TABLE_POINTS - 1)
     lo, hi = volts[i - 1], volts[i]
     seed = lo + (theta_deg - phases[i - 1]) * (hi - lo) / (phases[i] - phases[i - 1])
     # the product overflows where phases or voltages are huge, and rounding may carry the seed
@@ -332,6 +357,43 @@ def _edges(poly: CalibrationPolynomial, threshold_v):
     box = (max(p(v_ref - thr + d), -CALIBRATED_RANGE_DEG),
            min(p(v_ref + thr - d), CALIBRATED_RANGE_DEG))
     return box, (p(v_ref - d), p(v_ref + d)), (p(v_ref - thr - d), p(v_ref + thr + d))
+
+
+def _lookup(breaks, intervals, theta):
+    """A calibrated pair's interval source, as simulator._point's, read from its table (_table)."""
+    return intervals[bisect_right(breaks, _wrap(theta))]
+
+
+def _table(poly: CalibrationPolynomial, threshold_v):
+    """The pair's hold box and interval source (_lookup) for the threshold: poly._cells with
+    the threshold's edges (_edges) spliced in.  poly keeps them in one slot, for its last
+    threshold, per instance, as equal profiles may differ in a zero's sign; a new threshold
+    splices into a copy of the cells and replaces the slot, so no source handed out changes.
+    Past a sign edge v is >= 0 or < 0, past an outer edge > thr or < -thr.  The edges ascend,
+    outer, sign, sign, outer, and (an upper one at the float above it) split the cells; as
+    neither i nor the volts descend, a bound moves one run of ends next to its edge.
+    """
+    if (slot := poly.__dict__.get("_table", (None,)))[0] == threshold_v:
+        return slot[1:]
+    breaks, intervals = map(list, poly._cells)
+    box, (zero_lo, zero_hi), (hold_lo, hold_hi) = _edges(poly, threshold_v)
+    cuts = [min(max(edge, breaks[0]), breaks[-1]) for edge in (
+        zero_lo, hold_lo, math.nextafter(zero_hi, math.inf), math.nextafter(hold_hi, math.inf))]
+    for cut in cuts:
+        k = bisect_right(breaks, cut)  # intervals[k] holds from breaks[k - 1] up to the cut
+        breaks.insert(k, cut)
+        intervals.insert(k + 1, intervals[k])
+    below, below_hold, above, above_hold, end = (  # the sub-cells from each cut, and past final
+        bisect_left(breaks, cut) + 1 for cut in [*cuts, breaks[-1]])
+    past = math.nextafter(threshold_v, math.inf)
+    for bound, i, j in ((0.0, above, above_hold), (past, above_hold, end)):
+        j = bisect_right(intervals, bound, i, j, key=lambda iv: iv[0])
+        intervals[i:j] = [(bound, hi) for _, hi in intervals[i:j]]
+    for bound, i, j in ((-past, 1, below_hold), (-math.ulp(0.0), below_hold, below)):
+        i = bisect_left(intervals, bound, i, j, key=lambda iv: iv[1])
+        intervals[i:j] = [(lo, bound) for lo, _ in intervals[i:j]]
+    poly.__dict__["_table"] = slot = threshold_v, box, partial(_lookup, breaks, intervals)
+    return slot[1:]
 
 
 def fit_calibration(samples, degree=5, pair_id="d12", frequency_hz=2.46e9) -> CalibrationPolynomial:

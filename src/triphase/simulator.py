@@ -15,8 +15,8 @@ phases lie inside the pairs' hold boxes (detector._edges), shrunk by a margin
 that covers _phases' rounding and the wrap, is a hold, and as a hold moves only
 z, the rest of its run is searched, not sensed cycle by cycle (_proven_run).
 For every other cycle guidance's one rule, its seam guard included, decides on
-each pair's interval holding its voltage (_point, or a calibrated pair's _table), or,
-where it cannot, on the sensed voltages.  The records sense a row decided in phase when read.
+each pair's interval holding its voltage (_point, or a calibrated profile's detector._table),
+or, where it cannot, on the sensed voltages.  The records sense a row decided in phase when read.
 
 Inputs are validated where they enter: at the public constructors, in `sense`,
 and once per run at `simulate_landing` entry, where one bound, _check_reach,
@@ -31,7 +31,6 @@ bit-identical trajectory logs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -40,10 +39,9 @@ from ._textio import write_csv
 from .detector import (
     CALIBRATED_RANGE_DEG,
     PAIR_IDS,
-    SEED_TABLE_POINTS,
     _NO_BOX,
-    _edges,
     _sine,
+    _table,
     _triangular,
     voltage_from_phase,
 )
@@ -104,70 +102,10 @@ def _point(law, limit, theta):
     return v, v
 
 
-class _Tables(dict):
-    """A profile's interval tables (_table): they pickle as none, so a loaded one builds its own."""
-
-    def __reduce__(self):
-        return _Tables, ()
-
-
-def _lookup(breaks, intervals, theta):
-    """A calibrated pair's interval source, as _point's, read from its table (_table)."""
-    return intervals[bisect_right(breaks, _wrap(theta))]
-
-
-def _table(poly, limit, threshold_v):
-    """The pair's hold box and interval source for the threshold, kept on poly (_Tables) for the
-    last range and threshold beside the range's cells; per instance, as equal profiles may
-    differ in a zero's sign.  The cells: from each break (first, the inner table phases, the
-    float above final), theta's seed-table cell [volts[i - 1], volts[i]] less v_ref, i =
-    bisect_right(phases, theta, 1, N - 1), or (nan, nan) off [first, final].  For theta wrapped
-    as _lookup wraps it, voltage_from_phase seeds _solve in that cell, which _solve never leaves
-    (an evaluation moves an end to the iterate; a Newton step leaving it becomes its midpoint),
-    so by monotone rounding v - v_ref lies in it.  Past a sign edge (detector._edges) v is >= 0
-    or < 0, past an outer edge > thr or < -thr.  The edges ascend, outer, sign, sign, outer, and
-    (an upper one at the float above it) split the cells; as neither i nor the volts descend, a
-    bound moves one run of ends next to its edge.
-    """
-    tables = poly.__dict__.get("_tables", {})
-    if (limit, threshold_v) in tables:
-        return tables[limit, threshold_v]
-    if limit not in tables:
-        volts, phases = poly._seed_table
-        first, top = max(phases[0], -limit), math.nextafter(min(phases[-1], limit), math.inf)
-        inner, ends = sorted(phases[1:-1]), [v - poly.v_ref for v in volts]
-        a, b = bisect_right(inner, first), bisect_left(inner, top)
-        breaks = [first, *inner[a:b], top]
-        cells = (zip(ends[a:b + 1], ends[a + 1:b + 2]) if inner == phases[1:-1] else  # ascending
-                 ((ends[i - 1], ends[i]) for i in
-                  map(partial(bisect_right, phases, lo=1, hi=SEED_TABLE_POINTS - 1), breaks[:-1])))
-        tables = {limit: (breaks, [(math.nan, math.nan), *cells, (math.nan, math.nan)])}
-    breaks, intervals = map(list, tables[limit])
-    box, (zero_lo, zero_hi), (hold_lo, hold_hi) = _edges(poly, threshold_v)
-    cuts = [min(max(edge, breaks[0]), breaks[-1]) for edge in (
-        zero_lo, hold_lo, math.nextafter(zero_hi, math.inf), math.nextafter(hold_hi, math.inf))]
-    for cut in cuts:
-        k = bisect_right(breaks, cut)  # intervals[k] holds from breaks[k - 1] up to the cut
-        breaks.insert(k, cut)
-        intervals.insert(k + 1, intervals[k])
-    below, below_hold, above, above_hold, end = (  # the sub-cells from each cut, and past final
-        bisect_left(breaks, cut) + 1 for cut in [*cuts, breaks[-1]])
-    past = math.nextafter(threshold_v, math.inf)
-    for bound, i, j in ((0.0, above, above_hold), (past, above_hold, end)):
-        j = bisect_right(intervals, bound, i, j, key=lambda iv: iv[0])
-        intervals[i:j] = [(bound, hi) for _, hi in intervals[i:j]]
-    for bound, i, j in ((-past, 1, below_hold), (-math.ulp(0.0), below_hold, below)):
-        i = bisect_left(intervals, bound, i, j, key=lambda iv: iv[1])
-        intervals[i:j] = [(lo, bound) for lo, _ in intervals[i:j]]
-    table = box, partial(_lookup, breaks, intervals)
-    poly.__dict__["_tables"] = _Tables({limit: tables[limit], (limit, threshold_v): table})
-    return table
-
-
 def _calibrated_mode(profiles, rf, threshold_v):
-    """The calibrated DETECTOR_MODES entry; each pair's box and source are its table's."""
+    """The calibrated DETECTOR_MODES entry; each pair's box and source are its table's (_table)."""
     limit, laws = _calibrated(profiles, rf)
-    boxes, sources = zip(*(_table(profiles[pair], limit, threshold_v) for pair in PAIR_IDS))
+    boxes, sources = zip(*(_table(profiles[pair], threshold_v) for pair in PAIR_IDS))
     return limit, laws, boxes, sources
 
 
@@ -179,7 +117,7 @@ def _ideal_mode(law, profiles, rf, threshold_v):
 #: detector mode -> f(profiles, rf, threshold_v) giving the mode's non-ambiguous range [deg],
 #: its three laws, in PAIR_IDS order, from a wrapped pair phase to its centered voltage [V],
 #: the pairs' three hold boxes [deg] for the hold threshold, _NO_BOX where a pair has none,
-#: and the pairs' three interval sources for guidance's rule (_point, _lookup)
+#: and the pairs' three interval sources for guidance's rule (_point, detector._lookup)
 DETECTOR_MODES = {
     "calibrated": _calibrated_mode,
     "ideal-sine": partial(_ideal_mode, _sine),
